@@ -15,13 +15,12 @@ from .base import (
     sigmoid,
 )
 from .bayes import NaiveBayesModel, fit_naive_bayes
-from .boosting import AdaboostModel, GbmModel, XgbModel, fit_adaboost, fit_gbm, fit_xgb
-from .forest import CartModel, ForestModel, fit_cart, fit_extra_trees, fit_random_forest
+from .boosting import AdaboostModel, fit_adaboost, fit_gbm, fit_xgb
+from .forest import TreeEnsembleModel, fit_cart, fit_extra_trees, fit_random_forest
 from .linear import LinearModel, fit_linear_svc, fit_sgd_logistic, logistic_loss_and_grad
 from .mlp import MlpModel, fit_mlp
 from .neighbors import KnnModel, fit_knn
-from . import mlp as mlp_module  # noqa: F401  (re-exported for gradient checks)
-from .tree import GrowParams, TreeNode, best_split, grow_tree, tree_apply, tree_size
+from .tree import GrowParams, TreeBlock, best_split, grow_tree, tree_apply
 
 _FITTERS = {
     "cart": fit_cart,
@@ -38,11 +37,11 @@ _FITTERS = {
 }
 
 MODEL_CLASSES = {
-    "cart": CartModel,
-    "random_forest": ForestModel,
-    "extra_trees": ForestModel,
-    "gbm": GbmModel,
-    "xgb_style": XgbModel,
+    "cart": TreeEnsembleModel,
+    "random_forest": TreeEnsembleModel,
+    "extra_trees": TreeEnsembleModel,
+    "gbm": TreeEnsembleModel,
+    "xgb_style": TreeEnsembleModel,
     "adaboost": AdaboostModel,
     "knn": KnnModel,
     "naive_bayes": NaiveBayesModel,
@@ -78,15 +77,11 @@ def predict_proba(model: TrainedModel, X) -> np.ndarray:
     return model.predict_proba(X)
 
 
-def default_spec(algorithm: str, seed: int = 0, **overrides) -> LearnerSpec:
-    return LearnerSpec(algorithm, dict(overrides), seed)
-
-
 __all__ = [
     "ALGORITHMS", "DEFAULT_HYPERPARAMETERS", "STANDARDIZED", "STAGEABLE",
-    "LearnerSpec", "TrainedModel", "fit", "predict", "predict_proba", "default_spec",
-    "best_split", "grow_tree", "tree_apply", "tree_size", "GrowParams", "TreeNode",
+    "LearnerSpec", "TrainedModel", "fit", "predict", "predict_proba",
+    "best_split", "grow_tree", "tree_apply", "GrowParams", "TreeBlock",
     "MODEL_CLASSES", "sigmoid", "logistic_loss_and_grad",
-    "CartModel", "ForestModel", "GbmModel", "XgbModel", "AdaboostModel",
+    "TreeEnsembleModel", "AdaboostModel",
     "KnnModel", "NaiveBayesModel", "LinearModel", "MlpModel",
 ]

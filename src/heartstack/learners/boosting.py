@@ -8,63 +8,21 @@ import numpy as np
 
 from ..errors import FitError
 from .base import LearnerSpec, TrainedModel, sigmoid
-from .tree import GrowParams, TreeNode, grow_tree, tree_apply
+from .forest import TreeEnsembleModel
+from .tree import GrowParams, TreeBlock, TreeBuilder, grow_tree, tree_apply
 
 # Stumps with weighted error at or above chance end AdaBoost; a perfect
 # stump gets its weight from this floored error instead of infinity.
 _ADA_EPS = 1e-10
 
 
-class GbmModel(TrainedModel):
+def fit_gbm(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     """Stagewise additive model under logistic loss.
 
     Each stage fits a variance-reduction regression tree to the negative
     gradient (label minus predicted probability) and is added with
     shrinkage; the initial score is the log-odds of the training rate.
     """
-
-    def __init__(self, spec, n_features_in, init_score: float, learning_rate: float,
-                 trees: list[TreeNode]):
-        super().__init__(spec, n_features_in)
-        self.init_score = init_score
-        self.learning_rate = learning_rate
-        self.trees = trees
-
-    def decision(self, X) -> np.ndarray:
-        margin = np.full(X.shape[0], self.init_score)
-        for tree in self.trees:
-            margin += self.learning_rate * tree_apply(tree, X)
-        return margin
-
-    def _proba(self, X):
-        return sigmoid(self.decision(X))
-
-    def staged_proba(self, X, checkpoints: list[int]) -> list[np.ndarray]:
-        X = self._prepare(X)
-        out = []
-        margin = np.full(X.shape[0], self.init_score)
-        done = 0
-        for c in sorted(checkpoints):
-            while done < c:
-                margin += self.learning_rate * tree_apply(self.trees[done], X)
-                done += 1
-            out.append(sigmoid(margin))
-        return out
-
-    def params_payload(self):
-        return {
-            "init_score": self.init_score,
-            "learning_rate": self.learning_rate,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @classmethod
-    def from_payload(cls, spec, n_features_in, payload):
-        return cls(spec, n_features_in, payload["init_score"], payload["learning_rate"],
-                   [TreeNode.from_dict(t) for t in payload["trees"]])
-
-
-def fit_gbm(spec: LearnerSpec, X, y) -> GbmModel:
     p = spec.resolved()
     rate = float(y.mean())
     init_score = math.log(rate / (1.0 - rate))
@@ -80,48 +38,8 @@ def fit_gbm(spec: LearnerSpec, X, y) -> GbmModel:
         residual = y - sigmoid(margin)
         tree = grow_tree(X, residual, params)
         trees.append(tree)
-        margin += lr * tree_apply(tree, X)
-    return GbmModel(spec, X.shape[1], init_score, lr, trees)
-
-
-class XgbModel(TrainedModel):
-    """Second-order boosting: leaf weight -G/(H + lambda), split gain from
-    the regularized score with a per-leaf penalty gamma."""
-
-    def __init__(self, spec, n_features_in, learning_rate: float, trees: list[TreeNode]):
-        super().__init__(spec, n_features_in)
-        self.learning_rate = learning_rate
-        self.trees = trees
-
-    def decision(self, X) -> np.ndarray:
-        margin = np.zeros(X.shape[0])
-        for tree in self.trees:
-            margin += self.learning_rate * tree_apply(tree, X)
-        return margin
-
-    def _proba(self, X):
-        return sigmoid(self.decision(X))
-
-    def staged_proba(self, X, checkpoints: list[int]) -> list[np.ndarray]:
-        X = self._prepare(X)
-        out = []
-        margin = np.zeros(X.shape[0])
-        done = 0
-        for c in sorted(checkpoints):
-            while done < c:
-                margin += self.learning_rate * tree_apply(self.trees[done], X)
-                done += 1
-            out.append(sigmoid(margin))
-        return out
-
-    def params_payload(self):
-        return {"learning_rate": self.learning_rate,
-                "trees": [t.to_dict() for t in self.trees]}
-
-    @classmethod
-    def from_payload(cls, spec, n_features_in, payload):
-        return cls(spec, n_features_in, payload["learning_rate"],
-                   [TreeNode.from_dict(t) for t in payload["trees"]])
+        margin += lr * tree_apply(tree, X)[0]
+    return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), init_score, lr)
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -150,28 +68,28 @@ def _xgb_best_split(X, g, h, reg_lambda, gamma):
     return int(feature), float(threshold)
 
 
-def _grow_xgb_tree(X, g, h, max_depth, min_samples_split, reg_lambda, gamma) -> TreeNode:
-    root = TreeNode()
-    stack = [(root, np.arange(X.shape[0]), 0)]
+def _grow_xgb_tree(X, g, h, max_depth, min_samples_split, reg_lambda, gamma) -> TreeBlock:
+    tree = TreeBuilder()
+    stack = [(0, np.arange(X.shape[0]), 0)]
     while stack:
         node, rows, depth = stack.pop()
         split = None
         if (max_depth is None or depth < max_depth) and len(rows) >= min_samples_split:
             split = _xgb_best_split(X[rows], g[rows], h[rows], reg_lambda, gamma)
         if split is None:
-            node.value = leaf_weight(g[rows].sum(), h[rows].sum(), reg_lambda)
-            node.counts = (float(len(rows)),)
+            tree.leaf(node, leaf_weight(g[rows].sum(), h[rows].sum(), reg_lambda))
             continue
-        node.feature, node.threshold = split
-        node.left = TreeNode()
-        node.right = TreeNode()
-        go_left = X[rows, node.feature] <= node.threshold
-        stack.append((node.right, rows[~go_left], depth + 1))
-        stack.append((node.left, rows[go_left], depth + 1))
-    return root
+        feature, threshold = split
+        left, right = tree.split(node, feature, threshold)
+        go_left = X[rows, feature] <= threshold
+        stack.append((right, rows[~go_left], depth + 1))
+        stack.append((left, rows[go_left], depth + 1))
+    return tree.block()
 
 
-def fit_xgb(spec: LearnerSpec, X, y) -> XgbModel:
+def fit_xgb(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
+    """Second-order boosting: leaf weight -G/(H + lambda), split gain from
+    the regularized score with a per-leaf penalty gamma."""
     p = spec.resolved()
     lr = p["learning_rate"]
     margin = np.zeros(X.shape[0])
@@ -183,8 +101,8 @@ def fit_xgb(spec: LearnerSpec, X, y) -> XgbModel:
         tree = _grow_xgb_tree(X, g, h, p["max_depth"], p["min_samples_split"],
                               p["reg_lambda"], p["gamma"])
         trees.append(tree)
-        margin += lr * tree_apply(tree, X)
-    return XgbModel(spec, X.shape[1], lr, trees)
+        margin += lr * tree_apply(tree, X)[0]
+    return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), 0.0, lr)
 
 
 class AdaboostModel(TrainedModel):
@@ -195,7 +113,7 @@ class AdaboostModel(TrainedModel):
     majority label.
     """
 
-    def __init__(self, spec, n_features_in, stumps: list[TreeNode], alphas: list[float]):
+    def __init__(self, spec, n_features_in, stumps: TreeBlock, alphas: list[float]):
         super().__init__(spec, n_features_in)
         self.stumps = stumps
         self.alphas = alphas
@@ -205,8 +123,8 @@ class AdaboostModel(TrainedModel):
         alpha_sum = sum(self.alphas)
         if alpha_sum == 0.0:
             return total
-        for stump, alpha in zip(self.stumps, self.alphas):
-            votes = np.where(tree_apply(stump, X) >= 0.5, 1.0, -1.0)
+        for leaf, alpha in zip(tree_apply(self.stumps, X), self.alphas):
+            votes = np.where(leaf >= 0.5, 1.0, -1.0)
             total += alpha * votes
         return total / alpha_sum
 
@@ -214,13 +132,15 @@ class AdaboostModel(TrainedModel):
         return sigmoid(2.0 * self.decision(X))
 
     def params_payload(self):
-        return {"stumps": [s.to_dict() for s in self.stumps], "alphas": list(self.alphas)}
+        return {"stumps": self.stumps.to_dict(), "alphas": list(self.alphas)}
 
     @classmethod
     def from_payload(cls, spec, n_features_in, payload):
-        return cls(spec, n_features_in,
-                   [TreeNode.from_dict(s) for s in payload["stumps"]],
-                   list(payload["alphas"]))
+        stumps = TreeBlock.from_dict(payload["stumps"], n_features_in)
+        alphas = [float(a) for a in payload["alphas"]]
+        if len(alphas) != stumps.n_trees or not np.isfinite(alphas).all():
+            raise ValueError("adaboost needs one finite alpha per stump")
+        return cls(spec, n_features_in, stumps, alphas)
 
 
 def fit_adaboost(spec: LearnerSpec, X, y) -> AdaboostModel:
@@ -228,11 +148,11 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> AdaboostModel:
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
     params = GrowParams(criterion="gini", max_depth=1)
-    stumps: list[TreeNode] = []
+    stumps: list[TreeBlock] = []
     alphas: list[float] = []
     for _ in range(p["n_estimators"]):
         stump = grow_tree(X, y, params, w=w)
-        pred = (tree_apply(stump, X) >= 0.5).astype(np.int64)
+        pred = (tree_apply(stump, X)[0] >= 0.5).astype(np.int64)
         err = float(w[pred != y].sum())
         if err >= 0.5:
             if not stumps:
@@ -246,4 +166,4 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> AdaboostModel:
             break  # perfect stump; further rounds cannot change the vote
         w *= np.exp(alpha * (pred != y))
         w /= w.sum()
-    return AdaboostModel(spec, X.shape[1], stumps, alphas)
+    return AdaboostModel(spec, X.shape[1], TreeBlock.concat(stumps), alphas)

@@ -1,38 +1,97 @@
-"""Single CART trees and the two tree ensembles."""
+"""Single CART trees, the two tree forests, and the tree-ensemble model
+that also serves the boosted ensembles."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..rng import stream
-from .base import LearnerSpec, TrainedModel, resolve_max_features
+from .base import LearnerSpec, TrainedModel, resolve_max_features, sigmoid
 from .tree import (
     GrowParams,
-    TreeNode,
+    TreeBlock,
     grow_exhaustive_tree_batched,
     grow_random_tree_batched,
     grow_tree,
     tree_apply,
 )
 
+BOOSTED = frozenset({"gbm", "xgb_style"})
 
-class CartModel(TrainedModel):
-    def __init__(self, spec, n_features_in, tree: TreeNode):
+
+class TreeEnsembleModel(TrainedModel):
+    """All trees of a model in one TreeBlock, with a link set by the algorithm.
+
+    cart, random_forest and extra_trees output the mean leaf value; for the
+    forests that is the probability-weighted majority vote. gbm and
+    xgb_style output sigmoid(init_score + sum of learning_rate * leaf), with
+    an init_score of 0 for xgb_style. Leaves are added one tree at a time,
+    in tree order.
+    """
+
+    def __init__(self, spec, n_features_in, trees: TreeBlock,
+                 init_score: float = 0.0, learning_rate: float = 1.0):
         super().__init__(spec, n_features_in)
-        self.tree = tree
+        self.trees = trees
+        self.init_score = init_score
+        self.learning_rate = learning_rate
+
+    @property
+    def boosted(self) -> bool:
+        return self.spec.algorithm in BOOSTED
+
+    def _sums(self, X, counts: list[int]) -> list[np.ndarray]:
+        """init_score plus learning_rate times the leaf values of the first
+        c trees, for each c in the ascending ``counts``."""
+        leaves = tree_apply(self.trees, X)
+        total = np.full(X.shape[0], self.init_score)
+        out = []
+        done = 0
+        for c in counts:
+            while done < c:
+                total += self.learning_rate * leaves[done]
+                done += 1
+            out.append(total.copy())
+        return out
+
+    def _link(self, total, n_trees: int) -> np.ndarray:
+        return sigmoid(total) if self.boosted else total / n_trees
+
+    def decision(self, X) -> np.ndarray:
+        """The margin when boosted, otherwise the sum of the leaf values."""
+        return self._sums(X, [self.trees.n_trees])[0]
 
     def _proba(self, X):
-        return tree_apply(self.tree, X)
+        return self._link(self.decision(X), self.trees.n_trees)
+
+    def staged_proba(self, X, checkpoints: list[int]) -> list[np.ndarray]:
+        """Probabilities using only the first c trees, for each c.
+
+        Identical to fitting a smaller ensemble: a forest tree's random
+        stream depends only on (seed, t), and boosting stage t only on the
+        stages before it.
+        """
+        X = self._prepare(X)
+        counts = sorted(checkpoints)
+        return [np.clip(self._link(total, c), 0.0, 1.0)
+                for total, c in zip(self._sums(X, counts), counts)]
 
     def params_payload(self):
-        return {"tree": self.tree.to_dict()}
+        payload = {"trees": self.trees.to_dict()}
+        if self.boosted:
+            payload.update(init_score=self.init_score, learning_rate=self.learning_rate)
+        return payload
 
     @classmethod
     def from_payload(cls, spec, n_features_in, payload):
-        return cls(spec, n_features_in, TreeNode.from_dict(payload["tree"]))
+        trees = TreeBlock.from_dict(payload["trees"], n_features_in)
+        if spec.algorithm not in BOOSTED:
+            return cls(spec, n_features_in, trees)
+        return cls(spec, n_features_in, trees, float(payload["init_score"]),
+                   float(payload["learning_rate"]))
 
 
-def fit_cart(spec: LearnerSpec, X, y) -> CartModel:
+def fit_cart(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     p = spec.resolved()
     max_features = resolve_max_features(p["max_features"], X.shape[1])
     params = GrowParams(
@@ -42,59 +101,20 @@ def fit_cart(spec: LearnerSpec, X, y) -> CartModel:
         feature_subsample=max_features,
     )
     rng = stream(spec.seed, "cart") if max_features is not None else None
-    return CartModel(spec, X.shape[1], grow_tree(X, y, params, rng))
+    return TreeEnsembleModel(spec, X.shape[1], grow_tree(X, y, params, rng))
 
 
-class ForestModel(TrainedModel):
-    """Averaged trees; label = thresholded mean of leaf probabilities,
-    which is the probability-weighted majority vote."""
-
-    def __init__(self, spec, n_features_in, trees: list[TreeNode]):
-        super().__init__(spec, n_features_in)
-        self.trees = trees
-
-    def _proba(self, X):
-        total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree_apply(tree, X)
-        return total / len(self.trees)
-
-    def staged_proba(self, X, checkpoints: list[int]) -> list[np.ndarray]:
-        """Mean leaf probability using only the first c trees, for each c.
-
-        Identical to fitting a smaller ensemble because tree t's random
-        stream depends only on (seed, t).
-        """
-        X = self._prepare(X)
-        out = []
-        total = np.zeros(X.shape[0])
-        done = 0
-        for c in sorted(checkpoints):
-            while done < c:
-                total += tree_apply(self.trees[done], X)
-                done += 1
-            out.append(np.clip(total / done, 0.0, 1.0))
-        return out
-
-    def params_payload(self):
-        return {"trees": [t.to_dict() for t in self.trees]}
-
-    @classmethod
-    def from_payload(cls, spec, n_features_in, payload):
-        return cls(spec, n_features_in, [TreeNode.from_dict(t) for t in payload["trees"]])
-
-
-def fit_random_forest(spec: LearnerSpec, X, y) -> ForestModel:
+def fit_random_forest(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     """Bootstrap-resampled trees with per-node feature subsampling."""
     return _fit_forest(spec, X, y, bootstrap=True, candidate_mode="exhaustive")
 
 
-def fit_extra_trees(spec: LearnerSpec, X, y) -> ForestModel:
+def fit_extra_trees(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     """Full-sample trees with one random threshold per candidate feature."""
     return _fit_forest(spec, X, y, bootstrap=False, candidate_mode="random_threshold")
 
 
-def _fit_forest(spec, X, y, bootstrap: bool, candidate_mode: str) -> ForestModel:
+def _fit_forest(spec, X, y, bootstrap: bool, candidate_mode: str) -> TreeEnsembleModel:
     p = spec.resolved()
     n, d = X.shape
     params = GrowParams(
@@ -118,4 +138,4 @@ def _fit_forest(spec, X, y, bootstrap: bool, candidate_mode: str) -> ForestModel
             # Same node-level semantics as grow_tree in random mode, grown
             # level-wise for speed.
             trees.append(grow_random_tree_batched(X, y, params, rng))
-    return ForestModel(spec, d, trees)
+    return TreeEnsembleModel(spec, d, TreeBlock.concat(trees))

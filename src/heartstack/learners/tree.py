@@ -8,6 +8,10 @@ instead (extremely-randomized-trees style).
 
 Tie-breaking is fully deterministic: among equal impurity decreases the
 split with the lowest feature index wins, then the lowest threshold.
+
+Trees are stored flat, as in scikit-learn's ``Tree``: a ``TreeBlock`` holds
+the nodes of all trees of a model in parallel arrays, and ``tree_apply``
+scores every (tree, row) pair of a block at once.
 """
 
 from __future__ import annotations
@@ -19,40 +23,112 @@ import numpy as np
 CLASS_CRITERIA = ("gini", "entropy")
 CRITERIA = CLASS_CRITERIA + ("variance",)
 
+_FIELDS = ("feature", "threshold", "left", "right", "value", "roots")  # TreeBlock's, in order
+_INDEX_FIELDS = ("feature", "left", "right", "roots")
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0  # class-1 probability, or mean target in regression
-    counts: tuple[float, ...] = ()  # weighted (class0, class1), or (weight,) in regression
+
+@dataclass(frozen=True, eq=False)
+class TreeBlock:
+    """The nodes of one or more trees as parallel arrays.
+
+    Node i is a leaf when ``left[i] == -1`` and then predicts ``value[i]``
+    (class-1 probability, mean residual or boosting leaf weight). Otherwise
+    rows with ``x[feature[i]] <= threshold[i]`` continue at ``left[i]`` and
+    the others at ``right[i]``. Every child is numbered after its parent,
+    so each walk from a root ends. Tree t starts at node ``roots[t]``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
 
     @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    def n_trees(self) -> int:
+        return len(self.roots)
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value, "counts": list(self.counts)}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
+    @property
+    def n_nodes(self) -> int:
+        return len(self.feature)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        if "value" in d:
-            return cls(value=d["value"], counts=tuple(d["counts"]))
-        return cls(
-            feature=d["feature"],
-            threshold=d["threshold"],
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
-        )
+    def concat(cls, blocks: list["TreeBlock"]) -> "TreeBlock":
+        """One block holding the trees of ``blocks``, in order."""
+        offsets = np.cumsum([0] + [b.n_nodes for b in blocks[:-1]])
+
+        def joined(name):
+            parts = [getattr(b, name) for b in blocks]
+            if name in ("left", "right", "roots"):
+                parts = [np.where(p == -1, p, p + off) for p, off in zip(parts, offsets)]
+            return np.concatenate(parts)
+
+        return cls(*(joined(name) for name in _FIELDS))
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name).tolist() for name in _FIELDS}
+
+    @classmethod
+    def from_dict(cls, d: dict, n_features: int) -> "TreeBlock":
+        """Inverse of to_dict. Raises ValueError for any block a traversal
+        could not score: arrays of unequal length or of the wrong type,
+        children that are out of range or not numbered after their parent,
+        split features outside [0, n_features), non-finite thresholds or
+        values, or roots outside the node range."""
+        arrays = {name: _flat_array(name, d[name], name in _INDEX_FIELDS) for name in _FIELDS}
+        n = len(arrays["feature"])
+        if any(len(arrays[name]) != n for name in _FIELDS[:-1]):
+            raise ValueError("tree arrays differ in length")
+        left, right = arrays["left"], arrays["right"]
+        inner = left != -1
+        if not np.array_equal(inner, right != -1):
+            raise ValueError("a tree node has a single child")
+        parent = np.flatnonzero(inner)
+        for child in (left[inner], right[inner]):
+            if ((child <= parent) | (child >= n)).any():
+                raise ValueError("a child node is out of range or not after its parent")
+        feature = arrays["feature"][inner]
+        if ((feature < 0) | (feature >= n_features)).any():
+            raise ValueError("a split feature is out of range")
+        if not (np.isfinite(arrays["threshold"]).all() and np.isfinite(arrays["value"]).all()):
+            raise ValueError("a tree threshold or value is not finite")
+        roots = arrays["roots"]
+        if len(roots) == 0 or ((roots < 0) | (roots >= n)).any():
+            raise ValueError("a tree root is missing or out of range")
+        return cls(**arrays)
+
+
+def _flat_array(name, values, integer: bool) -> np.ndarray:
+    a = np.asarray(values)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in ("i" if integer else "if")):
+        kind = "integers" if integer else "numbers"
+        raise ValueError(f"tree field {name!r} must be a list of {kind}")
+    return a.astype(np.intp if integer else np.float64)
+
+
+class TreeBuilder:
+    """One tree being grown, as [feature, threshold, left, right, value]
+    node records. Node 0 is the root, and a split appends its two children,
+    so each child is numbered after its parent."""
+
+    def __init__(self):
+        self.nodes = [[-1, 0.0, -1, -1, 0.0]]
+
+    def split(self, node: int, feature: int, threshold: float) -> tuple[int, int]:
+        left = len(self.nodes)
+        self.nodes[node][:4] = feature, threshold, left, left + 1
+        self.nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+        return left, left + 1
+
+    def leaf(self, node: int, value: float) -> None:
+        self.nodes[node][4] = value
+
+    def block(self) -> TreeBlock:
+        feature, threshold, left, right, value = zip(*self.nodes)
+        return TreeBlock(np.array(feature, dtype=np.intp), np.array(threshold),
+                         np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+                         np.array(value), np.zeros(1, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -94,32 +170,26 @@ def best_split(X, y, w, features, criterion="gini", candidate_mode="exhaustive",
         return None
     y = np.asarray(y, dtype=np.float64)
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
-    found = _search_split(X, y, w, features, criterion, candidate_mode, rng,
-                          require_positive=True)
+    feats = np.sort(np.asarray(list(features), dtype=np.intp))
+    V = X[:, feats]
+    a, b = _target_sums(y, w, criterion)
+    if candidate_mode == "exhaustive":
+        found = _split_exhaustive(V, feats, a, b, w, criterion)
+    elif candidate_mode == "random_threshold":
+        if rng is None:
+            raise ValueError("random_threshold mode needs an rng")
+        found = _split_random(V, feats, a, b, w, criterion, rng)
+    else:
+        raise ValueError(f"unknown candidate mode {candidate_mode!r}")
     return None if found is None else found[:3]
 
 
-def _search_split(X, y, w, features, criterion, candidate_mode, rng,
-                  require_positive=True):
-    """Like best_split but also reports the chosen split's left-child
-    weighted (class-1, total) sums, reused by the tree grower."""
-    feats = np.sort(np.asarray(list(features), dtype=np.intp))
-    V = X[:, feats]
-
+def _target_sums(y, w, criterion):
+    """Per-row weighted class-1 count, or for variance the weighted target
+    and its square: the sums the split search accumulates."""
     if criterion == "variance":
-        a = w * y  # weighted target sum
-        b = w * y * y
-    else:
-        a = w * (y == 1.0)  # weighted class-1 count
-        b = None
-
-    if candidate_mode == "exhaustive":
-        return _split_exhaustive(V, feats, a, b, w, criterion, require_positive)
-    if candidate_mode == "random_threshold":
-        if rng is None:
-            raise ValueError("random_threshold mode needs an rng")
-        return _split_random(V, feats, a, b, w, criterion, rng, require_positive)
-    raise ValueError(f"unknown candidate mode {candidate_mode!r}")
+        return w * y, w * y * y
+    return w * (y == 1.0), None
 
 
 def _impurity(a, b, wt, criterion):
@@ -202,11 +272,11 @@ def _split_random(V, feats, a, b, w, criterion, rng, require_positive=True):
             float(la[f_local]), float(lw[f_local]))
 
 
-def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeNode:
+def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeBlock:
     """Recursively split until depth / min-samples / purity stops.
 
     ``regression_residual`` targets are fitted by variance reduction with
-    mean-valued leaves; classification leaves carry weighted class counts.
+    mean-valued leaves; classification leaves hold the weighted class-1 share.
     Per-node feature subsets are drawn without replacement from ``rng``.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -223,7 +293,7 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeNode:
         raise ValueError("random_threshold mode needs an rng")
 
     all_feats = np.arange(d, dtype=np.intp)
-    root = TreeNode()
+    tree = TreeBuilder()
     if regression:
         w1_root = wt_root = 0.0
     else:
@@ -231,7 +301,7 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeNode:
         w1_root = float(w[y == 1.0].sum())
     # Class sums ride along with each node so purity checks and leaf stats
     # need no extra passes over the rows.
-    stack = [(root, np.arange(n), 0, w1_root, wt_root)]
+    stack = [(0, np.arange(n), 0, w1_root, wt_root)]
     while stack:
         node, rows, depth, w1, wt = stack.pop()
         if regression:
@@ -244,7 +314,7 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeNode:
             or (params.max_depth is not None and depth >= params.max_depth)
             or len(rows) < params.min_samples_split
         ):
-            _make_leaf(node, y, w, rows, w1, wt, regression)
+            tree.leaf(node, _leaf_value(y, w, rows, w1, wt, regression))
             continue
 
         if params.feature_subsample is None or params.feature_subsample >= d:
@@ -253,12 +323,8 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeNode:
         else:
             feats = np.sort(rng.choice(d, size=params.feature_subsample, replace=False))
             V = X[np.ix_(rows, feats)]
-        yr = y[rows]
         wr = w[rows]
-        if criterion == "variance":
-            a, b = wr * yr, wr * yr * yr
-        else:
-            a, b = wr * (yr == 1.0), None
+        a, b = _target_sums(y[rows], wr, criterion)
         # An impure node keeps splitting even at zero impurity decrease
         # (parity patterns need the lookahead), so only depth, node size
         # and purity stop growth.
@@ -270,34 +336,26 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeNode:
             found = _split_random(V, feats, a, b, wr, criterion, rng,
                                   require_positive=not allow_zero)
         if found is None:
-            _make_leaf(node, y, w, rows, w1, wt, regression)
+            tree.leaf(node, _leaf_value(y, w, rows, w1, wt, regression))
             continue
 
         feature, threshold, _, left_w1, left_wt = found
-        node.feature = feature
-        node.threshold = threshold
-        node.left = TreeNode()
-        node.right = TreeNode()
+        left, right = tree.split(node, feature, threshold)
         go_left = X[rows, feature] <= threshold
         # Push right first so the left child is grown first (stable rng order).
-        stack.append((node.right, rows[~go_left], depth + 1, w1 - left_w1, wt - left_wt))
-        stack.append((node.left, rows[go_left], depth + 1, left_w1, left_wt))
-    return root
+        stack.append((right, rows[~go_left], depth + 1, w1 - left_w1, wt - left_wt))
+        stack.append((left, rows[go_left], depth + 1, left_w1, left_wt))
+    return tree.block()
 
 
-def _make_leaf(node: TreeNode, y, w, rows, w1: float, wt: float, regression: bool):
+def _leaf_value(y, w, rows, w1: float, wt: float, regression: bool) -> float:
     if regression:
         wr = w[rows]
-        total = wr.sum()
-        node.value = float((wr * y[rows]).sum() / total)
-        node.counts = (float(total),)
-    else:
-        w1 = min(max(w1, 0.0), wt)
-        node.value = w1 / wt
-        node.counts = (wt - w1, w1)
+        return float((wr * y[rows]).sum() / wr.sum())
+    return min(max(w1, 0.0), wt) / wt
 
 
-def grow_random_tree_batched(X, y, params: GrowParams, rng) -> TreeNode:
+def grow_random_tree_batched(X, y, params: GrowParams, rng) -> TreeBlock:
     """Level-wise random-threshold tree builder (classification, unweighted).
 
     Semantically a grow_tree with candidate_mode="random_threshold": one
@@ -313,10 +371,10 @@ def grow_random_tree_batched(X, y, params: GrowParams, rng) -> TreeNode:
     k = min(k, d)
     criterion = params.criterion
 
-    root = TreeNode()
+    tree = TreeBuilder()
     rows = np.arange(n, dtype=np.intp)
-    # Per active node: (TreeNode, slice start, slice end, class-1 count)
-    active = [(root, 0, n, float(y1.sum()))]
+    # Per active node: (node id, slice start, slice end, class-1 count)
+    active = [(0, 0, n, float(y1.sum()))]
     depth = 0
     while active:
         splittable = []
@@ -327,9 +385,7 @@ def grow_random_tree_batched(X, y, params: GrowParams, rng) -> TreeNode:
                 or (params.max_depth is not None and depth >= params.max_depth)
                 or nt < params.min_samples_split
             ):
-                n1c = min(max(n1, 0.0), float(nt))
-                node.value = n1c / nt
-                node.counts = (float(nt) - n1c, n1c)
+                tree.leaf(node, min(max(n1, 0.0), float(nt)) / nt)
             else:
                 splittable.append((node, lo, hi, n1))
         if not splittable:
@@ -387,27 +443,23 @@ def grow_random_tree_batched(X, y, params: GrowParams, rng) -> TreeNode:
         for i, (node, lo, hi, n1) in enumerate(splittable):
             size = int(sizes[i])
             if not splittable_gain[i]:
-                node.value = n1 / size
-                node.counts = (float(size - n1), float(n1))
+                tree.leaf(node, n1 / size)
                 cursor += size
                 continue
-            f = int(feats[i, best_local[i]])
-            node.feature = f
-            node.threshold = float(thr[i, best_local[i]])
-            node.left = TreeNode()
-            node.right = TreeNode()
+            left, right = tree.split(node, int(feats[i, best_local[i]]),
+                                     float(thr[i, best_local[i]]))
             n_left = int(lw[i, best_local[i]])
             a_left = float(la[i, best_local[i]])
-            next_active.append((node.left, cursor, cursor + n_left, a_left))
-            next_active.append((node.right, cursor + n_left, cursor + size, n1 - a_left))
+            next_active.append((left, cursor, cursor + n_left, a_left))
+            next_active.append((right, cursor + n_left, cursor + size, n1 - a_left))
             cursor += size
         rows = new_rows
         active = next_active
         depth += 1
-    return root
+    return tree.block()
 
 
-def grow_exhaustive_tree_batched(X, y, params: GrowParams, rng, w=None) -> TreeNode:
+def grow_exhaustive_tree_batched(X, y, params: GrowParams, rng, w=None) -> TreeBlock:
     """Level-wise exhaustive-midpoint tree builder (classification).
 
     Same node-level semantics as grow_tree in exhaustive mode: every
@@ -424,9 +476,9 @@ def grow_exhaustive_tree_batched(X, y, params: GrowParams, rng, w=None) -> TreeN
     k = min(params.feature_subsample or d, d)
     criterion = params.criterion
 
-    root = TreeNode()
+    tree = TreeBuilder()
     rows = np.arange(n, dtype=np.intp)
-    active = [(root, 0, n, float(a_all.sum()), float(w.sum()))]
+    active = [(0, 0, n, float(a_all.sum()), float(w.sum()))]
     depth = 0
     while active:
         splittable = []
@@ -436,9 +488,7 @@ def grow_exhaustive_tree_batched(X, y, params: GrowParams, rng, w=None) -> TreeN
                 or (params.max_depth is not None and depth >= params.max_depth)
                 or hi - lo < params.min_samples_split
             ):
-                a1c = min(max(a1, 0.0), wt)
-                node.value = a1c / wt
-                node.counts = (wt - a1c, a1c)
+                tree.leaf(node, min(max(a1, 0.0), wt) / wt)
             else:
                 splittable.append((node, lo, hi, a1, wt))
         if not splittable:
@@ -512,51 +562,55 @@ def grow_exhaustive_tree_batched(X, y, params: GrowParams, rng, w=None) -> TreeN
         for i, (node, lo, hi, a1, wt) in enumerate(splittable):
             size = int(sizes[i])
             if best_gain[i] == -np.inf:
-                a1c = min(max(a1, 0.0), wt)
-                node.value = a1c / wt
-                node.counts = (wt - a1c, a1c)
+                tree.leaf(node, min(max(a1, 0.0), wt) / wt)
                 cursor += size
                 continue
-            node.feature = int(feats[i, best_col[i]])
-            node.threshold = float(best_thr[i])
-            node.left = TreeNode()
-            node.right = TreeNode()
+            left, right = tree.split(node, int(feats[i, best_col[i]]), float(best_thr[i]))
             seg = slice(seg_starts[i], seg_starts[i] + size)
             n_left = int(np.count_nonzero(go_left[seg]))
-            next_active.append((node.left, cursor, cursor + n_left,
+            next_active.append((left, cursor, cursor + n_left,
                                 float(best_la[i]), float(best_lw[i])))
-            next_active.append((node.right, cursor + n_left, cursor + size,
+            next_active.append((right, cursor + n_left, cursor + size,
                                 a1 - float(best_la[i]), wt - float(best_lw[i])))
             cursor += size
         rows = new_rows
         active = next_active
         depth += 1
-    return root
+    return tree.block()
 
 
-def tree_apply(root: TreeNode, X) -> np.ndarray:
-    """Leaf value for every row of X."""
+# Rows are scored in chunks of at most this many (tree, row) pairs, which
+# bounds the traversal's working arrays whatever the number of rows.
+_PAIRS_PER_CHUNK = 1 << 16
+
+
+def tree_apply(trees: TreeBlock, X) -> np.ndarray:
+    """Leaf value of every (tree, row) pair, shape (n_trees, n_rows).
+
+    All pairs descend one level per step, the level-synchronous traversal of
+    Hummingbird (Nakandala et al., OSDI 2020); a pair leaves the moving set
+    once it reaches a leaf.
+    """
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        go_left = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
+    n, d = X.shape
+    leaf = trees.left == -1
+    index = np.arange(trees.n_nodes)
+    # Right children, then left ones; a leaf is its own child on both sides.
+    child = np.concatenate((np.where(leaf, index, trees.right), np.where(leaf, index, trees.left)))
+    feature = np.where(leaf, 0, trees.feature)
+    out = np.empty((trees.n_trees, n))
+    chunk = max(1, _PAIRS_PER_CHUNK // trees.n_trees)
+    for lo in range(0, n, chunk):
+        rows = X[lo:lo + chunk]
+        cells = rows.ravel()
+        node = np.repeat(trees.roots, len(rows))
+        cell = np.tile(np.arange(len(rows)) * d, trees.n_trees)  # pair's row offset in cells
+        moving = np.arange(node.size)
+        while moving.size:
+            at = node[moving]
+            go_left = cells[cell[moving] + feature[at]] <= trees.threshold[at]
+            step = child[at + trees.n_nodes * go_left]
+            node[moving] = step
+            moving = moving[step != at]
+        out[:, lo:lo + len(rows)] = trees.value[node].reshape(trees.n_trees, len(rows))
     return out
-
-
-def tree_size(root: TreeNode) -> int:
-    stack, count = [root], 0
-    while stack:
-        node = stack.pop()
-        count += 1
-        if not node.is_leaf:
-            stack.extend((node.left, node.right))
-    return count

@@ -5,6 +5,10 @@ models and stacks: top-level keys are format_version, created, kind, schema
 and payload. Numbers are written with full round-trippable precision, and
 documents are pure data; loading never executes anything beyond parsing.
 
+Format 2 stores each tree model's nodes as flat parallel lists (see
+``TreeBlock``), which ``load_model`` checks before any row is scored.
+Format 1 documents, with nested tree nodes, are rejected.
+
 The ``created`` stamp honours SOURCE_DATE_EPOCH and otherwise falls back to
 a fixed epoch so that repeated pipeline runs stay byte-identical.
 """
@@ -23,7 +27,7 @@ from .schema import CANONICAL_SCHEMA, schema_fingerprint
 from .stacking import BaseSelectionReport, StackedModel
 from .standardize import Standardizer
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _created_stamp() -> str:
@@ -110,6 +114,8 @@ def load_model(source):
         doc = json.loads(data.decode("utf8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"corrupted model document: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("corrupted model document: nested too deeply") from None
 
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError("not a model document")

@@ -10,11 +10,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 
+from .errors import ConfigError
+
 
 def job_count() -> int:
     env = os.environ.get("HEARTSTACK_JOBS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"HEARTSTACK_JOBS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 

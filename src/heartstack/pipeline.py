@@ -262,10 +262,7 @@ def cmd_predict(model_path, input_csv, out_path) -> dict:
     model = load_model(model_path)
     require_matching_schema(model)
     X, y = parse_feature_csv(input_csv)
-    if isinstance(model, StackedModel):
-        proba = model.predict_proba(X)
-    else:
-        proba = model.predict_proba(X)
+    proba = model.predict_proba(X)
     labels = (proba >= 0.5).astype(np.int64)
 
     rows = [[i, repr(float(p)), int(label)] for i, (p, label) in enumerate(zip(proba, labels))]

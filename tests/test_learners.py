@@ -39,10 +39,9 @@ def test_adaboost_single_round_on_separable_data():
     X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
     model = fit(LearnerSpec("adaboost", {"n_estimators": 1}), X, y)
-    assert len(model.stumps) == 1
+    assert model.stumps.n_trees == 1
     assert (model.predict(X) == y).all()
-    stump = model.stumps[0]
-    assert 2.0 < stump.threshold < 10.0
+    assert 2.0 < model.stumps.threshold[model.stumps.roots[0]] < 10.0
 
 
 def test_gbm_initial_margin_zero_at_balanced_rate():
@@ -114,10 +113,8 @@ def test_forest_vote_identity(train_data):
     X, y = train_data
     model = fit(LearnerSpec("random_forest", {"n_estimators": 21}, seed=13), X, y)
     queries = np.random.default_rng(3).normal(size=(80, X.shape[1]))
-    votes = np.zeros(len(queries))
-    for tree in model.trees:
-        votes += (tree_apply(tree, queries) >= 0.5).astype(int)
-    majority = (votes > len(model.trees) / 2).astype(int)
+    votes = (tree_apply(model.trees, queries) >= 0.5).sum(axis=0)
+    majority = (votes > model.trees.n_trees / 2).astype(int)
     assert (model.predict(queries) == majority).all()
 
 

@@ -131,6 +131,11 @@ def test_missing_config_is_config_error(tmp_path):
     assert run(["analyze", "--config", tmp_path / "nope.json"]) == 2
 
 
+def test_non_integer_jobs_is_config_error(workspace, tmp_path, monkeypatch):
+    monkeypatch.setenv("HEARTSTACK_JOBS", "abc")
+    assert run(["train", "--config", workspace["config"], "--out", tmp_path]) == 2
+
+
 def test_unreadable_dataset_is_data_error(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"dataset": str(tmp_path / "missing.csv")}))

@@ -5,12 +5,12 @@ import pytest
 
 from heartstack.learners.tree import (
     GrowParams,
+    TreeBlock,
     best_split,
     grow_exhaustive_tree_batched,
     grow_random_tree_batched,
     grow_tree,
     tree_apply,
-    tree_size,
 )
 from heartstack.rng import stream
 
@@ -130,15 +130,15 @@ def test_variance_criterion_prefers_mean_separating_cut():
 def test_pure_input_grows_single_leaf():
     X = np.array([[1.0], [2.0]])
     tree = grow_tree(X, np.array([1, 1]), GrowParams())
-    assert tree.is_leaf
-    assert tree.value == 1.0
+    assert tree.n_nodes == 1 and tree.left[0] == -1
+    assert tree.value[0] == 1.0
 
 
 def test_xor_pattern_needs_depth_two():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
     tree = grow_tree(X, y, GrowParams(criterion="entropy"))
-    assert (tree_apply(tree, X) >= 0.5).astype(int).tolist() == y.tolist()
+    assert (tree_apply(tree, X)[0] >= 0.5).astype(int).tolist() == y.tolist()
 
 
 def test_unlimited_depth_memorizes_consistent_data():
@@ -148,7 +148,7 @@ def test_unlimited_depth_memorizes_consistent_data():
         X = rng.normal(size=(n, 3))
         y = rng.integers(0, 2, n)
         tree = grow_tree(X, y, GrowParams())
-        assert ((tree_apply(tree, X) >= 0.5).astype(int) == y).all()
+        assert ((tree_apply(tree, X)[0] >= 0.5).astype(int) == y).all()
 
 
 def test_max_depth_zero_like_stump():
@@ -157,15 +157,15 @@ def test_max_depth_zero_like_stump():
     y = rng.integers(0, 2, 20)
     y[:2] = (0, 1)
     stump = grow_tree(X, y, GrowParams(max_depth=1))
-    assert stump.left is None or (stump.left.is_leaf and stump.right.is_leaf)
+    assert (stump.left[1:] == -1).all()  # every node below the root is a leaf
 
 
 def test_regression_leaves_hold_means():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([1.0, 2.0, 8.0, 9.0])
     tree = grow_tree(X, y, GrowParams(target_kind="regression_residual", max_depth=1))
-    assert tree_apply(tree, np.array([[0.5]]))[0] == pytest.approx(1.5)
-    assert tree_apply(tree, np.array([[10.5]]))[0] == pytest.approx(8.5)
+    assert tree_apply(tree, np.array([[0.5]]))[0, 0] == pytest.approx(1.5)
+    assert tree_apply(tree, np.array([[10.5]]))[0, 0] == pytest.approx(8.5)
 
 
 def test_batched_growers_match_dfs_grower():
@@ -190,5 +190,26 @@ def test_batched_random_grower_memorizes():
     y[:2] = (0, 1)
     tree = grow_random_tree_batched(X, y, GrowParams(criterion="entropy"),
                                     stream(9, "tree"))
-    assert ((tree_apply(tree, X) >= 0.5).astype(int) == y).all()
-    assert tree_size(tree) >= 3
+    assert ((tree_apply(tree, X)[0] >= 0.5).astype(int) == y).all()
+    assert tree.n_nodes >= 3
+
+
+def test_blocks_number_children_after_parents_and_concatenate():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(60, 3))
+    y = rng.integers(0, 2, 60)
+    params = GrowParams(criterion="entropy")
+    trees = [grow_tree(X, y, params),
+             grow_tree(X, y - 0.5, GrowParams(target_kind="regression_residual", max_depth=3)),
+             grow_exhaustive_tree_batched(X, y, params, None),
+             grow_random_tree_batched(X, y, params, stream(4, "tree"))]
+    for tree in trees:
+        inner = np.flatnonzero(tree.left != -1)
+        assert (tree.left[inner] > inner).all() and (tree.right[inner] > inner).all()
+    block = TreeBlock.concat(trees)
+    assert block.n_trees == 4 and block.n_nodes == sum(t.n_nodes for t in trees)
+    loaded = TreeBlock.from_dict(block.to_dict(), 3)
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        assert np.array_equal(getattr(loaded, name), getattr(block, name))
+    q = rng.normal(size=(30, 3))
+    assert np.array_equal(tree_apply(block, q), np.vstack([tree_apply(t, q) for t in trees]))
