@@ -1,0 +1,90 @@
+"""Time random_forest and extra_trees fits at the shape of one OOF fold.
+
+    PYTHONPATH=src python3 scripts/bench_forest.py [--trees 25 500] [--repeats 5]
+
+The data is the study's stand-in table, cleaned and split as the default
+config does; the fit uses the first 846 training rows (nine tenths of the
+940-row train split, one fold of the 10-fold OOF stage) with the default
+hyperparameters apart from ``n_estimators``. Each (algorithm, tree count)
+runs ``--repeats`` times, each in a fresh process that loads the prepared
+rows and makes one warm-up fit (one tree on 50 rows), so that first-call
+costs are not counted. The script prints one JSON object with the median
+fit time and the median peak RSS growth during the fit: the process's
+high-water RSS after the fit minus its RSS just before it (Linux only).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROWS = 846
+
+
+def _prepare(path: Path) -> None:
+    from heartstack.cleaning import clean
+    from heartstack.config import DEFAULT_SEED
+    from heartstack.splitting import stratified_split
+    from heartstack.synthetic import generate_dataset
+
+    cleaned, _ = clean(generate_dataset(), "iqr", 1.5)
+    train = stratified_split(cleaned, 0.8, DEFAULT_SEED).train
+    np.savez(path, X=train.X[:ROWS], y=train.y[:ROWS])
+
+
+def _child(data: str, algorithm: str, trees: int) -> None:
+    from heartstack.config import DEFAULT_SEED
+    from heartstack.learners import LearnerSpec, fit
+
+    with np.load(data) as arrays:
+        X, y = arrays["X"], arrays["y"]
+    fit(LearnerSpec(algorithm, {"n_estimators": 1}, seed=DEFAULT_SEED), X[:50], y[:50])
+    spec = LearnerSpec(algorithm, {"n_estimators": trees}, seed=DEFAULT_SEED)
+    with open("/proc/self/statm") as f:
+        base = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+    start = time.perf_counter()
+    fit(spec, X, y)
+    seconds = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"fit_s": seconds, "peak_above_base_mb": peak - base}))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--trees", type=int, nargs="+", default=[25, 500])
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--child", nargs=3, metavar=("DATA", "ALGORITHM", "TREES"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        _child(args.child[0], args.child[1], int(args.child[2]))
+        return
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "fold.npz"
+        _prepare(data)
+        for trees in args.trees:
+            for algorithm in ("random_forest", "extra_trees"):
+                runs = [json.loads(subprocess.run(
+                    [sys.executable, __file__, "--child", str(data), algorithm, str(trees)],
+                    check=True, capture_output=True, text=True).stdout)
+                    for _ in range(args.repeats)]
+                results[f"{algorithm}-{trees}"] = {
+                    key: round(statistics.median(r[key] for r in runs), 4)
+                    for key in ("fit_s", "peak_above_base_mb")}
+    print(json.dumps({"rows": ROWS, "features": 11, "repeats": args.repeats,
+                      "cpus": os.cpu_count(), "results": results}, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -33,12 +33,12 @@ def fit_gbm(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     )
     lr = p["learning_rate"]
     margin = np.full(X.shape[0], init_score)
+    fitted = np.empty(X.shape[0])  # each training row's leaf in the latest stage
     trees = []
     for _ in range(p["n_estimators"]):
         residual = y - sigmoid(margin)
-        tree = grow_tree(X, residual, params)
-        trees.append(tree)
-        margin += lr * tree_apply(tree, X)[0]
+        trees.append(grow_tree(X, residual, params, fitted=fitted))
+        margin += lr * fitted
     return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), init_score, lr)
 
 
@@ -68,7 +68,9 @@ def _xgb_best_split(X, g, h, reg_lambda, gamma):
     return int(feature), float(threshold)
 
 
-def _grow_xgb_tree(X, g, h, max_depth, min_samples_split, reg_lambda, gamma) -> TreeBlock:
+def _grow_xgb_tree(X, g, h, max_depth, min_samples_split, reg_lambda, gamma,
+                   fitted) -> TreeBlock:
+    """One second-order tree; ``fitted[i]`` receives training row i's leaf weight."""
     tree = TreeBuilder()
     stack = [(0, np.arange(X.shape[0]), 0)]
     while stack:
@@ -77,7 +79,9 @@ def _grow_xgb_tree(X, g, h, max_depth, min_samples_split, reg_lambda, gamma) -> 
         if (max_depth is None or depth < max_depth) and len(rows) >= min_samples_split:
             split = _xgb_best_split(X[rows], g[rows], h[rows], reg_lambda, gamma)
         if split is None:
-            tree.leaf(node, leaf_weight(g[rows].sum(), h[rows].sum(), reg_lambda))
+            value = leaf_weight(g[rows].sum(), h[rows].sum(), reg_lambda)
+            tree.leaf(node, value)
+            fitted[rows] = value
             continue
         feature, threshold = split
         left, right = tree.split(node, feature, threshold)
@@ -93,15 +97,15 @@ def fit_xgb(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     p = spec.resolved()
     lr = p["learning_rate"]
     margin = np.zeros(X.shape[0])
+    fitted = np.empty(X.shape[0])
     trees = []
     for _ in range(p["n_estimators"]):
         prob = sigmoid(margin)
         g = prob - y
         h = prob * (1.0 - prob)
-        tree = _grow_xgb_tree(X, g, h, p["max_depth"], p["min_samples_split"],
-                              p["reg_lambda"], p["gamma"])
-        trees.append(tree)
-        margin += lr * tree_apply(tree, X)[0]
+        trees.append(_grow_xgb_tree(X, g, h, p["max_depth"], p["min_samples_split"],
+                                    p["reg_lambda"], p["gamma"], fitted))
+        margin += lr * fitted
     return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), 0.0, lr)
 
 
@@ -148,11 +152,12 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> AdaboostModel:
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
     params = GrowParams(criterion="gini", max_depth=1)
+    fitted = np.empty(n)
     stumps: list[TreeBlock] = []
     alphas: list[float] = []
     for _ in range(p["n_estimators"]):
-        stump = grow_tree(X, y, params, w=w)
-        pred = (tree_apply(stump, X)[0] >= 0.5).astype(np.int64)
+        stump = grow_tree(X, y, params, w=w, fitted=fitted)
+        pred = (fitted >= 0.5).astype(np.int64)
         err = float(w[pred != y].sum())
         if err >= 0.5:
             if not stumps:

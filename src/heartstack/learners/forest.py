@@ -3,18 +3,13 @@ that also serves the boosted ensembles."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..rng import stream
 from .base import LearnerSpec, TrainedModel, resolve_max_features, sigmoid
-from .tree import (
-    GrowParams,
-    TreeBlock,
-    grow_exhaustive_tree_batched,
-    grow_random_tree_batched,
-    grow_tree,
-    tree_apply,
-)
+from .tree import GrowParams, TreeBlock, grow_forest, grow_tree, tree_apply
 
 BOOSTED = frozenset({"gbm", "xgb_style"})
 
@@ -87,8 +82,10 @@ class TreeEnsembleModel(TrainedModel):
         trees = TreeBlock.from_dict(payload["trees"], n_features_in)
         if spec.algorithm not in BOOSTED:
             return cls(spec, n_features_in, trees)
-        return cls(spec, n_features_in, trees, float(payload["init_score"]),
-                   float(payload["learning_rate"]))
+        init_score, learning_rate = float(payload["init_score"]), float(payload["learning_rate"])
+        if not (math.isfinite(init_score) and math.isfinite(learning_rate)):
+            raise ValueError("init_score and learning_rate must be finite")
+        return cls(spec, n_features_in, trees, init_score, learning_rate)
 
 
 def fit_cart(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
@@ -116,7 +113,7 @@ def fit_extra_trees(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
 
 def _fit_forest(spec, X, y, bootstrap: bool, candidate_mode: str) -> TreeEnsembleModel:
     p = spec.resolved()
-    n, d = X.shape
+    d = X.shape[1]
     params = GrowParams(
         criterion=p["criterion"],
         max_depth=p["max_depth"],
@@ -124,18 +121,7 @@ def _fit_forest(spec, X, y, bootstrap: bool, candidate_mode: str) -> TreeEnsembl
         feature_subsample=resolve_max_features(p["max_features"], d),
         candidate_mode=candidate_mode,
     )
-    trees = []
-    for t in range(p["n_estimators"]):
-        rng = stream(spec.seed, "tree", t)
-        if bootstrap:
-            rows = rng.integers(0, n, size=n)
-            # Collapsing resample duplicates into row weights grows the
-            # identical tree on ~40% fewer rows.
-            unique, counts = np.unique(rows, return_counts=True)
-            trees.append(grow_exhaustive_tree_batched(
-                X[unique], y[unique], params, rng, w=counts.astype(np.float64)))
-        else:
-            # Same node-level semantics as grow_tree in random mode, grown
-            # level-wise for speed.
-            trees.append(grow_random_tree_batched(X, y, params, rng))
-    return TreeEnsembleModel(spec, d, TreeBlock.concat(trees))
+    # One stream per tree: tree t depends only on (seed, t), so the first c
+    # trees of a forest are the forest of c trees (staged_proba needs this).
+    rngs = [stream(spec.seed, "tree", t) for t in range(p["n_estimators"])]
+    return TreeEnsembleModel(spec, d, grow_forest(X, y, params, rngs, bootstrap))

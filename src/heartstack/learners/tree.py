@@ -6,6 +6,12 @@ sums, and every midpoint between consecutive distinct values is scored in
 one pass. ``random_threshold`` mode draws a single uniform cut per feature
 instead (extremely-randomized-trees style).
 
+``grow_tree`` grows one tree depth first, a node at a time (CART and the
+boosting stages). ``grow_forest`` grows all trees of a forest together,
+level by level: each level's nodes, over all trees, are segments of one
+pooled array of (tree, row) pairs, so a level costs the same few dozen
+numpy calls whether it holds one tree or many.
+
 Tie-breaking is fully deterministic: among equal impurity decreases the
 split with the lowest feature index wins, then the lowest threshold.
 
@@ -272,12 +278,14 @@ def _split_random(V, feats, a, b, w, criterion, rng, require_positive=True):
             float(la[f_local]), float(lw[f_local]))
 
 
-def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeBlock:
+def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBlock:
     """Recursively split until depth / min-samples / purity stops.
 
     ``regression_residual`` targets are fitted by variance reduction with
     mean-valued leaves; classification leaves hold the weighted class-1 share.
     Per-node feature subsets are drawn without replacement from ``rng``.
+    If given, ``fitted[i]`` receives the value of the leaf that training row
+    i reaches, which is what tree_apply would return for it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -294,6 +302,13 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeBlock:
 
     all_feats = np.arange(d, dtype=np.intp)
     tree = TreeBuilder()
+
+    def leaf(node, rows, w1, wt):
+        value = _leaf_value(y, w, rows, w1, wt, regression)
+        tree.leaf(node, value)
+        if fitted is not None:
+            fitted[rows] = value
+
     if regression:
         w1_root = wt_root = 0.0
     else:
@@ -314,7 +329,7 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeBlock:
             or (params.max_depth is not None and depth >= params.max_depth)
             or len(rows) < params.min_samples_split
         ):
-            tree.leaf(node, _leaf_value(y, w, rows, w1, wt, regression))
+            leaf(node, rows, w1, wt)
             continue
 
         if params.feature_subsample is None or params.feature_subsample >= d:
@@ -336,7 +351,7 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None) -> TreeBlock:
             found = _split_random(V, feats, a, b, wr, criterion, rng,
                                   require_positive=not allow_zero)
         if found is None:
-            tree.leaf(node, _leaf_value(y, w, rows, w1, wt, regression))
+            leaf(node, rows, w1, wt)
             continue
 
         feature, threshold, _, left_w1, left_wt = found
@@ -355,228 +370,203 @@ def _leaf_value(y, w, rows, w1: float, wt: float, regression: bool) -> float:
     return min(max(w1, 0.0), wt) / wt
 
 
-def grow_random_tree_batched(X, y, params: GrowParams, rng) -> TreeBlock:
-    """Level-wise random-threshold tree builder (classification, unweighted).
+# Trees of a forest are grown together in passes of at most this many
+# (tree, row) pairs, which bounds the engine's working arrays whatever the
+# number of trees.
+_PAIRS_PER_PASS = 1 << 13
 
-    Semantically a grow_tree with candidate_mode="random_threshold": one
-    uniform threshold per candidate feature per node, the best positive
-    impurity decrease wins, ties to the lowest feature index. Processing a
-    whole level at once replaces per-node work with segmented reductions,
-    which is what makes 500-tree forests affordable.
+
+def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> TreeBlock:
+    """The classification trees of a forest, one per generator in ``rngs``,
+    grown together level by level.
+
+    Each node splits as in grow_tree, with class targets and a candidate
+    feature subset per node: exhaustive mode scores every midpoint between
+    consecutive distinct values of each candidate, random_threshold mode one
+    uniform threshold per candidate; the largest impurity decrease wins,
+    ties to the lowest feature index, then the lowest threshold.
+
+    Tree t draws only from ``rngs[t]``: with ``bootstrap``, first its n
+    resampled rows, whose duplicates become integer row weights (the same
+    tree on ~40% fewer rows; without bootstrap every row weighs one); then,
+    level by level, the candidate features of its splittable nodes and, in
+    random_threshold mode, their thresholds. Class sums are integer-valued,
+    so every tree comes out bit for bit as if grown alone.
     """
     X = np.asarray(X, dtype=np.float64)
     y1 = (np.asarray(y, dtype=np.float64) == 1.0).astype(np.float64)
+    # Exhaustive mode sorts by each value's rank among its feature's values.
+    ranks = (np.stack([np.unique(col, return_inverse=True)[1] for col in X.T], axis=1)
+             if params.candidate_mode == "exhaustive" else None)
+    per_pass = max(1, _PAIRS_PER_PASS // X.shape[0])
+    return TreeBlock.concat([_grow_pass(X, ranks, y1, params, rngs[lo:lo + per_pass], bootstrap)
+                             for lo in range(0, len(rngs), per_pass)])
+
+
+def _grow_pass(X, ranks, y1, params: GrowParams, rngs, bootstrap: bool) -> TreeBlock:
     n, d = X.shape
-    k = params.feature_subsample or d
-    k = min(k, d)
-    criterion = params.criterion
-
-    tree = TreeBuilder()
-    rows = np.arange(n, dtype=np.intp)
-    # Per active node: (node id, slice start, slice end, class-1 count)
-    active = [(0, 0, n, float(y1.sum()))]
-    depth = 0
-    while active:
-        splittable = []
-        for node, lo, hi, n1 in active:
-            nt = hi - lo
-            if (
-                n1 <= 0.0 or n1 >= nt
-                or (params.max_depth is not None and depth >= params.max_depth)
-                or nt < params.min_samples_split
-            ):
-                tree.leaf(node, min(max(n1, 0.0), float(nt)) / nt)
-            else:
-                splittable.append((node, lo, hi, n1))
-        if not splittable:
-            break
-
-        m = len(splittable)
-        starts = np.array([lo for _, lo, _, _ in splittable], dtype=np.intp)
-        ends = np.array([hi for _, _, hi, _ in splittable], dtype=np.intp)
-        sizes = ends - starts
-        n1s = np.array([n1 for _, _, _, n1 in splittable])
-        total = int(sizes.sum())
-
-        # Gather this level's rows contiguously, tagged with node ids.
-        keep = np.concatenate([rows[lo:hi] for _, lo, hi, _ in splittable]) \
-            if m > 1 else rows[starts[0]:ends[0]]
-        node_of = np.repeat(np.arange(m, dtype=np.intp), sizes)
-        seg_starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
-
-        if k >= d:
-            feats = np.broadcast_to(np.arange(d, dtype=np.intp), (m, d))
-        else:
-            feats = np.sort(np.argsort(rng.random((m, d)), axis=1)[:, :k], axis=1)
-        V = X[keep[:, None], feats[node_of]]
-        v_lo = np.minimum.reduceat(V, seg_starts, axis=0)
-        v_hi = np.maximum.reduceat(V, seg_starts, axis=0)
-        thr = rng.uniform(v_lo, v_hi)
-        usable = v_hi > v_lo
-
-        left = V <= thr[node_of]
-        lw = np.add.reduceat(left.astype(np.float64), seg_starts, axis=0)
-        la = np.add.reduceat(left * y1[keep][:, None], seg_starts, axis=0)
-        wt = sizes.astype(np.float64)[:, None]
-        rw = wt - lw
-        ra = n1s[:, None] - la
-
-        parent = _class_impurity(n1s, sizes.astype(np.float64), criterion)
-        ok = usable & (lw > 0) & (rw > 0)
-        lw_safe = np.where(lw > 0, lw, 1.0)
-        rw_safe = np.where(rw > 0, rw, 1.0)
-        child = (lw * _class_impurity(la, lw_safe, criterion)
-                 + rw * _class_impurity(ra, rw_safe, criterion)) / wt
-        decrease = np.where(ok, parent[:, None] - child, -np.inf)
-
-        best_local = np.argmax(decrease, axis=1)
-        best_gain = decrease[np.arange(m), best_local]
-        splittable_gain = best_gain > -np.inf
-
-        go_left = left[np.arange(total), best_local[node_of]]
-        # Order rows as (node, right-then-left) so a stable sort keeps left
-        # children first within each segment.
-        order = np.lexsort((~go_left, node_of))
-        new_rows = keep[order]
-        next_active = []
-        cursor = 0
-        for i, (node, lo, hi, n1) in enumerate(splittable):
-            size = int(sizes[i])
-            if not splittable_gain[i]:
-                tree.leaf(node, n1 / size)
-                cursor += size
-                continue
-            left, right = tree.split(node, int(feats[i, best_local[i]]),
-                                     float(thr[i, best_local[i]]))
-            n_left = int(lw[i, best_local[i]])
-            a_left = float(la[i, best_local[i]])
-            next_active.append((left, cursor, cursor + n_left, a_left))
-            next_active.append((right, cursor + n_left, cursor + size, n1 - a_left))
-            cursor += size
-        rows = new_rows
-        active = next_active
-        depth += 1
-    return tree.block()
-
-
-def grow_exhaustive_tree_batched(X, y, params: GrowParams, rng, w=None) -> TreeBlock:
-    """Level-wise exhaustive-midpoint tree builder (classification).
-
-    Same node-level semantics as grow_tree in exhaustive mode: every
-    midpoint between consecutive distinct sorted values of each candidate
-    feature is scored, the largest weighted impurity decrease wins, ties to
-    the lowest feature index then the lowest threshold. Each level is
-    evaluated with segmented prefix sums over per-feature sort orders.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y1 = (np.asarray(y, dtype=np.float64) == 1.0).astype(np.float64)
-    n, d = X.shape
-    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
-    a_all = w * y1
     k = min(params.feature_subsample or d, d)
-    criterion = params.criterion
+    n_trees = len(rngs)
+    if bootstrap:
+        w = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs],
+                     dtype=np.float64)
+    else:
+        w = np.ones((n_trees, n))
+    count = np.count_nonzero(w, axis=1)
+    row = np.flatnonzero(w) % n  # each tree's rows of nonzero weight, in order
+    w = w[w > 0]
+    a = w * y1[row]
 
-    tree = TreeBuilder()
-    rows = np.arange(n, dtype=np.intp)
-    active = [(0, 0, n, float(a_all.sum()), float(w.sum()))]
+    # The active nodes of a level, in (tree, node id) order; node i owns the
+    # next count[i] pairs of row, w and a.
+    tree = np.arange(n_trees)
+    local = np.zeros(n_trees, dtype=np.intp)
+    starts = np.cumsum(count) - count
+    a1 = np.add.reduceat(a, starts)
+    wt = np.add.reduceat(w, starts)
+    next_id = np.ones(n_trees, dtype=np.intp)  # per tree, the next free node id
+    records = []  # per level: tree, node id, feature, threshold, left child id, value
     depth = 0
-    while active:
-        splittable = []
-        for node, lo, hi, a1, wt in active:
-            if (
-                a1 <= 0.0 or a1 >= wt
-                or (params.max_depth is not None and depth >= params.max_depth)
-                or hi - lo < params.min_samples_split
-            ):
-                tree.leaf(node, min(max(a1, 0.0), wt) / wt)
-            else:
-                splittable.append((node, lo, hi, a1, wt))
-        if not splittable:
+    while len(tree):
+        grow = (a1 > 0.0) & (a1 < wt) & (count >= params.min_samples_split)
+        if params.max_depth is not None and depth >= params.max_depth:
+            grow[:] = False
+        feature = np.full(len(tree), -1, dtype=np.intp)
+        threshold = np.zeros(len(tree))
+        left_id = np.full(len(tree), -1, dtype=np.intp)
+        value = np.minimum(np.maximum(a1, 0.0), wt) / wt
+        records.append((tree, local, feature, threshold, left_id, value))
+        if not grow.any():
             break
 
-        m = len(splittable)
-        sizes = np.array([hi - lo for _, lo, hi, _, _ in splittable], dtype=np.intp)
-        total = int(sizes.sum())
-        keep = (np.concatenate([rows[lo:hi] for _, lo, hi, _, _ in splittable])
-                if m > 1 else rows[splittable[0][1]:splittable[0][2]])
-        node_of = np.repeat(np.arange(m, dtype=np.intp), sizes)
-        seg_starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
-        seg_last = (np.cumsum(sizes) - 1).astype(np.intp)
-
+        on = np.repeat(grow, count)
+        row, w, a = row[on], w[on], a[on]
+        node = np.flatnonzero(grow)
+        tree, a1, wt, count = tree[node], a1[node], wt[node], count[node]
+        m = len(node)
+        seg = np.repeat(np.arange(m), count)
+        starts = np.cumsum(count) - count
+        # Each tree's generator with the range of its nodes in this level.
+        trees_here, first, per_tree = np.unique(tree, return_index=True, return_counts=True)
+        draws = [(rngs[t], lo, lo + c) for t, lo, c in zip(trees_here, first, per_tree)]
         if k >= d:
             feats = np.broadcast_to(np.arange(d, dtype=np.intp), (m, d))
         else:
-            feats = np.sort(np.argsort(rng.random((m, d)), axis=1)[:, :k], axis=1)
-        V = X[keep[:, None], feats[node_of]]
-        w_lvl = w[keep]
-        a_lvl = a_all[keep]
-        wt_node = np.array([wt for *_, wt in splittable])
-        a_node = np.array([a1 for _, _, _, a1, _ in splittable])
-        parent = _class_impurity(a_node, wt_node, criterion)
+            noise = np.concatenate([rng.random((hi - lo, d)) for rng, lo, hi in draws])
+            feats = np.sort(np.argsort(noise, axis=1)[:, :k], axis=1)
+        cells = (row[:, None], feats[seg])  # each pair's candidate cells
+        V = X[cells]
+        parent = _class_impurity(a1, wt, params.criterion)
+        if params.candidate_mode == "exhaustive":
+            keys = seg[:, None] * n + ranks[cells]
+            gain, col, thr, la, lw = _exhaustive_cuts(V, keys, seg, starts, w, a, a1, wt,
+                                                      parent, params.criterion)
+        else:
+            gain, col, thr, la, lw = _random_cuts(V, seg, starts, w, a, a1, wt, parent,
+                                                  params.criterion, draws)
 
-        best_gain = np.full(m, -np.inf)
-        best_col = np.zeros(m, dtype=np.intp)
-        best_thr = np.zeros(m)
-        best_la = np.zeros(m)
-        best_lw = np.zeros(m)
-        positions = np.arange(total)
-        for j in range(V.shape[1]):
-            order = np.lexsort((V[:, j], node_of))
-            Vs = V[order, j]
-            cw = np.cumsum(w_lvl[order])
-            ca = np.cumsum(a_lvl[order])
-            base_w = np.concatenate(([0.0], cw[seg_last[:-1]])) if m > 1 else np.zeros(1)
-            base_a = np.concatenate(([0.0], ca[seg_last[:-1]])) if m > 1 else np.zeros(1)
-            lw = cw - base_w[node_of]
-            la = ca - base_a[node_of]
-            rw = wt_node[node_of] - lw
-            ra = a_node[node_of] - la
-            # A cut sits after position i when i+1 is in the same segment
-            # and the sorted value strictly increases.
-            valid = np.zeros(total, dtype=bool)
-            valid[:-1] = (node_of[1:] == node_of[:-1]) & (Vs[1:] > Vs[:-1])
-            lw_safe = np.where(lw > 0, lw, 1.0)
-            rw_safe = np.where(rw > 0, rw, 1.0)
-            child = (lw * _class_impurity(la, lw_safe, criterion)
-                     + rw * _class_impurity(ra, rw_safe, criterion)) / wt_node[node_of]
-            gain = np.where(valid, parent[node_of] - child, -np.inf)
+        go_left = V[np.arange(len(seg)), col[seg]] <= thr[seg]
+        n_left = np.add.reduceat(go_left.astype(np.intp), starts)
+        split = gain > -np.inf
+        at = node[split]
+        feature[at] = feats[split, col[split]]
+        threshold[at] = thr[split]
+        value[at] = 0.0
+        # A tree's split nodes take its next free ids in pairs, in order.
+        tree = tree[split]
+        per_split = np.bincount(tree, minlength=n_trees)
+        nth = np.arange(len(tree)) - (np.cumsum(per_split) - per_split)[tree]
+        left_id[at] = next_id[tree] + 2 * nth
+        next_id += 2 * per_split
 
-            seg_max = np.maximum.reduceat(gain, seg_starts)
-            hit = gain == seg_max[node_of]
-            first = np.minimum.reduceat(np.where(hit, positions, total), seg_starts)
-            improve = seg_max > best_gain  # strict: earlier columns win ties
-            upd = np.nonzero(improve & (seg_max > -np.inf))[0]
-            if len(upd):
-                pos = first[upd]
-                best_gain[upd] = seg_max[upd]
-                best_col[upd] = j
-                best_thr[upd] = (Vs[pos] + Vs[pos + 1]) / 2.0
-                best_la[upd] = la[pos]
-                best_lw[upd] = lw[pos]
-
-        go_left = V[positions, best_col[node_of]] <= best_thr[node_of]
-        order = np.lexsort((~go_left, node_of))
-        new_rows = keep[order]
-        next_active = []
-        cursor = 0
-        for i, (node, lo, hi, a1, wt) in enumerate(splittable):
-            size = int(sizes[i])
-            if best_gain[i] == -np.inf:
-                tree.leaf(node, min(max(a1, 0.0), wt) / wt)
-                cursor += size
-                continue
-            left, right = tree.split(node, int(feats[i, best_col[i]]), float(best_thr[i]))
-            seg = slice(seg_starts[i], seg_starts[i] + size)
-            n_left = int(np.count_nonzero(go_left[seg]))
-            next_active.append((left, cursor, cursor + n_left,
-                                float(best_la[i]), float(best_lw[i])))
-            next_active.append((right, cursor + n_left, cursor + size,
-                                a1 - float(best_la[i]), wt - float(best_lw[i])))
-            cursor += size
-        rows = new_rows
-        active = next_active
+        # Children in node order, each left child before its right sibling;
+        # a stable sort keeps each child's pairs in their previous order.
+        local = _siblings(left_id[at], left_id[at] + 1)
+        a1 = _siblings(la[split], a1[split] - la[split])
+        wt = _siblings(lw[split], wt[split] - lw[split])
+        count = _siblings(n_left[split], count[split] - n_left[split])
+        tree = np.repeat(tree, 2)
+        order = np.lexsort((~go_left, seg))
+        order = order[split[seg[order]]]
+        row, w, a = row[order], w[order], a[order]
         depth += 1
-    return tree.block()
+
+    tree, local, feature, threshold, left_id, value = map(np.concatenate, zip(*records))
+    roots = np.cumsum(next_id) - next_id
+    order = np.argsort(roots[tree] + local)  # the records in block order
+    left = np.where(left_id != -1, left_id + roots[tree], -1)[order]
+    return TreeBlock(feature[order], threshold[order], left,
+                     np.where(left != -1, left + 1, -1), value[order], roots)
+
+
+def _siblings(left, right) -> np.ndarray:
+    return np.stack((left, right), axis=1).ravel()
+
+
+def _random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, draws):
+    """Per node: the best of one uniform threshold per candidate column, as
+    (gain, column, threshold, left class-1 weight, left weight); the gain
+    is -inf when no threshold separates the node's rows. ``draws`` holds
+    each tree's generator with the range of its nodes."""
+    lo = np.minimum.reduceat(V, starts, axis=0)
+    hi = np.maximum.reduceat(V, starts, axis=0)
+    thr = np.concatenate([rng.uniform(lo[b:e], hi[b:e]) for rng, b, e in draws])
+    left = V <= thr[seg]
+    lw = np.add.reduceat(left * w[:, None], starts, axis=0)
+    la = np.add.reduceat(left * a[:, None], starts, axis=0)
+    rw = wt[:, None] - lw
+    ra = a1[:, None] - la
+    child = (lw * _class_impurity(la, np.where(lw > 0, lw, 1.0), criterion)
+             + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt[:, None]
+    gain = np.where((hi > lo) & (lw > 0) & (rw > 0), parent[:, None] - child, -np.inf)
+    col = np.argmax(gain, axis=1)
+    at = np.arange(len(col))
+    return gain[at, col], col, thr[at, col], la[at, col], lw[at, col]
+
+
+def _exhaustive_cuts(V, keys, seg, starts, w, a, a1, wt, parent, criterion):
+    """Per node: the best midpoint cut over its candidate columns, as
+    (gain, column, threshold, left class-1 weight, left weight); the gain
+    is -inf when every candidate column is constant on the node.
+
+    ``keys`` orders each column of V by (node, value). Pairs with equal
+    keys may come out in any order: the integer-valued prefix sums agree
+    after the last of them, the only place a cut can sit."""
+    m, total = len(starts), len(seg)
+    ends = np.append(starts[1:], total) - 1  # each segment's last position
+    positions = np.arange(total)
+    same_node = seg[1:] == seg[:-1]
+    wt_seg, a1_seg, parent_seg = wt[seg], a1[seg], parent[seg]
+    best_gain = np.full(m, -np.inf)
+    best_col = np.zeros(m, dtype=np.intp)
+    best_thr, best_la, best_lw = np.zeros(m), np.zeros(m), np.zeros(m)
+    for j in range(V.shape[1]):
+        order = np.argsort(keys[:, j])
+        Vs = V[order, j]
+        # Prefix sums over the whole level, less the sum before each segment.
+        cw = np.cumsum(w[order])
+        ca = np.cumsum(a[order])
+        lw = cw - np.concatenate(([0.0], cw[ends[:-1]]))[seg]
+        la = ca - np.concatenate(([0.0], ca[ends[:-1]]))[seg]
+        rw = wt_seg - lw
+        ra = a1_seg - la
+        # A cut sits after position i when i+1 is in the same segment and
+        # the sorted value strictly increases.
+        valid = np.zeros(total, dtype=bool)
+        valid[:-1] = same_node & (Vs[1:] > Vs[:-1])
+        child = (lw * _class_impurity(la, np.where(lw > 0, lw, 1.0), criterion)
+                 + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt_seg
+        gain = np.where(valid, parent_seg - child, -np.inf)
+        seg_max = np.maximum.reduceat(gain, starts)
+        first = np.minimum.reduceat(np.where(gain == seg_max[seg], positions, total), starts)
+        better = np.flatnonzero(seg_max > best_gain)  # strict: earlier columns win ties
+        pos = first[better]
+        best_gain[better] = seg_max[better]
+        best_col[better] = j
+        best_thr[better] = (Vs[pos] + Vs[pos + 1]) / 2.0
+        best_la[better] = la[pos]
+        best_lw[better] = lw[pos]
+    return best_gain, best_col, best_thr, best_la, best_lw
 
 
 # Rows are scored in chunks of at most this many (tree, row) pairs, which

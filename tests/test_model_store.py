@@ -191,6 +191,36 @@ def test_hostile_tree_arrays_rejected(mutation, tree_document, tmp_path, dataset
     _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "init_score"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_boosting_parameters_rejected(field, value, tree_document, tmp_path,
+                                                 dataset_csv):
+    doc = json.loads(json.dumps(tree_document))
+    doc["payload"]["params"][field] = value
+    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
+
+
+KNN_MUTATIONS = {
+    "k_zero": lambda p: p.__setitem__("k", 0),
+    "k_above_rows": lambda p: p.__setitem__("k", len(p["y_train"]) + 1),
+    "k_fractional": lambda p: p.__setitem__("k", 2.5),
+    "k_boolean": lambda p: p.__setitem__("k", True),
+    "row_missing": lambda p: p["X_train"].pop(),
+    "column_missing": lambda p: [row.pop() for row in p["X_train"]],
+    "value_nan": lambda p: p["X_train"][0].__setitem__(0, float("nan")),
+    "label_out_of_range": lambda p: p["y_train"].__setitem__(0, 7),
+    "label_fractional": lambda p: p["y_train"].__setitem__(0, 0.5),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(KNN_MUTATIONS))
+def test_hostile_knn_document_rejected(mutation, train_data, tmp_path, dataset_csv):
+    X, y = train_data
+    doc = json.loads(save_model(fit(LearnerSpec("knn", {"k": 3}), X, y)))
+    KNN_MUTATIONS[mutation](doc["payload"]["params"])
+    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
+
+
 def test_deeply_nested_document_rejected(tmp_path, dataset_csv):
     depth = 100_000
     data = b'{"format_version": 2, "payload": ' + b"[" * depth + b"]" * depth + b"}"

@@ -7,8 +7,7 @@ from heartstack.learners.tree import (
     GrowParams,
     TreeBlock,
     best_split,
-    grow_exhaustive_tree_batched,
-    grow_random_tree_batched,
+    grow_forest,
     grow_tree,
     tree_apply,
 )
@@ -168,30 +167,49 @@ def test_regression_leaves_hold_means():
     assert tree_apply(tree, np.array([[10.5]]))[0, 0] == pytest.approx(8.5)
 
 
-def test_batched_growers_match_dfs_grower():
+def test_fitted_values_are_the_training_rows_leaves():
+    rng = np.random.default_rng(21)
+    X = np.round(rng.normal(size=(70, 3)), 1)
+    y = rng.integers(0, 2, 70)
+    cases = [(y, GrowParams(criterion="entropy"), None),
+             (y, GrowParams(max_depth=1), rng.random(70)),
+             (y - rng.random(70), GrowParams(target_kind="regression_residual", max_depth=3), None)]
+    for target, params, w in cases:
+        fitted = np.full(70, np.nan)
+        tree = grow_tree(X, target, params, w=w, fitted=fitted)
+        assert np.array_equal(fitted, tree_apply(tree, X)[0])
+
+
+def test_forest_engine_matches_dfs_grower():
+    # Each bootstrap tree of the engine against grow_tree on the same
+    # resampled rows, with the duplicates as row weights.
     rng = np.random.default_rng(7)
-    for _ in range(15):
+    for case in range(15):
         n = int(rng.integers(4, 50))
         d = int(rng.integers(1, 5))
-        X = rng.normal(size=(n, d))
+        X = np.round(rng.normal(size=(n, d)), 1)
         y = rng.integers(0, 2, n)
-        w = rng.integers(1, 4, n).astype(float)
-        params = GrowParams(criterion="entropy")
-        dfs = grow_tree(X, y, params, w=w)
-        batched = grow_exhaustive_tree_batched(X, y, params, None, w=w)
+        params = GrowParams(criterion=("gini", "entropy")[case % 2])
+        forest = grow_forest(X, y, params, [stream(case, "tree", t) for t in range(3)],
+                             bootstrap=True)
         q = rng.normal(size=(40, d))
-        assert np.array_equal(tree_apply(dfs, q), tree_apply(batched, q))
+        for t, leaves in enumerate(tree_apply(forest, q)):
+            counts = np.bincount(stream(case, "tree", t).integers(0, n, size=n), minlength=n)
+            rows = np.flatnonzero(counts)
+            dfs = grow_tree(X[rows], y[rows], params, w=counts[rows].astype(float))
+            assert np.array_equal(tree_apply(dfs, q)[0], leaves)
 
 
-def test_batched_random_grower_memorizes():
+def test_forest_engine_random_trees_memorize():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(80, 4))
     y = rng.integers(0, 2, 80)
     y[:2] = (0, 1)
-    tree = grow_random_tree_batched(X, y, GrowParams(criterion="entropy"),
-                                    stream(9, "tree"))
-    assert ((tree_apply(tree, X)[0] >= 0.5).astype(int) == y).all()
-    assert tree.n_nodes >= 3
+    params = GrowParams(criterion="entropy", candidate_mode="random_threshold")
+    forest = grow_forest(X, y, params, [stream(9, "tree", t) for t in range(3)])
+    assert forest.n_trees == 3
+    assert ((tree_apply(forest, X) >= 0.5).astype(int) == y).all()
+    assert (np.diff(np.append(forest.roots, forest.n_nodes)) >= 3).all()
 
 
 def test_blocks_number_children_after_parents_and_concatenate():
@@ -199,15 +217,17 @@ def test_blocks_number_children_after_parents_and_concatenate():
     X = rng.normal(size=(60, 3))
     y = rng.integers(0, 2, 60)
     params = GrowParams(criterion="entropy")
+    random_params = GrowParams(criterion="entropy", feature_subsample=2,
+                               candidate_mode="random_threshold")
     trees = [grow_tree(X, y, params),
              grow_tree(X, y - 0.5, GrowParams(target_kind="regression_residual", max_depth=3)),
-             grow_exhaustive_tree_batched(X, y, params, None),
-             grow_random_tree_batched(X, y, params, stream(4, "tree"))]
+             grow_forest(X, y, params, [stream(4, "tree", t) for t in range(2)], bootstrap=True),
+             grow_forest(X, y, random_params, [stream(5, "tree", t) for t in range(2)])]
     for tree in trees:
         inner = np.flatnonzero(tree.left != -1)
         assert (tree.left[inner] > inner).all() and (tree.right[inner] > inner).all()
     block = TreeBlock.concat(trees)
-    assert block.n_trees == 4 and block.n_nodes == sum(t.n_nodes for t in trees)
+    assert block.n_trees == 6 and block.n_nodes == sum(t.n_nodes for t in trees)
     loaded = TreeBlock.from_dict(block.to_dict(), 3)
     for name in ("feature", "threshold", "left", "right", "value", "roots"):
         assert np.array_equal(getattr(loaded, name), getattr(block, name))
