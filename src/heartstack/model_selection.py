@@ -95,27 +95,6 @@ class CvScores:
         return float(np.mean(self.per_fold))
 
 
-def _fold_accuracy(task) -> float:
-    spec, X_train, y_train, X_test, y_test = task
-    model = fit(spec, X_train, y_train)
-    return float((model.predict(X_test) == y_test).mean())
-
-
-def cross_validate(spec: LearnerSpec, X, y, plan: FoldPlan) -> CvScores:
-    """Accuracy of the spec on each held-out fold; any standardization is
-    refit inside each training fold (it lives inside fit()). Folds may run
-    in parallel; scores equal the sequential ones exactly."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if plan.n != X.shape[0]:
-        raise DataError("fold plan does not cover this dataset")
-    tasks = []
-    for fold in range(plan.k):
-        train, test = plan.train_rows(fold), plan.test_rows(fold)
-        tasks.append((spec, X[train], y[train], X[test], y[test]))
-    return CvScores(tuple(run_tasks(_fold_accuracy, tasks)))
-
-
 @dataclass(frozen=True)
 class GridPoint:
     params: dict
@@ -141,34 +120,115 @@ class GridSearchResult:
         }
 
 
+def _accuracy(proba: np.ndarray, y: np.ndarray) -> float:
+    return float(((proba >= 0.5).astype(np.int64) == y).mean())
+
+
+def _fit_rows(task):
+    """Fit on rows ``train`` of the shared X, y and score rows ``test``:
+    their class-1 probabilities (score "proba"), their accuracy (score
+    "accuracy"), or for a list of checkpoints the accuracy of each staged
+    prediction."""
+    spec, X, y, train, test, score = task
+    model = fit(spec, X[train], y[train])
+    X_test, y_test = X[test], y[test]
+    if score == "proba":
+        return model.predict_proba(X_test)
+    if score == "accuracy":
+        return float((model.predict(X_test) == y_test).mean())
+    return [_accuracy(proba, y_test) for proba in model.staged_proba(X_test, score)]
+
+
+def fit_rows(fits, X, y) -> list:
+    """Run every (spec, train, test, score) fit of ``fits`` in one
+    ``run_tasks`` call, each task carrying the same X and y and its own row
+    indices; results in the order of ``fits`` (see ``_fit_rows``)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    return run_tasks(_fit_rows, [(spec, X, y, train, test, score)
+                                 for spec, train, test, score in fits])
+
+
+def fold_fits(searches, X, y, plan: FoldPlan, score: str = "accuracy") -> list:
+    """Every fold fit of every (spec, grid) search, in one ``run_tasks`` call.
+
+    A search without a grid (grid None) is one point; a grid has one point
+    per element of the Cartesian product of its values. Returns, per search
+    and per point, the fold results in fold order. Scored by accuracy,
+    pure-n_estimators grids over stageable ensembles are one maximal fit per
+    fold, scored by staged prediction, which yields identical scores to
+    refitting.
+    """
+    if plan.n != np.shape(X)[0]:
+        raise DataError("fold plan does not cover this dataset")
+    folds = [(plan.train_rows(fold), plan.test_rows(fold)) for fold in range(plan.k)]
+    fits, layouts = [], []
+    for spec, grid in searches:
+        combos = _grid_points(grid)
+        if (score == "accuracy" and grid is not None and list(grid) == ["n_estimators"]
+                and spec.algorithm in STAGEABLE):
+            staged, picks = _staged_n_estimators_cv(spec, grid["n_estimators"], folds)
+            fits += staged
+        else:
+            fits += [(_with_params(spec, combo), train, test, score)
+                     for combo in combos for train, test in folds]
+            picks = None
+        layouts.append((len(combos), picks))
+
+    results = iter(fit_rows(fits, X, y))
+    out = []
+    for n_combos, picks in layouts:
+        if picks is None:
+            out.append([tuple(next(results) for _ in folds) for _ in range(n_combos)])
+        else:
+            per_fold = [next(results) for _ in folds]
+            out.append([tuple(scores[i] for scores in per_fold) for i in picks])
+    return out
+
+
+def tune(searches, X, y, plan: FoldPlan) -> list:
+    """Cross-validate every (spec, grid) search on one fold plan, all fold
+    fits in one ``run_tasks`` call: a ``CvScores`` per search without a
+    grid, a ``GridSearchResult`` per search with one."""
+    out = []
+    for (spec, grid), points in zip(searches, fold_fits(searches, X, y, plan)):
+        out.append(CvScores(points[0]) if grid is None else _best_point(spec, grid, points))
+    return out
+
+
+def cross_validate(spec: LearnerSpec, X, y, plan: FoldPlan) -> CvScores:
+    """Accuracy of the spec on each held-out fold; any standardization is
+    refit inside each training fold (it lives inside fit()). Folds may run
+    in parallel; scores equal the sequential ones exactly."""
+    return tune([(spec, None)], X, y, plan)[0]
+
+
 def grid_search(spec_template: LearnerSpec, grid: dict[str, list], X, y,
                 plan: FoldPlan) -> GridSearchResult:
     """Cross-validate every point of the Cartesian product of the grid.
 
     The best point attains the maximum mean accuracy; ties go to the
-    smallest hyperparameter values in declaration order. Pure-n_estimators
-    grids over stageable ensembles are evaluated by staged prediction of
-    one maximal fit per fold, which yields identical scores to refitting.
+    smallest hyperparameter values in declaration order.
     """
+    return tune([(spec_template, grid)], X, y, plan)[0]
+
+
+def _grid_points(grid: dict[str, list] | None) -> list[dict]:
+    if grid is None:
+        return [{}]
     if not grid:
         raise ConfigError("grid must contain at least one dimension")
     for name, values in grid.items():
         if not values:
             raise ConfigError(f"grid dimension {name!r} is empty")
+    return [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
 
+
+def _best_point(spec_template: LearnerSpec, grid: dict[str, list],
+                per_fold_by_combo) -> GridSearchResult:
     names = list(grid)
-    combos = [dict(zip(names, values)) for values in itertools.product(*grid.values())]
-    if names == ["n_estimators"] and spec_template.algorithm in STAGEABLE:
-        per_fold_by_combo = _staged_n_estimators_cv(spec_template, grid["n_estimators"],
-                                                    X, y, plan)
-    else:
-        per_fold_by_combo = [
-            cross_validate(_with_params(spec_template, combo), X, y, plan).per_fold
-            for combo in combos
-        ]
-
     points = tuple(GridPoint(combo, per_fold)
-                   for combo, per_fold in zip(combos, per_fold_by_combo))
+                   for combo, per_fold in zip(_grid_points(grid), per_fold_by_combo))
     best = points[0]
     for point in points[1:]:
         key = tuple(point.params[n] for n in names)
@@ -183,23 +243,11 @@ def _with_params(template: LearnerSpec, params: dict) -> LearnerSpec:
     return replace(template, hyperparameters=merged)
 
 
-def _staged_fold(task):
-    spec, checkpoints, X_train, y_train, X_test, y_test = task
-    model = fit(spec, X_train, y_train)
-    return [float(((proba >= 0.5).astype(np.int64) == y_test).mean())
-            for proba in model.staged_proba(X_test, checkpoints)]
-
-
-def _staged_n_estimators_cv(template, sizes, X, y, plan):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+def _staged_n_estimators_cv(template, sizes, folds):
+    """The fits of a pure-n_estimators grid: one fit per fold at the largest
+    size, scored at every size; plus, per size in grid order, the index of
+    its score in each fold's result."""
     checkpoints = sorted(set(int(s) for s in sizes))
     full_spec = _with_params(template, {"n_estimators": max(checkpoints)})
-    tasks = []
-    for fold in range(plan.k):
-        train, test = plan.train_rows(fold), plan.test_rows(fold)
-        tasks.append((full_spec, checkpoints, X[train], y[train], X[test], y[test]))
-    per_fold = run_tasks(_staged_fold, tasks)
-    by_size = {size: tuple(fold_scores[i] for fold_scores in per_fold)
-               for i, size in enumerate(checkpoints)}
-    return [by_size[int(s)] for s in sizes]
+    fits = [(full_spec, train, test, checkpoints) for train, test in folds]
+    return fits, [checkpoints.index(int(s)) for s in sizes]

@@ -53,11 +53,10 @@ def _single_payload(model: TrainedModel) -> dict:
 
 def _single_from_payload(payload: dict) -> TrainedModel:
     spec = LearnerSpec.from_dict(payload["spec"])
-    model = MODEL_CLASSES[spec.algorithm].from_payload(
-        spec, int(payload["n_features_in"]), payload["params"]
-    )
+    n_features_in = int(payload["n_features_in"])
+    model = MODEL_CLASSES[spec.algorithm].from_payload(spec, n_features_in, payload["params"])
     if payload.get("standardizer") is not None:
-        model.standardizer = Standardizer.from_dict(payload["standardizer"])
+        model.standardizer = Standardizer.from_dict(payload["standardizer"], n_features_in)
     return model
 
 

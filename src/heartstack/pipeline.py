@@ -18,9 +18,12 @@ from .cleaning import clean
 from .config import PipelineConfig
 from .dataset import Dataset, parse_csv, parse_feature_csv, validate_schema
 from .errors import DataError
-from .learners import LearnerSpec, fit
+# fit, cross_validate and grid_search are not called here any more: every fit
+# of a command runs in the model_selection and stacking task pools. They
+# stay importable from this module, where perfbench/tracer.py wraps them.
+from .learners import LearnerSpec, fit  # noqa: F401
 from .metrics import confusion_matrix, metric_report, pr_curve, roc_curve, truncate_percent
-from .model_selection import cross_validate, grid_search, k_fold_plan
+from .model_selection import cross_validate, fit_rows, grid_search, k_fold_plan, tune  # noqa: F401
 from .model_store import load_model, require_matching_schema, save_model
 from .reporting import LITERATURE_RESULTS, format_csv, write_csv, write_json
 from .splitting import SplitPair, stratified_split
@@ -111,39 +114,38 @@ def cmd_analyze(config: PipelineConfig) -> dict:
 
 def tune_candidates(config: PipelineConfig, train: Dataset) -> list[dict]:
     """Grid-search (where a grid is configured) or plain 10-fold CV for every
-    candidate, on the training split."""
+    candidate, on the training split; all fold fits in one run_tasks call."""
     plan = k_fold_plan(train.n_rows, config.folds, config.seed, stratify_by=train.y)
+    results = tune([(c.spec, c.grid or None) for c in config.candidates],
+                   train.X, train.y, plan)
     tuned = []
-    for cand in config.candidates:
-        if cand.grid:
-            result = grid_search(cand.spec, cand.grid, train.X, train.y, plan)
-            tuned.append({
-                "algorithm": cand.spec.algorithm,
-                "spec": result.best_spec,
-                "cv_mean": result.best.mean,
-                "grid": result,
-            })
-        else:
-            scores = cross_validate(cand.spec, train.X, train.y, plan)
-            tuned.append({
-                "algorithm": cand.spec.algorithm,
-                "spec": cand.spec,
-                "cv_mean": scores.mean,
-                "grid": None,
-            })
+    for cand, result in zip(config.candidates, results):
+        grid = result if cand.grid else None
+        tuned.append({
+            "algorithm": cand.spec.algorithm,
+            "spec": grid.best_spec if grid else cand.spec,
+            "cv_mean": grid.best.mean if grid else result.mean,
+            "grid": grid,
+        })
     return tuned
+
+
+def _test_accuracies(data: PreparedData, specs: list[LearnerSpec], splits: list[SplitPair]):
+    """Test accuracy of every spec fitted on the train side of every split of
+    the cleaned data (split-major order), in one run_tasks call."""
+    return fit_rows([(spec, split.train_rows, split.test_rows, "accuracy")
+                     for split in splits for spec in specs],
+                    data.cleaned.X, data.cleaned.y)
 
 
 def cmd_baseline(config: PipelineConfig, sweep_seeds: int | None = None) -> dict:
     """Tune and score every baseline candidate; write the comparison table
     sorted by test accuracy (ties keep declaration order)."""
     data = prepare(config)
-    train, test = data.split.train, data.split.test
-    tuned = tune_candidates(config, train)
-
-    for entry in tuned:
-        model = fit(entry["spec"], train.X, train.y)
-        entry["test_accuracy"] = float((model.predict(test.X) == test.y).mean())
+    tuned = tune_candidates(config, data.split.train)
+    accuracies = _test_accuracies(data, [e["spec"] for e in tuned], [data.split])
+    for entry, accuracy in zip(tuned, accuracies):
+        entry["test_accuracy"] = accuracy
 
     order = sorted(range(len(tuned)), key=lambda i: (-tuned[i]["test_accuracy"], i))
     table_rows = [
@@ -165,19 +167,18 @@ def cmd_baseline(config: PipelineConfig, sweep_seeds: int | None = None) -> dict
     })
 
     if sweep_seeds:
-        _write_seed_sweep(config, tuned, sweep_seeds, out)
+        _write_seed_sweep(config, data, tuned, sweep_seeds, out)
     return {"out": str(out), "tuned": tuned, "ranking": [tuned[i]["algorithm"] for i in order]}
 
 
-def _write_seed_sweep(config: PipelineConfig, tuned: list[dict], n_seeds: int, out: Path):
+def _write_seed_sweep(config: PipelineConfig, data: PreparedData, tuned: list[dict],
+                      n_seeds: int, out: Path):
+    splits = [stratified_split(data.cleaned, config.split_fraction, config.seed + offset)
+              for offset in range(n_seeds)]
+    accuracies = _test_accuracies(data, [e["spec"] for e in tuned], splits)
     accs: dict[str, list[float]] = {e["algorithm"]: [] for e in tuned}
-    data = prepare(config)
-    for offset in range(n_seeds):
-        split = stratified_split(data.cleaned, config.split_fraction, config.seed + offset)
-        for entry in tuned:
-            model = fit(entry["spec"], split.train.X, split.train.y)
-            accs[entry["algorithm"]].append(
-                float((model.predict(split.test.X) == split.test.y).mean()))
+    for entry, accuracy in zip(tuned * n_seeds, accuracies):
+        accs[entry["algorithm"]].append(accuracy)
     rows = [[algo, repr(float(np.mean(v))), repr(float(np.std(v))), len(v)]
             for algo, v in accs.items()]
     write_csv(out / "seed_sweep.csv",

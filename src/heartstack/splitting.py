@@ -17,6 +17,8 @@ class SplitPair:
     test: Dataset
     seed: int
     fraction: float
+    train_rows: np.ndarray  # indices of train's and test's rows in the split dataset
+    test_rows: np.ndarray
 
 
 def stratified_split(ds: Dataset, fraction: float, seed: int) -> SplitPair:
@@ -60,4 +62,5 @@ def stratified_split(ds: Dataset, fraction: float, seed: int) -> SplitPair:
         test_idx.append(rows[n_take:])
     train_rows = np.sort(np.concatenate(train_idx))
     test_rows = np.sort(np.concatenate(test_idx))
-    return SplitPair(ds.take(train_rows), ds.take(test_rows), seed, fraction)
+    return SplitPair(ds.take(train_rows), ds.take(test_rows), seed, fraction,
+                     train_rows, test_rows)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .learners import LearnerSpec, TrainedModel, fit
-from .model_selection import FoldPlan, k_fold_plan
+from .model_selection import FoldPlan, fold_fits, k_fold_plan
 from .parallel import run_tasks
 from .rng import stream
 
@@ -97,25 +97,8 @@ class StackedModel:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
 
-def _oof_fold(task) -> np.ndarray:
-    spec, X_train, y_train, X_test = task
-    model = fit(spec, X_train, y_train)
-    return model.predict_proba(X_test)
-
-
-def out_of_fold_probabilities(spec: LearnerSpec, X, y, plan: FoldPlan) -> tuple[np.ndarray, tuple[float, ...]]:
-    """OOF class-1 probabilities for one candidate plus its fold accuracies.
-
-    Row i's entry comes from the model trained with fold(i) held out.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    tasks = []
-    for fold in range(plan.k):
-        train, test = plan.train_rows(fold), plan.test_rows(fold)
-        tasks.append((spec, X[train], y[train], X[test]))
-    probas = run_tasks(_oof_fold, tasks)
-    oof = np.empty(X.shape[0])
+def _oof_column(probas, y, plan: FoldPlan) -> tuple[np.ndarray, tuple[float, ...]]:
+    oof = np.empty(plan.n)
     scores = []
     for fold, proba in enumerate(probas):
         test = plan.test_rows(fold)
@@ -124,10 +107,27 @@ def out_of_fold_probabilities(spec: LearnerSpec, X, y, plan: FoldPlan) -> tuple[
     return oof, tuple(scores)
 
 
+def out_of_fold_probabilities(spec: LearnerSpec, X, y, plan: FoldPlan) -> tuple[np.ndarray, tuple[float, ...]]:
+    """OOF class-1 probabilities for one candidate plus its fold accuracies.
+
+    Row i's entry comes from the model trained with fold(i) held out.
+    """
+    [[probas]] = fold_fits([(spec, None)], X, y, plan, score="proba")
+    return _oof_column(probas, np.asarray(y, dtype=np.int64), plan)
+
+
+def _fit(task) -> TrainedModel:
+    return fit(*task)
+
+
 def fit_stack(config: StackingConfig, X, y) -> StackedModel:
     """Cross-validate all candidates on a shared fold plan, select the top_n,
-    train the meta classifier on their out-of-fold probabilities, then refit
-    the selected bases on the full training data."""
+    then refit the selected bases on the full training data and train the
+    meta classifier on their out-of-fold probabilities.
+
+    Two ``run_tasks`` calls: one for every fold fit of every candidate, one
+    for the refits and the meta fit.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     plan = k_fold_plan(X.shape[0], config.oof_folds,
@@ -135,8 +135,10 @@ def fit_stack(config: StackingConfig, X, y) -> StackedModel:
 
     oof_columns: list[np.ndarray] = []
     cv_results: list[tuple[LearnerSpec, float]] = []
-    for spec in config.candidates:
-        oof, scores = out_of_fold_probabilities(spec, X, y, plan)
+    per_candidate = fold_fits([(spec, None) for spec in config.candidates], X, y, plan,
+                              score="proba")
+    for spec, [probas] in zip(config.candidates, per_candidate):
+        oof, scores = _oof_column(probas, y, plan)
         oof_columns.append(oof)
         cv_results.append((spec, float(np.mean(scores))))
 
@@ -144,8 +146,8 @@ def fit_stack(config: StackingConfig, X, y) -> StackedModel:
     selected_idx = [i for i, (spec, _) in enumerate(cv_results)
                     if any(spec is s for s in selection.selected)]
     meta_features = np.column_stack([oof_columns[i] for i in selected_idx])
-    meta = fit(config.meta, meta_features, y)
-    bases = [fit(config.candidates[i], X, y) for i in selected_idx]
+    *bases, meta = run_tasks(_fit, [(config.candidates[i], X, y) for i in selected_idx]
+                             + [(config.meta, meta_features, y)])
     return StackedModel(bases, meta, selection, plan)
 
 

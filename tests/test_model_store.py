@@ -239,3 +239,26 @@ def test_adaboost_needs_one_alpha_per_stump(train_data):
     doc["payload"]["params"]["alphas"].append(1.0)
     with pytest.raises(ModelFormatError, match="alpha"):
         load_model(json.dumps(doc).encode("utf8"))
+
+
+STANDARDIZER_MUTATIONS = {
+    "mean_short": lambda s: s.__setitem__("mean", s["mean"][:3]),
+    "mean_and_std_short": lambda s: s.update(mean=s["mean"][:3], std=s["std"][:3]),
+    "std_long": lambda s: s["std"].append(1.0),
+    "constant_short": lambda s: s["constant"].pop(),
+    "mean_nan": lambda s: s["mean"].__setitem__(0, float("nan")),
+    "mean_infinite": lambda s: s["mean"].__setitem__(0, float("-inf")),
+    "std_zero": lambda s: s["std"].__setitem__(0, 0.0),
+    "std_negative": lambda s: s["std"].__setitem__(0, -1.0),
+    "std_infinite": lambda s: s["std"].__setitem__(0, float("inf")),
+    "std_nan": lambda s: s["std"].__setitem__(0, float("nan")),
+    "nested": lambda s: s.__setitem__("mean", [s["mean"]]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(STANDARDIZER_MUTATIONS))
+def test_hostile_standardizer_rejected(mutation, train_data, tmp_path, dataset_csv):
+    X, y = train_data
+    doc = json.loads(save_model(fit(LearnerSpec("knn", {"k": 3}), X, y)))
+    STANDARDIZER_MUTATIONS[mutation](doc["payload"]["standardizer"])
+    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
