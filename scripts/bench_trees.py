@@ -1,8 +1,8 @@
-"""Time random_forest and extra_trees fits at the shape of one OOF fold.
+"""Time the tree ensembles' fits at the shape of one OOF fold.
 
-    PYTHONPATH=src python3 scripts/bench_forest.py [--trees 25 500] [--repeats 5]
+    PYTHONPATH=src python3 scripts/bench_trees.py [--trees 25 500] [--repeats 5]
 
-The data is the study's stand-in table, cleaned and split as the default
+The ensembles are random_forest, extra_trees, xgb_style and gbm. The data is the study's stand-in table, cleaned and split as the default
 config does; the fit uses the first 846 training rows (nine tenths of the
 940-row train split, one fold of the 10-fold OOF stage) with the default
 hyperparameters apart from ``n_estimators``. Each (algorithm, tree count)
@@ -74,7 +74,7 @@ def main() -> None:
         data = Path(tmp) / "fold.npz"
         _prepare(data)
         for trees in args.trees:
-            for algorithm in ("random_forest", "extra_trees"):
+            for algorithm in ("random_forest", "extra_trees", "xgb_style", "gbm"):
                 runs = [json.loads(subprocess.run(
                     [sys.executable, __file__, "--child", str(data), algorithm, str(trees)],
                     check=True, capture_output=True, text=True).stdout)

@@ -5,7 +5,7 @@ from .analysis import correlation_matrix, correlation_with_target, summarize
 from .cleaning import clean
 from .config import PipelineConfig, load_config, paper_default_config
 from .dataset import Dataset, parse_csv, validate_schema
-from .learners import LearnerSpec, fit, predict, predict_proba
+from .learners import LearnerSpec, fit
 from .metrics import ConfusionMatrix, confusion_matrix, metric_report, pr_curve, roc_curve
 from .model_selection import cross_validate, grid_search, k_fold_plan
 from .model_store import load_model, save_model
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "parse_csv", "validate_schema", "clean", "stratified_split",
     "correlation_with_target", "correlation_matrix", "summarize", "fit_standardizer",
-    "LearnerSpec", "fit", "predict", "predict_proba",
+    "LearnerSpec", "fit",
     "k_fold_plan", "cross_validate", "grid_search",
     "StackingConfig", "fit_stack", "predict_stack", "select_base_learners",
     "ConfusionMatrix", "confusion_matrix", "metric_report", "roc_curve", "pr_curve",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..standardize import fit_standardizer
 from .base import (
     ALGORITHMS,
@@ -69,17 +67,9 @@ def fit(spec: LearnerSpec, X, y) -> TrainedModel:
     return model
 
 
-def predict(model: TrainedModel, X) -> np.ndarray:
-    return model.predict(X)
-
-
-def predict_proba(model: TrainedModel, X) -> np.ndarray:
-    return model.predict_proba(X)
-
-
 __all__ = [
     "ALGORITHMS", "DEFAULT_HYPERPARAMETERS", "STANDARDIZED", "STAGEABLE",
-    "LearnerSpec", "TrainedModel", "fit", "predict", "predict_proba",
+    "LearnerSpec", "TrainedModel", "fit",
     "best_split", "grow_tree", "tree_apply", "GrowParams", "TreeBlock",
     "MODEL_CLASSES", "sigmoid", "logistic_loss_and_grad",
     "TreeEnsembleModel", "AdaboostModel",

@@ -144,11 +144,10 @@ class TrainedModel:
     predict_proba(x) >= 0.5, for every algorithm.
     """
 
-    def __init__(self, spec: LearnerSpec, n_features_in: int,
-                 standardizer: Standardizer | None = None):
+    def __init__(self, spec: LearnerSpec, n_features_in: int):
         self.spec = spec
         self.n_features_in = n_features_in
-        self.standardizer = standardizer
+        self.standardizer: Standardizer | None = None  # set by fit and load_model
 
     def _prepare(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -180,6 +179,17 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def finite_array(name: str, values, shape: tuple | None) -> np.ndarray:
+    """``values`` as a float array of the given shape (any shape for None)
+    with every entry finite; ValueError otherwise. For model documents."""
+    a = np.asarray(values, dtype=np.float64)
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, not {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} is not finite")
+    return a
 
 
 def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LearnerSpec, TrainedModel
+from .base import LearnerSpec, TrainedModel, finite_array
 
 
 class NaiveBayesModel(TrainedModel):
@@ -36,8 +36,16 @@ class NaiveBayesModel(TrainedModel):
 
     @classmethod
     def from_payload(cls, spec, n_features_in, payload):
-        return cls(spec, n_features_in, np.array(payload["log_priors"]),
-                   np.array(payload["means"]), np.array(payload["variances"]))
+        """Inverse of params_payload. Raises ValueError unless log_priors
+        holds 2 finite numbers and means and variances are finite
+        2 x n_features_in matrices, with every variance positive."""
+        log_priors = finite_array("naive_bayes log_priors", payload["log_priors"], (2,))
+        shape = (2, n_features_in)
+        means = finite_array("naive_bayes means", payload["means"], shape)
+        variances = finite_array("naive_bayes variances", payload["variances"], shape)
+        if not (variances > 0).all():
+            raise ValueError("naive_bayes variances must be positive")
+        return cls(spec, n_features_in, log_priors, means, variances)
 
 
 def fit_naive_bayes(spec: LearnerSpec, X, y) -> NaiveBayesModel:

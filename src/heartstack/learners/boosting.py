@@ -9,7 +9,8 @@ import numpy as np
 from ..errors import FitError
 from .base import LearnerSpec, TrainedModel, sigmoid
 from .forest import TreeEnsembleModel
-from .tree import GrowParams, TreeBlock, TreeBuilder, grow_tree, tree_apply
+from .tree import GrowParams, TreeBlock, grow_tree, tree_apply
+from .tree import leaf_weight  # noqa: F401  (xgb_style's leaf formula, importable from here too)
 
 # Stumps with weighted error at or above chance end AdaBoost; a perfect
 # stump gets its weight from this floored error instead of infinity.
@@ -27,9 +28,9 @@ def fit_gbm(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     rate = float(y.mean())
     init_score = math.log(rate / (1.0 - rate))
     params = GrowParams(
+        criterion="variance",
         max_depth=p["max_depth"],
         min_samples_split=p["min_samples_split"],
-        target_kind="regression_residual",
     )
     lr = p["learning_rate"]
     margin = np.full(X.shape[0], init_score)
@@ -42,69 +43,24 @@ def fit_gbm(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), init_score, lr)
 
 
-def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
-    return -g_sum / (h_sum + reg_lambda)
-
-
-def _xgb_best_split(X, g, h, reg_lambda, gamma):
-    """Maximize 0.5*(GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)) - gamma over all
-    midpoint cuts of all features; None when the best gain is not positive."""
-    order = np.argsort(X, axis=0)
-    Xs = np.take_along_axis(X, order, axis=0)
-    cum_g = np.cumsum(g[order], axis=0)
-    cum_h = np.cumsum(h[order], axis=0)
-    G, H = cum_g[-1, 0], cum_h[-1, 0]
-    gl, hl = cum_g[:-1], cum_h[:-1]
-    gr, hr = G - gl, H - hl
-    parent_score = G * G / (H + reg_lambda)
-    gain = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent_score) - gamma
-    gain[Xs[1:] == Xs[:-1]] = -np.inf
-
-    flat = np.argmax(gain.T)
-    feature, cut = divmod(flat, gain.shape[0])
-    if not gain[cut, feature] > 0.0:
-        return None
-    threshold = (Xs[cut, feature] + Xs[cut + 1, feature]) / 2.0
-    return int(feature), float(threshold)
-
-
-def _grow_xgb_tree(X, g, h, max_depth, min_samples_split, reg_lambda, gamma,
-                   fitted) -> TreeBlock:
-    """One second-order tree; ``fitted[i]`` receives training row i's leaf weight."""
-    tree = TreeBuilder()
-    stack = [(0, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        split = None
-        if (max_depth is None or depth < max_depth) and len(rows) >= min_samples_split:
-            split = _xgb_best_split(X[rows], g[rows], h[rows], reg_lambda, gamma)
-        if split is None:
-            value = leaf_weight(g[rows].sum(), h[rows].sum(), reg_lambda)
-            tree.leaf(node, value)
-            fitted[rows] = value
-            continue
-        feature, threshold = split
-        left, right = tree.split(node, feature, threshold)
-        go_left = X[rows, feature] <= threshold
-        stack.append((right, rows[~go_left], depth + 1))
-        stack.append((left, rows[go_left], depth + 1))
-    return tree.block()
-
-
 def fit_xgb(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     """Second-order boosting: leaf weight -G/(H + lambda), split gain from
     the regularized score with a per-leaf penalty gamma."""
     p = spec.resolved()
+    params = GrowParams(
+        criterion="second_order",
+        max_depth=p["max_depth"],
+        min_samples_split=p["min_samples_split"],
+        reg_lambda=p["reg_lambda"],
+        gamma=p["gamma"],
+    )
     lr = p["learning_rate"]
     margin = np.zeros(X.shape[0])
     fitted = np.empty(X.shape[0])
     trees = []
     for _ in range(p["n_estimators"]):
         prob = sigmoid(margin)
-        g = prob - y
-        h = prob * (1.0 - prob)
-        trees.append(_grow_xgb_tree(X, g, h, p["max_depth"], p["min_samples_split"],
-                                    p["reg_lambda"], p["gamma"], fitted))
+        trees.append(grow_tree(X, prob - y, params, w=prob * (1.0 - prob), fitted=fitted))
         margin += lr * fitted
     return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), 0.0, lr)
 

@@ -8,21 +8,19 @@ logistic link on the margin, so thresholding at 0.5 equals sign(margin).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..rng import stream
-from .base import LearnerSpec, TrainedModel, sigmoid
+from .base import LearnerSpec, TrainedModel, finite_array, sigmoid
 
 
 class LinearModel(TrainedModel):
-    def __init__(self, spec, n_features_in, weights: np.ndarray, bias: float,
-                 standardizer=None):
-        super().__init__(spec, n_features_in, standardizer)
+    def __init__(self, spec, n_features_in, weights: np.ndarray, bias: float):
+        super().__init__(spec, n_features_in)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.bias = float(bias)
-
-    def decision(self, X) -> np.ndarray:
-        return self._prepare(X) @ self.weights + self.bias
 
     def _proba(self, X):
         return sigmoid(X @ self.weights + self.bias)
@@ -31,9 +29,14 @@ class LinearModel(TrainedModel):
         return {"weights": self.weights.tolist(), "bias": self.bias}
 
     @classmethod
-    def from_payload(cls, spec, n_features_in, payload, standardizer=None):
-        return cls(spec, n_features_in, np.array(payload["weights"]), payload["bias"],
-                   standardizer)
+    def from_payload(cls, spec, n_features_in, payload):
+        """Inverse of params_payload. Raises ValueError unless weights holds
+        n_features_in finite numbers and bias is finite."""
+        weights = finite_array("linear weights", payload["weights"], (n_features_in,))
+        bias = float(payload["bias"])
+        if not math.isfinite(bias):
+            raise ValueError("linear bias is not finite")
+        return cls(spec, n_features_in, weights, bias)
 
 
 def _sgd(X, y, loss: str, epochs: int, eta0: float, decay: float, l2: float, seed: int):

@@ -3,15 +3,17 @@ logistic loss, full-batch gradient descent with momentum."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..rng import stream
-from .base import LearnerSpec, TrainedModel, sigmoid
+from .base import LearnerSpec, TrainedModel, finite_array, sigmoid
 
 
 class MlpModel(TrainedModel):
-    def __init__(self, spec, n_features_in, W1, b1, W2, b2, standardizer=None):
-        super().__init__(spec, n_features_in, standardizer)
+    def __init__(self, spec, n_features_in, W1, b1, W2, b2):
+        super().__init__(spec, n_features_in)
         self.W1 = np.asarray(W1, dtype=np.float64)
         self.b1 = np.asarray(b1, dtype=np.float64)
         self.W2 = np.asarray(W2, dtype=np.float64)
@@ -28,9 +30,20 @@ class MlpModel(TrainedModel):
         }
 
     @classmethod
-    def from_payload(cls, spec, n_features_in, payload, standardizer=None):
-        return cls(spec, n_features_in, np.array(payload["W1"]), np.array(payload["b1"]),
-                   np.array(payload["W2"]), payload["b2"], standardizer)
+    def from_payload(cls, spec, n_features_in, payload):
+        """Inverse of params_payload. Raises ValueError unless W1 is a finite
+        n_features_in x h matrix, b1 and W2 hold h finite numbers and b2 is
+        finite."""
+        W1 = finite_array("mlp W1", payload["W1"], None)
+        if W1.ndim != 2 or W1.shape[0] != n_features_in:
+            raise ValueError(f"mlp W1 must have {n_features_in} rows")
+        hidden = (W1.shape[1],)
+        b1 = finite_array("mlp b1", payload["b1"], hidden)
+        W2 = finite_array("mlp W2", payload["W2"], hidden)
+        b2 = float(payload["b2"])
+        if not math.isfinite(b2):
+            raise ValueError("mlp b2 is not finite")
+        return cls(spec, n_features_in, W1, b1, W2, b2)
 
 
 def init_params(n_features: int, hidden: int, seed: int):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LearnerSpec, TrainedModel
+from .base import LearnerSpec, TrainedModel, finite_array
 from ..errors import FitError
 
 
@@ -13,8 +13,8 @@ class KnnModel(TrainedModel):
     fraction among the k nearest by Euclidean distance, with distance ties
     broken toward the lower training-row index."""
 
-    def __init__(self, spec, n_features_in, X_train, y_train, k: int, standardizer=None):
-        super().__init__(spec, n_features_in, standardizer)
+    def __init__(self, spec, n_features_in, X_train, y_train, k: int):
+        super().__init__(spec, n_features_in)
         self.X_train = np.asarray(X_train, dtype=np.float64)
         self.y_train = np.asarray(y_train, dtype=np.int64)
         self.k = k
@@ -34,23 +34,18 @@ class KnnModel(TrainedModel):
                 "k": self.k}
 
     @classmethod
-    def from_payload(cls, spec, n_features_in, payload, standardizer=None):
+    def from_payload(cls, spec, n_features_in, payload):
         """Inverse of params_payload. Raises ValueError unless the labels
         are 0 or 1, ``k`` is an integer in [1, len(y_train)] and X_train is
         a finite matrix of one row per label and n_features_in columns."""
-        X_train = np.array(payload["X_train"], dtype=np.float64)
         y_train = np.array(payload["y_train"])
         k = payload["k"]
         if y_train.ndim != 1 or not np.isin(y_train, (0, 1)).all():
             raise ValueError("knn y_train must be a list of 0/1 labels")
-        if X_train.shape != (len(y_train), n_features_in):
-            raise ValueError(f"knn X_train must be {len(y_train)} x {n_features_in}, "
-                             "one row per label")
-        if not np.isfinite(X_train).all():
-            raise ValueError("knn X_train is not finite")
+        X_train = finite_array("knn X_train", payload["X_train"], (len(y_train), n_features_in))
         if type(k) is not int or not 1 <= k <= len(y_train):
             raise ValueError(f"knn k must be an integer in [1, {len(y_train)}]")
-        return cls(spec, n_features_in, X_train, y_train, k, standardizer)
+        return cls(spec, n_features_in, X_train, y_train, k)
 
 
 def fit_knn(spec: LearnerSpec, X, y) -> KnnModel:

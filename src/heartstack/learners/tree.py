@@ -1,19 +1,23 @@
 """Decision-tree core shared by CART, the forests and the boosting stages.
 
-Split search is vectorized over all candidate features of a node at once:
-values are column-sorted, class/target sums are accumulated with prefix
-sums, and every midpoint between consecutive distinct values is scored in
-one pass. ``random_threshold`` mode draws a single uniform cut per feature
-instead (extremely-randomized-trees style).
+``grow_tree`` grows one tree depth first, a node at a time, for CART, gbm,
+xgb_style and AdaBoost. Its split search is exhaustive and vectorized over
+all candidate features of a node at once: values are column-sorted, the
+node's sums are accumulated with prefix sums, and every midpoint between
+consecutive distinct values is scored in one pass. The score is the
+impurity decrease (gini, entropy, or variance for gbm's residuals) or, for
+xgb_style, the second-order gain of Chen & Guestrin (arXiv:1603.02754,
+eq. 7).
 
-``grow_tree`` grows one tree depth first, a node at a time (CART and the
-boosting stages). ``grow_forest`` grows all trees of a forest together,
-level by level: each level's nodes, over all trees, are segments of one
-pooled array of (tree, row) pairs, so a level costs the same few dozen
-numpy calls whether it holds one tree or many.
+``grow_forest`` grows all classification trees of a forest together, level
+by level: each level's nodes, over all trees, are segments of one pooled
+array of (tree, row) pairs, so a level costs the same few dozen numpy calls
+whether it holds one tree or many. It scores every midpoint (random forest)
+or one uniform threshold per candidate feature (extremely randomized
+trees).
 
-Tie-breaking is fully deterministic: among equal impurity decreases the
-split with the lowest feature index wins, then the lowest threshold.
+Tie-breaking is fully deterministic: among equal scores the split with the
+lowest feature index wins, then the lowest threshold.
 
 Trees are stored flat, as in scikit-learn's ``Tree``: a ``TreeBlock`` holds
 the nodes of all trees of a model in parallel arrays, and ``tree_apply``
@@ -139,12 +143,16 @@ class TreeBuilder:
 
 @dataclass(frozen=True)
 class GrowParams:
+    # gini/entropy: class targets; variance: real targets (gbm's residuals)
+    # with mean leaves; second_order: gradients as y and hessians as w
+    # (grow_tree only)
     criterion: str = "gini"
     max_depth: int | None = None
     min_samples_split: int = 2
     feature_subsample: int | None = None  # per-node candidate count; None = all
-    candidate_mode: str = "exhaustive"  # or "random_threshold"
-    target_kind: str = "class"  # or "regression_residual"
+    candidate_mode: str = "exhaustive"  # grow_forest also takes "random_threshold"
+    reg_lambda: float = 1.0  # second_order: L2 penalty on leaf weights
+    gamma: float = 0.0  # second_order: gain a split must exceed
 
 
 def _xlog2x(p: np.ndarray) -> np.ndarray:
@@ -160,13 +168,12 @@ def _class_impurity(w1, wt, criterion):
     return -(_xlog2x(p) + _xlog2x(1.0 - p))
 
 
-def best_split(X, y, w, features, criterion="gini", candidate_mode="exhaustive", rng=None):
+def best_split(X, y, w, features, criterion="gini"):
     """Best (feature, threshold, impurity_decrease) for one node, or None.
 
-    Exhaustive mode scans midpoints between consecutive sorted distinct
-    values of each candidate feature; random_threshold mode draws one
-    uniform threshold per candidate feature between its min and max.
-    Returns None when no candidate split strictly reduces impurity.
+    Scans the midpoints between consecutive sorted distinct values of each
+    candidate feature. Returns None when no candidate split strictly
+    reduces impurity.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -177,24 +184,19 @@ def best_split(X, y, w, features, criterion="gini", candidate_mode="exhaustive",
     y = np.asarray(y, dtype=np.float64)
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
     feats = np.sort(np.asarray(list(features), dtype=np.intp))
-    V = X[:, feats]
     a, b = _target_sums(y, w, criterion)
-    if candidate_mode == "exhaustive":
-        found = _split_exhaustive(V, feats, a, b, w, criterion)
-    elif candidate_mode == "random_threshold":
-        if rng is None:
-            raise ValueError("random_threshold mode needs an rng")
-        found = _split_random(V, feats, a, b, w, criterion, rng)
-    else:
-        raise ValueError(f"unknown candidate mode {candidate_mode!r}")
+    found = _split_exhaustive(X[:, feats], feats, a, b, w, criterion)
     return None if found is None else found[:3]
 
 
 def _target_sums(y, w, criterion):
-    """Per-row weighted class-1 count, or for variance the weighted target
-    and its square: the sums the split search accumulates."""
+    """Per-row weighted class-1 count, for variance the weighted target and
+    its square, for second_order the gradient: the sums the split search
+    accumulates next to w."""
     if criterion == "variance":
         return w * y, w * y * y
+    if criterion == "second_order":
+        return y, None
     return w * (y == 1.0), None
 
 
@@ -206,7 +208,8 @@ def _impurity(a, b, wt, criterion):
     return _class_impurity(a, wt, criterion)
 
 
-def _split_exhaustive(V, feats, a, b, w, criterion, require_positive=True):
+def _split_exhaustive(V, feats, a, b, w, criterion, require_positive=True,
+                      reg_lambda=1.0, gamma=0.0):
     order = np.argsort(V, axis=0)
     Vs = np.take_along_axis(V, order, axis=0)
     cum_w = np.cumsum(w[order], axis=0)
@@ -215,16 +218,22 @@ def _split_exhaustive(V, feats, a, b, w, criterion, require_positive=True):
     A = cum_a[-1, 0]
     lw, la = cum_w[:-1], cum_a[:-1]
     rw, ra = W - lw, A - la
-    if criterion == "variance":
-        cum_b = np.cumsum(b[order], axis=0)
-        B = cum_b[-1, 0]
-        lb, rb = cum_b[:-1], B - cum_b[:-1]
+    if criterion == "second_order":
+        # a and w are gradient and hessian: G_L = la, H_L = lw, G = A, H = W.
+        parent_score = A * A / (W + reg_lambda)
+        decrease = 0.5 * (la * la / (lw + reg_lambda) + ra * ra / (rw + reg_lambda)
+                          - parent_score) - gamma
     else:
-        lb = rb = B = None
-
-    parent = float(_impurity(np.array(A), np.array(B) if B is not None else None, np.array(W), criterion))
-    child = (lw * _impurity(la, lb, lw, criterion) + rw * _impurity(ra, rb, rw, criterion)) / W
-    decrease = parent - child
+        if criterion == "variance":
+            cum_b = np.cumsum(b[order], axis=0)
+            B = cum_b[-1, 0]
+            lb, rb = cum_b[:-1], B - cum_b[:-1]
+        else:
+            lb = rb = B = None
+        parent = float(_impurity(np.array(A), np.array(B) if B is not None else None,
+                                 np.array(W), criterion))
+        child = (lw * _impurity(la, lb, lw, criterion) + rw * _impurity(ra, rb, rw, criterion)) / W
+        decrease = parent - child
     decrease[Vs[1:] == Vs[:-1]] = -np.inf
 
     flat = np.argmax(decrease.T)  # feature-major: lowest feature, then lowest threshold
@@ -239,53 +248,15 @@ def _split_exhaustive(V, feats, a, b, w, criterion, require_positive=True):
             float(la[cut, f_local]), float(lw[cut, f_local]))
 
 
-def _split_random(V, feats, a, b, w, criterion, rng, require_positive=True):
-    lo = V.min(axis=0)
-    hi = V.max(axis=0)
-    thr = rng.uniform(lo, hi)
-    usable = hi > lo
-    if not usable.any():
-        return None
-
-    left = V <= thr
-    W = w.sum()
-    A = a.sum()
-    lw = w @ left
-    la = a @ left
-    rw, ra = W - lw, A - la
-    if criterion == "variance":
-        B = b.sum()
-        lb = b @ left
-        rb = B - lb
-    else:
-        lb = rb = B = None
-
-    parent = float(_impurity(np.array(A), np.array(B) if B is not None else None, np.array(W), criterion))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        child = np.where(
-            (lw > 0) & (rw > 0),
-            (lw * _impurity(la, lb, np.where(lw > 0, lw, 1.0), criterion)
-             + rw * _impurity(ra, rb, np.where(rw > 0, rw, 1.0), criterion)) / W,
-            np.inf,
-        )
-    decrease = np.where(usable & (lw > 0) & (rw > 0), parent - child, -np.inf)
-    f_local = int(np.argmax(decrease))
-    if decrease[f_local] == -np.inf:
-        return None
-    if require_positive and not decrease[f_local] > 0.0:
-        return None
-    return (int(feats[f_local]), float(thr[f_local]), float(decrease[f_local]),
-            float(la[f_local]), float(lw[f_local]))
-
-
 def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBlock:
     """Recursively split until depth / min-samples / purity stops.
 
-    ``regression_residual`` targets are fitted by variance reduction with
-    mean-valued leaves; classification leaves hold the weighted class-1 share.
-    Per-node feature subsets are drawn without replacement from ``rng``.
-    If given, ``fitted[i]`` receives the value of the leaf that training row
-    i reaches, which is what tree_apply would return for it.
+    Class leaves hold the weighted class-1 share, variance leaves the
+    weighted mean of y, and second-order leaves leaf_weight(G, H, lambda)
+    with y the gradients and w the hessians; second-order nodes have no
+    purity stop. Per-node feature subsets are drawn without replacement
+    from ``rng``. If given, ``fitted[i]`` receives the value of the leaf
+    that training row i reaches, which is what tree_apply would return.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -293,37 +264,39 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
     if n == 0:
         raise ValueError("cannot grow a tree on zero rows")
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
-    regression = params.target_kind == "regression_residual"
-    criterion = "variance" if regression else params.criterion
+    criterion = params.criterion
     if params.feature_subsample is not None and rng is None:
         raise ValueError("feature subsampling needs an rng")
-    if params.candidate_mode == "random_threshold" and rng is None:
-        raise ValueError("random_threshold mode needs an rng")
+    if params.candidate_mode != "exhaustive":
+        raise ValueError("grow_tree searches every midpoint; random thresholds are grow_forest's")
+    classes = criterion in CLASS_CRITERIA
 
     all_feats = np.arange(d, dtype=np.intp)
     tree = TreeBuilder()
 
     def leaf(node, rows, w1, wt):
-        value = _leaf_value(y, w, rows, w1, wt, regression)
+        if criterion == "second_order":
+            value = leaf_weight(y[rows].sum(), w[rows].sum(), params.reg_lambda)
+        elif criterion == "variance":
+            wr = w[rows]
+            value = float((wr * y[rows]).sum() / wr.sum())
+        else:
+            value = min(max(w1, 0.0), wt) / wt
         tree.leaf(node, value)
         if fitted is not None:
             fitted[rows] = value
 
-    if regression:
-        w1_root = wt_root = 0.0
-    else:
-        wt_root = float(w.sum())
-        w1_root = float(w[y == 1.0].sum())
+    wt_root = float(w.sum()) if classes else 0.0
+    w1_root = float(w[y == 1.0].sum()) if classes else 0.0
     # Class sums ride along with each node so purity checks and leaf stats
     # need no extra passes over the rows.
     stack = [(0, np.arange(n), 0, w1_root, wt_root)]
     while stack:
         node, rows, depth, w1, wt = stack.pop()
-        if regression:
-            yr = y[rows]
-            pure = (yr == yr[0]).all()
-        else:
+        if classes:
             pure = w1 <= 0.0 or w1 >= wt
+        else:
+            pure = criterion == "variance" and (y[rows] == y[rows[0]]).all()
         if (
             pure
             or (params.max_depth is not None and depth >= params.max_depth)
@@ -340,16 +313,11 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
             V = X[np.ix_(rows, feats)]
         wr = w[rows]
         a, b = _target_sums(y[rows], wr, criterion)
-        # An impure node keeps splitting even at zero impurity decrease
-        # (parity patterns need the lookahead), so only depth, node size
-        # and purity stop growth.
-        allow_zero = not regression
-        if params.candidate_mode == "exhaustive":
-            found = _split_exhaustive(V, feats, a, b, wr, criterion,
-                                      require_positive=not allow_zero)
-        else:
-            found = _split_random(V, feats, a, b, wr, criterion, rng,
-                                  require_positive=not allow_zero)
+        # An impure class node keeps splitting even at zero impurity decrease
+        # (parity patterns need the lookahead), so only depth, node size and
+        # purity stop its growth; other nodes need a strictly positive score.
+        found = _split_exhaustive(V, feats, a, b, wr, criterion, require_positive=not classes,
+                                  reg_lambda=params.reg_lambda, gamma=params.gamma)
         if found is None:
             leaf(node, rows, w1, wt)
             continue
@@ -363,11 +331,9 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
     return tree.block()
 
 
-def _leaf_value(y, w, rows, w1: float, wt: float, regression: bool) -> float:
-    if regression:
-        wr = w[rows]
-        return float((wr * y[rows]).sum() / wr.sum())
-    return min(max(w1, 0.0), wt) / wt
+def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
+    """The second-order leaf weight -G / (H + lambda)."""
+    return -g_sum / (h_sum + reg_lambda)
 
 
 # Trees of a forest are grown together in passes of at most this many

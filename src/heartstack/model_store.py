@@ -132,23 +132,36 @@ def load_model(source):
             entries = tuple((LearnerSpec.from_dict(e["spec"]), float(e["mean_cv_accuracy"]))
                             for e in sel["entries"])
             chosen = set(int(i) for i in sel["selected_indices"])
+            bases = [_single_from_payload(b) for b in payload["bases"]]
+            meta = _single_from_payload(payload["meta"])
+            _check_stack(bases, meta, sel["selected_indices"], chosen, len(entries))
             selection = BaseSelectionReport(
                 entries,
                 tuple(entries[i][0] for i in range(len(entries)) if i in chosen),
                 tuple(entries[i][0] for i in range(len(entries)) if i not in chosen),
             )
-            model = StackedModel(
-                [_single_from_payload(b) for b in payload["bases"]],
-                _single_from_payload(payload["meta"]),
-                selection,
-                FoldPlan.from_dict(payload["fold_plan"]),
-            )
+            model = StackedModel(bases, meta, selection, FoldPlan.from_dict(payload["fold_plan"]))
         else:
             raise ModelFormatError(f"unknown model kind {doc['kind']!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
     model.schema_fingerprint = fingerprint
     return model
+
+
+def _check_stack(bases, meta, selected_indices, chosen: set, n_entries: int) -> None:
+    """Raise ValueError unless the stack can score a row: at least one base,
+    every base reading the same features, the meta reading one probability
+    per base, and one distinct in-range selected index per base."""
+    if not bases or len({b.n_features_in for b in bases}) != 1:
+        raise ValueError("stack bases must exist and share n_features_in")
+    if meta.n_features_in != len(bases):
+        raise ValueError(f"stack meta must read {len(bases)} base probabilities, "
+                         f"not {meta.n_features_in}")
+    if (len(chosen) != len(selected_indices) or len(chosen) != len(bases)
+            or not all(0 <= i < n_entries for i in chosen)):
+        raise ValueError("stack selected_indices must be distinct, in range and "
+                         "one per base")
 
 
 def require_matching_schema(model) -> None:

@@ -260,22 +260,31 @@ def _bisect_theta(r_of_theta, target_r) -> float:
     return 0.5 * (lo + hi)
 
 
-def _blend_counts(grid, shape0, shape1, n0, n1, target_r):
+def _blend_counts(grid, shape0, shape1, n0, n1, target_r, special=()):
     """Blend class-1 toward class-0 until the quantized correlation matches,
-    then fix the last milli-units with greedy single-row moves."""
+    then fix the last milli-units with greedy single-row moves.
+
+    The pinned ``special`` (class, value) rows count toward the correlation,
+    on the grid extended by their values, but are never moved.
+    """
+    core_len = len(grid)
+    ext_grid = np.concatenate([grid, [v for _, v in special]])
+    pinned = [np.array([int(c == cls) for c, _ in special], dtype=int) for cls in (0, 1)]
 
     def counts_at(theta):
         p1 = np.clip((1 - theta) * shape0 + theta * shape1, 0.0, None)
-        return _quantize(shape0 / shape0.sum(), n0), _quantize(p1 / p1.sum(), n1)
+        return (np.concatenate([_quantize(shape0 / shape0.sum(), n0), pinned[0]]),
+                np.concatenate([_quantize(p1 / p1.sum(), n1), pinned[1]]))
 
-    theta = _bisect_theta(lambda t: _pearson_from_counts(grid, *counts_at(t)), target_r)
-    c0, c1 = counts_at(theta)
-    return _greedy_refine(grid, c0, c1, target_r)
+    theta = _bisect_theta(lambda t: _pearson_from_counts(ext_grid, *counts_at(t)), target_r)
+    c0, c1 = _greedy_refine(ext_grid, *counts_at(theta), target_r, core_len)
+    return c0[:core_len], c1[:core_len]
 
 
-def _greedy_refine(grid, c0, c1, target_r, tol=2e-4, max_moves=400):
-    """Move one row at a time between adjacent grid values (within a class)
-    while it shrinks the correlation error."""
+def _greedy_refine(grid, c0, c1, target_r, core_len, tol=2e-4, max_moves=400):
+    """Move one row at a time between adjacent values among the first
+    ``core_len`` of the grid (within a class) while it shrinks the
+    correlation error."""
     counts = [c0.copy(), c1.copy()]
     for _ in range(max_moves):
         err = abs(_pearson_from_counts(grid, counts[0], counts[1]) - target_r)
@@ -284,7 +293,7 @@ def _greedy_refine(grid, c0, c1, target_r, tol=2e-4, max_moves=400):
         best = None
         for cls in (0, 1):
             c = counts[cls]
-            for i in range(len(grid) - 1):
+            for i in range(core_len - 1):
                 for src, dst in ((i, i + 1), (i + 1, i)):
                     if c[src] == 0:
                         continue
@@ -345,74 +354,10 @@ def _numeric_counts(name: str, n0: int, n1: int):
     special = [(cls, value) for feat, cls, value in DOMAIN_INVALID + IQR_OUTLIERS
                if feat == name]
     n_special = [sum(1 for cls, _ in special if cls == c) for c in (0, 1)]
-    core0, core1 = _blend_counts_with_special(
+    core0, core1 = _blend_counts(
         grid, shape0, shape1, n0 - n_special[0], n1 - n_special[1],
         REFERENCE_CORRELATIONS[name], special)
     return grid, core0, core1, special
-
-
-def _blend_counts_with_special(grid, shape0, shape1, n0, n1, target_r, special):
-    if not special:
-        return _blend_counts(grid, shape0, shape1, n0, n1, target_r)
-    # Fold the pinned values into the correlation computation by extending
-    # the grid, then calibrate the core counts around them.
-    extra_vals = np.array([v for _, v in special])
-    ext_grid = np.concatenate([grid, extra_vals])
-    ext0 = np.concatenate([np.zeros(len(grid), dtype=int),
-                           [1 if c == 0 else 0 for c, _ in special]])
-    ext1 = np.concatenate([np.zeros(len(grid), dtype=int),
-                           [1 if c == 1 else 0 for c, _ in special]])
-
-    def counts_at(theta):
-        p1 = np.clip((1 - theta) * shape0 + theta * shape1, 0.0, None)
-        c0 = _quantize(shape0 / shape0.sum(), n0)
-        c1 = _quantize(p1 / p1.sum(), n1)
-        return c0, c1
-
-    def r_of(c0, c1):
-        full0 = ext0.copy()
-        full0[: len(grid)] += c0
-        full1 = ext1.copy()
-        full1[: len(grid)] += c1
-        return _pearson_from_counts(ext_grid, full0, full1)
-
-    theta = _bisect_theta(lambda t: r_of(*counts_at(t)), target_r)
-    c0, c1 = counts_at(theta)
-
-    full0 = ext0.copy()
-    full0[: len(grid)] += c0
-    full1 = ext1.copy()
-    full1[: len(grid)] += c1
-    r0, r1 = _greedy_refine_core(ext_grid, full0, full1, target_r, len(grid))
-    return r0[: len(grid)], r1[: len(grid)]
-
-
-def _greedy_refine_core(grid, c0, c1, target_r, core_len, tol=2e-4, max_moves=400):
-    counts = [c0.copy(), c1.copy()]
-    for _ in range(max_moves):
-        err = abs(_pearson_from_counts(grid, counts[0], counts[1]) - target_r)
-        if err < tol:
-            break
-        best = None
-        for cls in (0, 1):
-            c = counts[cls]
-            for i in range(core_len - 1):
-                for src, dst in ((i, i + 1), (i + 1, i)):
-                    if c[src] == 0:
-                        continue
-                    c[src] -= 1
-                    c[dst] += 1
-                    trial = abs(_pearson_from_counts(grid, counts[0], counts[1]) - target_r)
-                    c[src] += 1
-                    c[dst] -= 1
-                    if trial < err and (best is None or trial < best[0]):
-                        best = (trial, cls, src, dst)
-        if best is None:
-            break
-        _, cls, src, dst = best
-        counts[cls][src] -= 1
-        counts[cls][dst] += 1
-    return counts[0], counts[1]
 
 
 def _expand(grid, counts) -> np.ndarray:

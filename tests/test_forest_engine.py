@@ -1,9 +1,13 @@
-"""The forest engine against recorded trees and against itself.
+"""The tree growers against recorded trees, and the forest engine against
+itself.
 
-The digests are sha256 hashes of the tree arrays of fitted random_forest
-and extra_trees models, recorded with the per-tree level-wise growers the
+The digests are sha256 hashes of the tree arrays of fitted models. The
+forest digests were recorded with the per-tree level-wise growers the
 engine replaced. Class sums are integer-valued, so growing all trees of a
-forest together must reproduce every node of every tree bit for bit.
+forest together must reproduce every node of every tree bit for bit. The
+depth-first digests (CART, gbm, AdaBoost and xgb_style) were recorded
+while second-order trees still had a grower of their own; grow_tree must
+reproduce them bit for bit.
 """
 
 import hashlib
@@ -37,6 +41,29 @@ TREES_SHA256 = {
     "random_forest-shallow": "fd61fce76b82d41936a5b5f476fc29d8f85ea1435c810b3e70ca687857187264",
 }
 
+# Depth-first trees: (algorithm, hyperparameters); CART has no n_estimators.
+DFS_CASES = {
+    "xgb_style-default": ("xgb_style", {"n_estimators": 10}),
+    "xgb_style-no_lambda": ("xgb_style", {"n_estimators": 10, "reg_lambda": 0.0}),
+    "xgb_style-gamma": ("xgb_style", {"n_estimators": 10, "gamma": 0.5, "max_depth": 5}),
+    "xgb_style-unbounded": ("xgb_style", {"n_estimators": 10, "max_depth": None,
+                                          "min_samples_split": 20}),
+    "gbm-default": ("gbm", {"n_estimators": 10}),
+    "adaboost-stumps": ("adaboost", {"n_estimators": 10}),
+    "cart-default": ("cart", {}),
+    "cart-entropy_subsample": ("cart", {"criterion": "entropy", "max_features": 3}),
+}
+DFS_TREES_SHA256 = {
+    "adaboost-stumps": "16effc3b90ce673c6e48828ff28474690386c10c88cc5bd7ead4875e1d11952e",
+    "cart-default": "877aa1b72f73b041e2ea9535e7b436cfd726dea4e846909ae38c9a93b66babcf",
+    "cart-entropy_subsample": "6da871cfb2068b24876f389a6e9c2fa3f32676b0553a7c4a3a92d04ef9529849",
+    "gbm-default": "06688c59d2559cfff98b2d23b86dd88c2454fbacb1a378724e999c261728bfa2",
+    "xgb_style-default": "3af2f22669cdf0043804e321ea1b5a73ba18e7b99e1d6f45f0181c15fa24eb35",
+    "xgb_style-gamma": "0ed2348c976fc630665f3c86290e7e105b822beedcf39ea6b1c1001b941b7d45",
+    "xgb_style-no_lambda": "a2923f92439698781bfd62a044fb16e6662cf1ef07e0b29d2162221bc92fd30c",
+    "xgb_style-unbounded": "a7aa39eeefd3089f36a5e31b4ea7997ebecc50cb6a68e6375a6737f9abe29e1a",
+}
+
 
 @pytest.fixture(scope="module")
 def forest_data():
@@ -59,6 +86,14 @@ def test_forest_trees_digest(case, forest_data):
     algorithm, hyper = CASES[case]
     model = fit(LearnerSpec(algorithm, {"n_estimators": 10, **hyper}, seed=5), *forest_data)
     assert trees_digest(model.trees) == TREES_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(DFS_CASES))
+def test_dfs_trees_digest(case, forest_data):
+    algorithm, hyper = DFS_CASES[case]
+    model = fit(LearnerSpec(algorithm, hyper, seed=5), *forest_data)
+    trees = model.stumps if algorithm == "adaboost" else model.trees
+    assert trees_digest(trees) == DFS_TREES_SHA256[case]
 
 
 @pytest.mark.parametrize("algorithm", ["random_forest", "extra_trees"])

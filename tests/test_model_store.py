@@ -262,3 +262,97 @@ def test_hostile_standardizer_rejected(mutation, train_data, tmp_path, dataset_c
     doc = json.loads(save_model(fit(LearnerSpec("knn", {"k": 3}), X, y)))
     STANDARDIZER_MUTATIONS[mutation](doc["payload"]["standardizer"])
     _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
+
+
+def _cut(field, n):
+    return lambda p: p.__setitem__(field, p[field][:n])
+
+
+def _set_entry(field, value):
+    def mutate(p):
+        target = p[field]
+        while isinstance(target[0], list):
+            target = target[0]
+        target[0] = value
+    return mutate
+
+
+# (algorithm, mutation of the document's params)
+PARAMS_MUTATIONS = {
+    "naive_bayes-variances_zero": ("naive_bayes", lambda p: p.__setitem__(
+        "variances", [[0.0] * len(row) for row in p["variances"]])),
+    "naive_bayes-variance_negative": ("naive_bayes", _set_entry("variances", -1.0)),
+    "naive_bayes-variance_nan": ("naive_bayes", _set_entry("variances", float("nan"))),
+    "naive_bayes-means_3_columns": ("naive_bayes", lambda p: p.__setitem__(
+        "means", [row[:3] for row in p["means"]])),
+    "naive_bayes-mean_infinite": ("naive_bayes", _set_entry("means", float("inf"))),
+    "naive_bayes-one_prior": ("naive_bayes", _cut("log_priors", 1)),
+    "naive_bayes-prior_nan": ("naive_bayes", _set_entry("log_priors", float("nan"))),
+    "sgd_logistic-weights_1_entry": ("sgd_logistic", _cut("weights", 1)),
+    "sgd_logistic-weight_nan": ("sgd_logistic", _set_entry("weights", float("nan"))),
+    "sgd_logistic-weights_nested": ("sgd_logistic", lambda p: p.__setitem__(
+        "weights", [p["weights"]])),
+    "sgd_logistic-bias_nan": ("sgd_logistic", lambda p: p.__setitem__("bias", float("nan"))),
+    "linear_svc-bias_infinite": ("linear_svc", lambda p: p.__setitem__("bias", float("inf"))),
+    "mlp-W2_2_entries": ("mlp", _cut("W2", 2)),
+    "mlp-W1_rows_missing": ("mlp", _cut("W1", 3)),
+    "mlp-W1_flat": ("mlp", lambda p: p.__setitem__("W1", p["W1"][0])),
+    "mlp-b1_long": ("mlp", lambda p: p["b1"].append(0.0)),
+    "mlp-W1_nan": ("mlp", _set_entry("W1", float("nan"))),
+    "mlp-b2_infinite": ("mlp", lambda p: p.__setitem__("b2", float("-inf"))),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(PARAMS_MUTATIONS))
+def test_hostile_model_params_rejected(mutation, train_data, tmp_path, dataset_csv):
+    algorithm, mutate = PARAMS_MUTATIONS[mutation]
+    X, y = train_data
+    doc = json.loads(save_model(fit(LearnerSpec(algorithm, SMALL.get(algorithm, {})), X, y)))
+    mutate(doc["payload"]["params"])
+    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
+
+
+def _meta_reads_three(p):
+    meta = p["meta"]
+    meta["n_features_in"] = 3
+    meta["params"]["weights"].append(0.5)
+    for field, value in (("mean", 0.5), ("std", 1.0), ("constant", False)):
+        meta["standardizer"][field].append(value)
+
+
+def _bases_disagree(p):
+    p["bases"][1] = json.loads(json.dumps(p["bases"][0]))
+    p["bases"][1]["n_features_in"] = 12
+
+
+def _selected(indices):
+    return lambda p: p["selection"].__setitem__("selected_indices", indices)
+
+
+STACK_MUTATIONS = {
+    "meta_weights_1_entry": lambda p: p["meta"]["params"].__setitem__(
+        "weights", p["meta"]["params"]["weights"][:1]),
+    "meta_reads_three_bases": _meta_reads_three,
+    "base_dropped": lambda p: p["bases"].pop(),
+    "bases_disagree_on_features": _bases_disagree,
+    "selected_repeated": _selected([0, 0]),
+    "selected_out_of_range": _selected([0, 9]),
+    "selected_negative": _selected([-1, 0]),
+    "selected_short": _selected([0]),
+}
+
+
+@pytest.fixture(scope="module")
+def stack_document(train_data):
+    config = StackingConfig(
+        candidates=(LearnerSpec("cart"), LearnerSpec("naive_bayes"), LearnerSpec("knn", {"k": 3})),
+        top_n=2, meta=LearnerSpec("sgd_logistic", {"epochs": 10}), oof_folds=4, seed=6,
+    )
+    return json.loads(save_model(fit_stack(config, *train_data)))
+
+
+@pytest.mark.parametrize("mutation", sorted(STACK_MUTATIONS))
+def test_hostile_stack_document_rejected(mutation, stack_document, tmp_path, dataset_csv):
+    doc = json.loads(json.dumps(stack_document))
+    STACK_MUTATIONS[mutation](doc["payload"])
+    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)

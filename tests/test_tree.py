@@ -110,12 +110,11 @@ def test_random_threshold_lies_between_min_and_max():
     X = rng.normal(size=(30, 3))
     y = rng.integers(0, 2, 30)
     y[0], y[1] = 0, 1
-    found = best_split(X, y, None, range(3), "gini", "random_threshold",
-                       stream(1, "t"))
-    assert found is not None
-    feature, threshold, decrease = found
+    params = GrowParams(max_depth=1, candidate_mode="random_threshold")
+    stump = grow_forest(X, y, params, [stream(1, "t")])
+    assert stump.left[0] != -1
+    feature, threshold = stump.feature[0], stump.threshold[0]
     assert X[:, feature].min() <= threshold <= X[:, feature].max()
-    assert decrease > 0
 
 
 def test_variance_criterion_prefers_mean_separating_cut():
@@ -162,7 +161,7 @@ def test_max_depth_zero_like_stump():
 def test_regression_leaves_hold_means():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([1.0, 2.0, 8.0, 9.0])
-    tree = grow_tree(X, y, GrowParams(target_kind="regression_residual", max_depth=1))
+    tree = grow_tree(X, y, GrowParams(criterion="variance", max_depth=1))
     assert tree_apply(tree, np.array([[0.5]]))[0, 0] == pytest.approx(1.5)
     assert tree_apply(tree, np.array([[10.5]]))[0, 0] == pytest.approx(8.5)
 
@@ -173,7 +172,7 @@ def test_fitted_values_are_the_training_rows_leaves():
     y = rng.integers(0, 2, 70)
     cases = [(y, GrowParams(criterion="entropy"), None),
              (y, GrowParams(max_depth=1), rng.random(70)),
-             (y - rng.random(70), GrowParams(target_kind="regression_residual", max_depth=3), None)]
+             (y - rng.random(70), GrowParams(criterion="variance", max_depth=3), None)]
     for target, params, w in cases:
         fitted = np.full(70, np.nan)
         tree = grow_tree(X, target, params, w=w, fitted=fitted)
@@ -220,7 +219,7 @@ def test_blocks_number_children_after_parents_and_concatenate():
     random_params = GrowParams(criterion="entropy", feature_subsample=2,
                                candidate_mode="random_threshold")
     trees = [grow_tree(X, y, params),
-             grow_tree(X, y - 0.5, GrowParams(target_kind="regression_residual", max_depth=3)),
+             grow_tree(X, y - 0.5, GrowParams(criterion="variance", max_depth=3)),
              grow_forest(X, y, params, [stream(4, "tree", t) for t in range(2)], bootstrap=True),
              grow_forest(X, y, random_params, [stream(5, "tree", t) for t in range(2)])]
     for tree in trees:
