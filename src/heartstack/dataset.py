@@ -157,7 +157,7 @@ def _parse_table(source, require_target: bool):
         if missing:
             raise DataError(f"{source_name}: missing column(s) {', '.join(missing)}")
 
-        spec_by_name = {s.name: s for s in FEATURE_SPECS}
+        columns = [(positions[s.name], s) for s in FEATURE_SPECS]
         rows: list[list[float]] = []
         targets: list[int] = []
         for row_idx, cells in enumerate(reader):
@@ -165,10 +165,8 @@ def _parse_table(source, require_target: bool):
                 raise DataError(
                     f"{source_name}: row {row_idx + 1} has {len(cells)} cells, expected {len(header)}"
                 )
-            parsed = []
-            for name in FEATURE_NAMES:
-                cell = cells[positions[name]].strip()
-                parsed.append(_parse_cell(cell, spec_by_name[name], row_idx, source_name))
+            parsed = [_parse_cell(cells[pos].strip(), spec, row_idx, source_name)
+                      for pos, spec in columns]
             if target_pos is not None:
                 target_cell = cells[target_pos].strip()
                 targets.append(int(_parse_cell(target_cell, _TARGET_CELL_SPEC, row_idx, source_name)))
@@ -187,20 +185,21 @@ _TARGET_CELL_SPEC = AttributeSpec("target", NOMINAL, frozenset(range(-128, 128))
 
 
 def _parse_cell(cell: str, spec: AttributeSpec, row_idx: int, source_name: str) -> float:
-    where = f"{source_name}: row {row_idx + 1}, column {spec.name!r}"
-    if cell == "":
-        raise DataError(f"{where}: missing value")
     try:
         value = float(cell)
     except ValueError:
-        raise DataError(f"{where}: cannot parse {cell!r} as a number") from None
-    if not math.isfinite(value):
-        raise DataError(f"{where}: non-finite value {cell!r}")
-    if spec.kind == NOMINAL:
-        if value != int(value):
-            raise DataError(f"{where}: expected an integer code, got {cell!r}")
-        return float(int(value))
-    return value
+        problem = "missing value" if cell == "" else f"cannot parse {cell!r} as a number"
+    else:
+        if not math.isfinite(value):
+            problem = f"non-finite value {cell!r}"
+        elif spec.kind != NOMINAL:
+            return value
+        elif value == int(value):
+            return float(int(value))
+        else:
+            problem = f"expected an integer code, got {cell!r}"
+    # The location is formatted only on failure, as this runs once per cell.
+    raise DataError(f"{source_name}: row {row_idx + 1}, column {spec.name!r}: {problem}")
 
 
 def validate_schema(ds: Dataset) -> ValidationReport:

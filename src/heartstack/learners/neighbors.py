@@ -7,11 +7,17 @@ import numpy as np
 from .base import LearnerSpec, TrainedModel, finite_array
 from ..errors import FitError
 
+# Query rows are scored in blocks of at most this many, which bounds the
+# distance matrix and its selection arrays whatever the request size.
+_ROWS_PER_BLOCK = 1024
+
 
 class KnnModel(TrainedModel):
     """Stores the (standardized) training rows; probability is the class-1
     fraction among the k nearest by Euclidean distance, with distance ties
-    broken toward the lower training-row index."""
+    broken toward the lower training-row index. Scoring selects the k
+    nearest of each query row, block by block of a fixed number of rows,
+    so its memory does not grow with the request size."""
 
     def __init__(self, spec, n_features_in, X_train, y_train, k: int):
         super().__init__(spec, n_features_in)
@@ -20,14 +26,17 @@ class KnnModel(TrainedModel):
         self.k = k
 
     def _proba(self, X):
-        d2 = (
-            (X * X).sum(axis=1)[:, None]
-            - 2.0 * X @ self.X_train.T
-            + (self.X_train * self.X_train).sum(axis=1)[None, :]
-        )
-        # Stable sort keeps equal distances in row-index order.
-        neighbors = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        return self.y_train[neighbors].mean(axis=1)
+        train_sq = (self.X_train * self.X_train).sum(axis=1)[None, :]
+        ones = np.empty(len(X))
+        for lo in range(0, len(X), _ROWS_PER_BLOCK):
+            rows = X[lo:lo + _ROWS_PER_BLOCK]
+            # d2 = |x|^2 - 2x.t + |t|^2, evaluated in that order but in place.
+            d2 = 2.0 * rows @ self.X_train.T
+            np.subtract((rows * rows).sum(axis=1)[:, None], d2, out=d2)
+            d2 += train_sq
+            ones[lo:lo + len(rows)] = _nearest_ones(d2, self.y_train, self.k)
+        # A sum of 0/1 labels is exact, so this equals the neighbours' mean.
+        return ones / self.k
 
     def params_payload(self):
         return {"X_train": self.X_train.tolist(), "y_train": self.y_train.tolist(),
@@ -46,6 +55,33 @@ class KnnModel(TrainedModel):
         if type(k) is not int or not 1 <= k <= len(y_train):
             raise ValueError(f"knn k must be an integer in [1, {len(y_train)}]")
         return cls(spec, n_features_in, X_train, y_train, k)
+
+
+def _nearest_ones(d2, y_train, k: int) -> np.ndarray:
+    """Class-1 count among each row's k nearest training rows in ``d2``.
+
+    The k nearest are every training row strictly nearer than the row's k-th
+    smallest distance, then the rows at exactly that distance in index
+    order: the set that the first k columns of a stable sort hold. A row
+    with a non-finite distance is stable-sorted, as comparisons with NaN
+    cannot place it.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    within = d2 <= kth
+    ones = np.count_nonzero(within & (y_train == 1), axis=1)
+    # A row with more than k rows within reach drops its highest-index ties.
+    surplus = np.count_nonzero(within, axis=1) - k
+    crowded = np.flatnonzero(surplus > 0)
+    if crowded.size:
+        row, col = np.nonzero(d2[crowded] == kth[crowded])  # each row's ties in index order
+        from_end = np.searchsorted(row, row, side="right") - 1 - np.arange(len(row))
+        drop = (from_end < surplus[crowded][row]) & (y_train[col] == 1)
+        ones[crowded] -= np.bincount(row[drop], minlength=crowded.size)
+    odd = ~np.isfinite(d2).all(axis=1)
+    if odd.any():
+        nearest = np.argsort(d2[odd], axis=1, kind="stable")[:, :k]
+        ones[odd] = y_train[nearest].sum(axis=1)
+    return ones
 
 
 def fit_knn(spec: LearnerSpec, X, y) -> KnnModel:

@@ -20,10 +20,10 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ModelFormatError, SchemaMismatchError
+from .errors import FitError, ModelFormatError, SchemaMismatchError
 from .learners import MODEL_CLASSES, LearnerSpec, TrainedModel
 from .model_selection import FoldPlan
-from .schema import CANONICAL_SCHEMA, schema_fingerprint
+from .schema import CANONICAL_SCHEMA, TARGET_ALIASES, schema_fingerprint
 from .stacking import BaseSelectionReport, StackedModel
 from .standardize import Standardizer
 
@@ -51,8 +51,17 @@ def _single_payload(model: TrainedModel) -> dict:
     }
 
 
+def _spec_from_dict(d: dict) -> LearnerSpec:
+    """LearnerSpec.from_dict, with an unknown algorithm or hyperparameter
+    raised as ValueError: in a document it is a format fault, not a fit's."""
+    try:
+        return LearnerSpec.from_dict(d)
+    except FitError as exc:
+        raise ValueError(f"bad learner spec: {exc}") from None
+
+
 def _single_from_payload(payload: dict) -> TrainedModel:
-    spec = LearnerSpec.from_dict(payload["spec"])
+    spec = _spec_from_dict(payload["spec"])
     n_features_in = int(payload["n_features_in"])
     model = MODEL_CLASSES[spec.algorithm].from_payload(spec, n_features_in, payload["params"])
     if payload.get("standardizer") is not None:
@@ -124,17 +133,19 @@ def load_model(source):
         )
     try:
         fingerprint = doc["schema"]["fingerprint"]
+        n_columns = sum(c["name"] not in TARGET_ALIASES for c in doc["schema"]["columns"])
         payload = doc["payload"]
         if doc["kind"] == "single":
             model = _single_from_payload(payload)
+            _check_reads_schema(model, n_columns)
         elif doc["kind"] == "stacked":
             sel = payload["selection"]
-            entries = tuple((LearnerSpec.from_dict(e["spec"]), float(e["mean_cv_accuracy"]))
+            entries = tuple((_spec_from_dict(e["spec"]), float(e["mean_cv_accuracy"]))
                             for e in sel["entries"])
             chosen = set(int(i) for i in sel["selected_indices"])
             bases = [_single_from_payload(b) for b in payload["bases"]]
             meta = _single_from_payload(payload["meta"])
-            _check_stack(bases, meta, sel["selected_indices"], chosen, len(entries))
+            _check_stack(bases, meta, sel["selected_indices"], chosen, len(entries), n_columns)
             selection = BaseSelectionReport(
                 entries,
                 tuple(entries[i][0] for i in range(len(entries)) if i in chosen),
@@ -149,12 +160,23 @@ def load_model(source):
     return model
 
 
-def _check_stack(bases, meta, selected_indices, chosen: set, n_entries: int) -> None:
+def _check_reads_schema(model: TrainedModel, n_columns: int) -> None:
+    """Raise ValueError unless the model reads one feature per feature
+    column (every column but the target) of the document's schema."""
+    if model.n_features_in != n_columns:
+        raise ValueError(f"model reads {model.n_features_in} features, but the "
+                         f"document's schema has {n_columns} feature columns")
+
+
+def _check_stack(bases, meta, selected_indices, chosen: set, n_entries: int,
+                 n_columns: int) -> None:
     """Raise ValueError unless the stack can score a row: at least one base,
-    every base reading the same features, the meta reading one probability
+    every base reading the schema's feature columns, the meta reading one probability
     per base, and one distinct in-range selected index per base."""
-    if not bases or len({b.n_features_in for b in bases}) != 1:
-        raise ValueError("stack bases must exist and share n_features_in")
+    if not bases:
+        raise ValueError("stack has no bases")
+    for base in bases:
+        _check_reads_schema(base, n_columns)
     if meta.n_features_in != len(bases):
         raise ValueError(f"stack meta must read {len(bases)} base probabilities, "
                          f"not {meta.n_features_in}")

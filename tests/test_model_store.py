@@ -110,9 +110,11 @@ def test_standardizer_survives_round_trip(train_data):
 
 
 def test_deep_tree_round_trips(tmp_path):
-    # An alternating 1-D staircase: every cut ties at zero gain, so CART
-    # peels one row per level and the tree reaches depth 999.
-    X = np.arange(1000, dtype=np.float64)[:, None]
+    # An alternating staircase in the first of the schema's 11 columns, the
+    # rest constant: every cut ties at zero gain, so CART peels one row per
+    # level and the tree reaches depth 999.
+    X = np.zeros((1000, 11))
+    X[:, 0] = np.arange(1000)
     y = np.arange(1000) % 2
     model = fit(LearnerSpec("cart"), X, y)
     path = tmp_path / "deep.model"
@@ -355,4 +357,47 @@ def stack_document(train_data):
 def test_hostile_stack_document_rejected(mutation, stack_document, tmp_path, dataset_csv):
     doc = json.loads(json.dumps(stack_document))
     STACK_MUTATIONS[mutation](doc["payload"])
+    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
+
+
+SPEC_MUTATIONS = {
+    "unknown_algorithm": lambda spec: spec.update(algorithm="nope"),
+    "unknown_hyperparameter": lambda spec: spec.update(hyperparameters={"bogus": 1}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SPEC_MUTATIONS))
+def test_bad_spec_in_single_document_rejected(mutation, train_data, tmp_path, dataset_csv):
+    X, y = train_data
+    doc = json.loads(save_model(fit(LearnerSpec("naive_bayes"), X, y)))
+    SPEC_MUTATIONS[mutation](doc["payload"]["spec"])
+    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
+
+
+@pytest.mark.parametrize("mutation", sorted(SPEC_MUTATIONS))
+def test_bad_spec_in_stack_selection_rejected(mutation, stack_document, tmp_path, dataset_csv):
+    doc = json.loads(json.dumps(stack_document))
+    SPEC_MUTATIONS[mutation](doc["payload"]["selection"]["entries"][0]["spec"])
+    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
+
+
+@pytest.fixture(scope="module")
+def ten_feature_payload(train_data):
+    """A consistent naive_bayes model fitted on 10 of the schema's 11 columns."""
+    X, y = train_data
+    return json.loads(save_model(fit(LearnerSpec("naive_bayes"), X[:, :10], y)))["payload"]
+
+
+def test_single_model_reading_other_than_schema_columns_rejected(
+        ten_feature_payload, train_data, tmp_path, dataset_csv):
+    X, y = train_data
+    doc = json.loads(save_model(fit(LearnerSpec("naive_bayes"), X, y)))
+    doc["payload"] = ten_feature_payload
+    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
+
+
+def test_stack_bases_reading_other_than_schema_columns_rejected(
+        ten_feature_payload, stack_document, tmp_path, dataset_csv):
+    doc = json.loads(json.dumps(stack_document))
+    doc["payload"]["bases"] = [ten_feature_payload] * len(doc["payload"]["bases"])
     _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
