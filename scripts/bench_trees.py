@@ -1,16 +1,20 @@
-"""Time the tree ensembles' fits at the shape of one OOF fold.
+"""Time the tree learners' fits at the shape of one OOF fold.
 
     PYTHONPATH=src python3 scripts/bench_trees.py [--trees 25 500] [--repeats 5]
 
-The ensembles are random_forest, extra_trees, xgb_style and gbm. The data is the study's stand-in table, cleaned and split as the default
-config does; the fit uses the first 846 training rows (nine tenths of the
-940-row train split, one fold of the 10-fold OOF stage) with the default
-hyperparameters apart from ``n_estimators``. Each (algorithm, tree count)
-runs ``--repeats`` times, each in a fresh process that loads the prepared
-rows and makes one warm-up fit (one tree on 50 rows), so that first-call
-costs are not counted. The script prints one JSON object with the median
-fit time and the median peak RSS growth during the fit: the process's
-high-water RSS after the fit minus its RSS just before it (Linux only).
+The learners are random_forest, extra_trees, xgb_style, gbm and adaboost,
+each with ``n_estimators`` set to every ``--trees`` count, and one CART
+tree, which has no tree count. The data is the study's stand-in table,
+cleaned and split as the default config does; the fit uses the first 846
+training rows (nine tenths of the 940-row train split, one fold of the
+10-fold OOF stage) with the default hyperparameters apart from
+``n_estimators``; AdaBoost may stop before its count. Each (algorithm, tree
+count) runs ``--repeats`` times, each in a fresh process that loads the
+prepared rows and makes one warm-up fit (one tree on 50 rows), so that
+first-call costs are not counted. The script prints one JSON object with the
+median fit time and the median peak RSS growth during the fit: the
+process's high-water RSS after the fit minus its RSS just before it (Linux
+only).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 ROWS = 846
+ENSEMBLES = ("random_forest", "extra_trees", "xgb_style", "gbm", "adaboost")
 
 
 def _prepare(path: Path) -> None:
@@ -42,14 +47,19 @@ def _prepare(path: Path) -> None:
     np.savez(path, X=train.X[:ROWS], y=train.y[:ROWS])
 
 
+def _hyperparameters(algorithm: str, trees: int) -> dict:
+    return {} if algorithm == "cart" else {"n_estimators": trees}
+
+
 def _child(data: str, algorithm: str, trees: int) -> None:
     from heartstack.config import DEFAULT_SEED
     from heartstack.learners import LearnerSpec, fit
 
     with np.load(data) as arrays:
         X, y = arrays["X"], arrays["y"]
-    fit(LearnerSpec(algorithm, {"n_estimators": 1}, seed=DEFAULT_SEED), X[:50], y[:50])
-    spec = LearnerSpec(algorithm, {"n_estimators": trees}, seed=DEFAULT_SEED)
+    fit(LearnerSpec(algorithm, _hyperparameters(algorithm, 1), seed=DEFAULT_SEED),
+        X[:50], y[:50])
+    spec = LearnerSpec(algorithm, _hyperparameters(algorithm, trees), seed=DEFAULT_SEED)
     with open("/proc/self/statm") as f:
         base = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
     start = time.perf_counter()
@@ -73,15 +83,14 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "fold.npz"
         _prepare(data)
-        for trees in args.trees:
-            for algorithm in ("random_forest", "extra_trees", "xgb_style", "gbm"):
-                runs = [json.loads(subprocess.run(
-                    [sys.executable, __file__, "--child", str(data), algorithm, str(trees)],
-                    check=True, capture_output=True, text=True).stdout)
-                    for _ in range(args.repeats)]
-                results[f"{algorithm}-{trees}"] = {
-                    key: round(statistics.median(r[key] for r in runs), 4)
-                    for key in ("fit_s", "peak_above_base_mb")}
+        cases = [(a, t, f"{a}-{t}") for t in args.trees for a in ENSEMBLES] + [("cart", 1, "cart")]
+        for algorithm, trees, name in cases:
+            runs = [json.loads(subprocess.run(
+                [sys.executable, __file__, "--child", str(data), algorithm, str(trees)],
+                check=True, capture_output=True, text=True).stdout)
+                for _ in range(args.repeats)]
+            results[name] = {key: round(statistics.median(r[key] for r in runs), 4)
+                             for key in ("fit_s", "peak_above_base_mb")}
     print(json.dumps({"rows": ROWS, "features": 11, "repeats": args.repeats,
                       "cpus": os.cpu_count(), "results": results}, indent=2))
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, FitError
 from .learners import ALGORITHMS, LearnerSpec
 
 DEFAULT_SEED = 20407
@@ -121,6 +121,17 @@ def _require(cond: bool, message: str):
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
+    """The PipelineConfig a parsed config file describes. A malformed value
+    (a seed that is not an integer, a cleaning block that is not an object,
+    an unknown stacking key, a candidate spec the learners reject and so
+    on) is a ConfigError."""
+    try:
+        return _config_from_dict(raw)
+    except (TypeError, ValueError, OverflowError, FitError) as exc:
+        raise ConfigError(f"malformed config: {exc}") from None
+
+
+def _config_from_dict(raw: dict) -> PipelineConfig:
     _require(isinstance(raw, dict), "config root must be an object")
     _require("dataset" in raw, "config needs a 'dataset' path")
     known = {"dataset", "out_dir", "seed", "split_fraction", "folds", "cleaning",
@@ -148,19 +159,16 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
     stacking = StackingPart(**raw["stacking"]) if "stacking" in raw else StackingPart()
 
-    try:
-        return PipelineConfig(
-            dataset=str(raw["dataset"]),
-            out_dir=str(raw.get("out_dir", "out")),
-            seed=int(raw.get("seed", DEFAULT_SEED)),
-            split_fraction=float(raw.get("split_fraction", 0.8)),
-            folds=int(raw.get("folds", 10)),
-            cleaning=cleaning,
-            candidates=candidates,
-            stacking=stacking,
-        )
-    except TypeError as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
+    return PipelineConfig(
+        dataset=str(raw["dataset"]),
+        out_dir=str(raw.get("out_dir", "out")),
+        seed=int(raw.get("seed", DEFAULT_SEED)),
+        split_fraction=float(raw.get("split_fraction", 0.8)),
+        folds=int(raw.get("folds", 10)),
+        cleaning=cleaning,
+        candidates=candidates,
+        stacking=stacking,
+    )
 
 
 def load_config(path) -> PipelineConfig:

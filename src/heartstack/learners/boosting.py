@@ -9,7 +9,7 @@ import numpy as np
 from ..errors import FitError
 from .base import LearnerSpec, TrainedModel, sigmoid
 from .forest import TreeEnsembleModel
-from .tree import GrowParams, TreeBlock, grow_tree, tree_apply
+from .tree import GrowParams, SortedColumns, TreeBlock, grow_tree, tree_apply
 from .tree import leaf_weight  # noqa: F401  (xgb_style's leaf formula, importable from here too)
 
 # Stumps with weighted error at or above chance end AdaBoost; a perfect
@@ -35,10 +35,11 @@ def fit_gbm(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     lr = p["learning_rate"]
     margin = np.full(X.shape[0], init_score)
     fitted = np.empty(X.shape[0])  # each training row's leaf in the latest stage
+    columns = SortedColumns(X)  # every stage's root sorts the same rows
     trees = []
     for _ in range(p["n_estimators"]):
         residual = y - sigmoid(margin)
-        trees.append(grow_tree(X, residual, params, fitted=fitted))
+        trees.append(grow_tree(columns, residual, params, fitted=fitted))
         margin += lr * fitted
     return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), init_score, lr)
 
@@ -57,10 +58,11 @@ def fit_xgb(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     lr = p["learning_rate"]
     margin = np.zeros(X.shape[0])
     fitted = np.empty(X.shape[0])
+    columns = SortedColumns(X)
     trees = []
     for _ in range(p["n_estimators"]):
         prob = sigmoid(margin)
-        trees.append(grow_tree(X, prob - y, params, w=prob * (1.0 - prob), fitted=fitted))
+        trees.append(grow_tree(columns, prob - y, params, w=prob * (1.0 - prob), fitted=fitted))
         margin += lr * fitted
     return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), 0.0, lr)
 
@@ -109,10 +111,11 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> AdaboostModel:
     w = np.full(n, 1.0 / n)
     params = GrowParams(criterion="gini", max_depth=1)
     fitted = np.empty(n)
+    columns = SortedColumns(X)  # a stump splits only its root
     stumps: list[TreeBlock] = []
     alphas: list[float] = []
     for _ in range(p["n_estimators"]):
-        stump = grow_tree(X, y, params, w=w, fitted=fitted)
+        stump = grow_tree(columns, y, params, w=w, fitted=fitted)
         pred = (fitted >= 0.5).astype(np.int64)
         err = float(w[pred != y].sum())
         if err >= 0.5:

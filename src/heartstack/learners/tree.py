@@ -2,12 +2,16 @@
 
 ``grow_tree`` grows one tree depth first, a node at a time, for CART, gbm,
 xgb_style and AdaBoost. Its split search is exhaustive and vectorized over
-all candidate features of a node at once: values are column-sorted, the
-node's sums are accumulated with prefix sums, and every midpoint between
-consecutive distinct values is scored in one pass. The score is the
-impurity decrease (gini, entropy, or variance for gbm's residuals) or, for
-xgb_style, the second-order gain of Chen & Guestrin (arXiv:1603.02754,
-eq. 7).
+all candidate features of a node at once. The node's candidate columns form
+a feature-major block, one contiguous row per feature; each row is sorted,
+the node's sums are accumulated with prefix sums along it, and every
+midpoint between consecutive distinct values is scored in one pass. The
+score is the impurity decrease (gini, entropy, or variance for gbm's
+residuals) or, for xgb_style, the second-order gain of Chen & Guestrin
+(arXiv:1603.02754, eq. 7). The root holds every row in the same order in
+every tree grown on one X, so ``SortedColumns`` sorts it once, as
+XGBoost's column blocks do (ibid., section 4.1), and boosting shares it
+across all stages of a fit.
 
 ``grow_forest`` grows all classification trees of a forest together, level
 by level: each level's nodes, over all trees, are segments of one pooled
@@ -66,15 +70,7 @@ class TreeBlock:
     @classmethod
     def concat(cls, blocks: list["TreeBlock"]) -> "TreeBlock":
         """One block holding the trees of ``blocks``, in order."""
-        offsets = np.cumsum([0] + [b.n_nodes for b in blocks[:-1]])
-
-        def joined(name):
-            parts = [getattr(b, name) for b in blocks]
-            if name in ("left", "right", "roots"):
-                parts = [np.where(p == -1, p, p + off) for p, off in zip(parts, offsets)]
-            return np.concatenate(parts)
-
-        return cls(*(joined(name) for name in _FIELDS))
+        return _join([dict(vars(b)) for b in blocks])
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name).tolist() for name in _FIELDS}
@@ -107,6 +103,21 @@ class TreeBlock:
         if len(roots) == 0 or ((roots < 0) | (roots >= n)).any():
             raise ValueError("a tree root is missing or out of range")
         return cls(**arrays)
+
+
+def _join(parts: list[dict]) -> TreeBlock:
+    """One block from the field arrays of blocks, in order. It joins one
+    field at a time and takes each field's arrays out of ``parts`` as it
+    goes, so when nothing else holds them, no more than one field is held
+    twice."""
+    offsets = np.cumsum([0] + [len(p["feature"]) for p in parts[:-1]])
+    joined = {}
+    for name in _FIELDS:
+        arrays = [p.pop(name) for p in parts]
+        if name in ("left", "right", "roots"):
+            arrays = [np.where(a == -1, a, a + off) for a, off in zip(arrays, offsets)]
+        joined[name] = np.concatenate(arrays)
+    return TreeBlock(**joined)
 
 
 def _flat_array(name, values, integer: bool) -> np.ndarray:
@@ -185,7 +196,7 @@ def best_split(X, y, w, features, criterion="gini"):
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
     feats = np.sort(np.asarray(list(features), dtype=np.intp))
     a, b = _target_sums(y, w, criterion)
-    found = _split_exhaustive(X[:, feats], feats, a, b, w, criterion)
+    found = _split_exhaustive(_sort_block(X[:, feats].T), feats, a, b, w, criterion)
     return None if found is None else found[:3]
 
 
@@ -208,15 +219,59 @@ def _impurity(a, b, wt, criterion):
     return _class_impurity(a, wt, criterion)
 
 
-def _split_exhaustive(V, feats, a, b, w, criterion, require_positive=True,
+@dataclass(frozen=True, eq=False)
+class _SortedBlock:
+    """A node's candidate columns, one row per feature: each row's argsort
+    (``order``), its sorted values, and the cuts: the (row, position) index
+    pairs, in row-major order, after which a row's sorted value changes."""
+
+    order: np.ndarray
+    values: np.ndarray
+    cuts: tuple[np.ndarray, np.ndarray]
+
+
+def _sort_block(V) -> _SortedBlock:
+    """Sort each row of the feature-major (k, m) block V."""
+    V = np.ascontiguousarray(V, dtype=np.float64)
+    order = np.argsort(V, axis=1)
+    values = np.take_along_axis(V, order, axis=1)
+    return _SortedBlock(order, values, np.nonzero(values[:, 1:] != values[:, :-1]))
+
+
+class SortedColumns:
+    """X made ready for grow_tree: its transpose ``XT`` (one contiguous row
+    per feature) and the sorted block of the root, which holds every row in
+    index order. Boosting makes one per fit and grows every stage on it, so
+    the root is sorted once however many trees are grown."""
+
+    def __init__(self, X):
+        self.XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        self.root = _sort_block(self.XT)
+
+
+def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_positive=True,
                       reg_lambda=1.0, gamma=0.0):
-    order = np.argsort(V, axis=0)
-    Vs = np.take_along_axis(V, order, axis=0)
-    cum_w = np.cumsum(w[order], axis=0)
-    cum_a = np.cumsum(a[order], axis=0)
-    W = cum_w[-1, 0]
-    A = cum_a[-1, 0]
-    lw, la = cum_w[:-1], cum_a[:-1]
+    """The best cut of a node's sorted block, as (feature, threshold, score,
+    left sum of a, left weight), or None.
+
+    Only cuts between distinct sorted values are scored. Each row's sums are
+    prefix sums in its sort order, and the node totals are those of the
+    first row. The cuts are in row-major order, so ties go to the lowest
+    feature, then the lowest threshold. ``w`` None means unit weights."""
+    f, c = block.cuts
+    if not len(f):
+        return None
+    m = block.order.shape[1]
+    if w is None:  # unit weights: the prefix sums are exact counts
+        lw = c + 1.0
+        W = np.float64(m)
+    else:
+        cum_w = np.cumsum(w[block.order], axis=1)
+        lw = cum_w[f, c]
+        W = cum_w[0, -1]
+    cum_a = np.cumsum(a[block.order], axis=1)
+    la = cum_a[f, c]
+    A = cum_a[0, -1]
     rw, ra = W - lw, A - la
     if criterion == "second_order":
         # a and w are gradient and hessian: G_L = la, H_L = lw, G = A, H = W.
@@ -225,27 +280,26 @@ def _split_exhaustive(V, feats, a, b, w, criterion, require_positive=True,
                           - parent_score) - gamma
     else:
         if criterion == "variance":
-            cum_b = np.cumsum(b[order], axis=0)
-            B = cum_b[-1, 0]
-            lb, rb = cum_b[:-1], B - cum_b[:-1]
+            cum_b = np.cumsum(b[block.order], axis=1)
+            B = cum_b[0, -1]
+            lb = cum_b[f, c]
+            rb = B - lb
         else:
             lb = rb = B = None
         parent = float(_impurity(np.array(A), np.array(B) if B is not None else None,
                                  np.array(W), criterion))
         child = (lw * _impurity(la, lb, lw, criterion) + rw * _impurity(ra, rb, rw, criterion)) / W
         decrease = parent - child
-    decrease[Vs[1:] == Vs[:-1]] = -np.inf
 
-    flat = np.argmax(decrease.T)  # feature-major: lowest feature, then lowest threshold
-    f_local, cut = divmod(flat, decrease.shape[0])
-    best = decrease[cut, f_local]
+    i = np.argmax(decrease)
+    best = decrease[i]
     if best == -np.inf:
         return None
     if require_positive and not best > 0.0:
         return None
-    threshold = (Vs[cut, f_local] + Vs[cut + 1, f_local]) / 2.0
-    return (int(feats[f_local]), float(threshold), float(best),
-            float(la[cut, f_local]), float(lw[cut, f_local]))
+    row, cut = f[i], c[i]
+    threshold = (block.values[row, cut] + block.values[row, cut + 1]) / 2.0
+    return int(feats[row]), float(threshold), float(best), float(la[i]), float(lw[i])
 
 
 def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBlock:
@@ -257,13 +311,18 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
     purity stop. Per-node feature subsets are drawn without replacement
     from ``rng``. If given, ``fitted[i]`` receives the value of the leaf
     that training row i reaches, which is what tree_apply would return.
+
+    X is a matrix or, to sort the root once for many trees, its
+    SortedColumns.
     """
-    X = np.asarray(X, dtype=np.float64)
+    columns = X if isinstance(X, SortedColumns) else SortedColumns(X)
+    XT = columns.XT
     y = np.asarray(y, dtype=np.float64)
-    n, d = X.shape
+    d, n = XT.shape
     if n == 0:
         raise ValueError("cannot grow a tree on zero rows")
-    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+    unit = w is None
+    w = np.ones(n) if unit else np.asarray(w, dtype=np.float64)
     criterion = params.criterion
     if params.feature_subsample is not None and rng is None:
         raise ValueError("feature subsampling needs an rng")
@@ -305,18 +364,20 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
             leaf(node, rows, w1, wt)
             continue
 
-        if params.feature_subsample is None or params.feature_subsample >= d:
-            feats = all_feats
-            V = X[rows]
+        subset = params.feature_subsample is not None and params.feature_subsample < d
+        feats = (np.sort(rng.choice(d, size=params.feature_subsample, replace=False))
+                 if subset else all_feats)
+        if node == 0 and not subset:
+            block = columns.root
         else:
-            feats = np.sort(rng.choice(d, size=params.feature_subsample, replace=False))
-            V = X[np.ix_(rows, feats)]
+            block = _sort_block(XT[np.ix_(feats, rows)] if subset else XT[:, rows])
         wr = w[rows]
         a, b = _target_sums(y[rows], wr, criterion)
         # An impure class node keeps splitting even at zero impurity decrease
         # (parity patterns need the lookahead), so only depth, node size and
         # purity stop its growth; other nodes need a strictly positive score.
-        found = _split_exhaustive(V, feats, a, b, wr, criterion, require_positive=not classes,
+        found = _split_exhaustive(block, feats, a, b, None if unit else wr, criterion,
+                                  require_positive=not classes,
                                   reg_lambda=params.reg_lambda, gamma=params.gamma)
         if found is None:
             leaf(node, rows, w1, wt)
@@ -324,7 +385,7 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
 
         feature, threshold, _, left_w1, left_wt = found
         left, right = tree.split(node, feature, threshold)
-        go_left = X[rows, feature] <= threshold
+        go_left = XT[feature, rows] <= threshold
         # Push right first so the left child is grown first (stable rng order).
         stack.append((right, rows[~go_left], depth + 1, w1 - left_w1, wt - left_wt))
         stack.append((left, rows[go_left], depth + 1, left_w1, left_wt))
@@ -365,11 +426,12 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
     ranks = (np.stack([np.unique(col, return_inverse=True)[1] for col in X.T], axis=1)
              if params.candidate_mode == "exhaustive" else None)
     per_pass = max(1, _PAIRS_PER_PASS // X.shape[0])
-    return TreeBlock.concat([_grow_pass(X, ranks, y1, params, rngs[lo:lo + per_pass], bootstrap)
-                             for lo in range(0, len(rngs), per_pass)])
+    return _join([_grow_pass(X, ranks, y1, params, rngs[lo:lo + per_pass], bootstrap)
+                  for lo in range(0, len(rngs), per_pass)])
 
 
-def _grow_pass(X, ranks, y1, params: GrowParams, rngs, bootstrap: bool) -> TreeBlock:
+def _grow_pass(X, ranks, y1, params: GrowParams, rngs, bootstrap: bool) -> dict:
+    """The field arrays of one pass's trees, as TreeBlock takes them."""
     n, d = X.shape
     k = min(params.feature_subsample or d, d)
     n_trees = len(rngs)
@@ -461,8 +523,8 @@ def _grow_pass(X, ranks, y1, params: GrowParams, rngs, bootstrap: bool) -> TreeB
     roots = np.cumsum(next_id) - next_id
     order = np.argsort(roots[tree] + local)  # the records in block order
     left = np.where(left_id != -1, left_id + roots[tree], -1)[order]
-    return TreeBlock(feature[order], threshold[order], left,
-                     np.where(left != -1, left + 1, -1), value[order], roots)
+    return dict(feature=feature[order], threshold=threshold[order], left=left,
+                right=np.where(left != -1, left + 1, -1), value=value[order], roots=roots)
 
 
 def _siblings(left, right) -> np.ndarray:

@@ -154,7 +154,7 @@ def load_model(source):
             model = StackedModel(bases, meta, selection, FoldPlan.from_dict(payload["fold_plan"]))
         else:
             raise ModelFormatError(f"unknown model kind {doc['kind']!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
     model.schema_fingerprint = fingerprint
     return model

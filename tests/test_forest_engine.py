@@ -8,6 +8,11 @@ forest together must reproduce every node of every tree bit for bit. The
 depth-first digests (CART, gbm, AdaBoost and xgb_style) were recorded
 while second-order trees still had a grower of their own; grow_tree must
 reproduce them bit for bit.
+
+The fold digests are sha256 hashes of whole ``save_model`` documents of the
+depth-first learners, fitted at their default sizes on two folds of the
+study's synthetic train split. They were recorded with the row-major split
+kernel that sorted every node, the root included, once per tree.
 """
 
 import hashlib
@@ -16,8 +21,14 @@ import numpy as np
 import pytest
 
 from conftest import random_classification
+from heartstack.cleaning import clean
+from heartstack.config import DEFAULT_SEED
 from heartstack.learners import LearnerSpec, fit
 from heartstack.learners import tree as tree_module
+from heartstack.model_selection import k_fold_plan
+from heartstack.model_store import save_model
+from heartstack.splitting import stratified_split
+from heartstack.synthetic import generate_dataset
 
 CASES = {
     "random_forest-gini": ("random_forest", {"criterion": "gini"}),
@@ -64,6 +75,28 @@ DFS_TREES_SHA256 = {
     "xgb_style-unbounded": "a7aa39eeefd3089f36a5e31b4ea7997ebecc50cb6a68e6375a6737f9abe29e1a",
 }
 
+# Default-size fits of the depth-first learners on OOF folds of the study.
+FOLD_CASES = {
+    "xgb_style": ("xgb_style", {}),
+    "gbm": ("gbm", {}),
+    "adaboost": ("adaboost", {}),
+    "cart": ("cart", {}),
+    "cart-sqrt_features": ("cart", {"max_features": "sqrt"}),
+}
+FOLDS = (0, 7)
+FOLD_DOC_SHA256 = {
+    "adaboost-0": "d2f86f09f39ca920fad06d8ae777c984b123360d4ef58e70c0223e03ee161456",
+    "adaboost-7": "f3f4c71643900fc644883e73bfbf43f73e2363b530e61ab815e28fbd68f165ea",
+    "cart-0": "0331713e5627f67b79771d5ffd3d937c804201e528479f0c79be3b5fbceecfb6",
+    "cart-7": "274dd84fb1974f9d883d8f9200de83985b3d132dc8e263cf32df859092adafd2",
+    "cart-sqrt_features-0": "7d21807b50b67e3c9005fc91436ee2c758c1d3fd0d5f5a3ad7f0a81dc6b14f62",
+    "cart-sqrt_features-7": "3641c846c9def8d265e7d82f5016710e31c40533bea9c1cf3b8e7679d288a398",
+    "gbm-0": "e8b50b5fdaffa102167757496cdf1578955467b99d3d63ed449b81c65e633f8b",
+    "gbm-7": "b475b8534552d9db9a781a248bc1a3b1d238ad0f0330ea4ed3dcdeff7bc77b02",
+    "xgb_style-0": "03041beca6c16ffc8cfdb9c5be1f28d1db257573f59bb2f3e8129498b16e62c9",
+    "xgb_style-7": "5ded0a292d34f8db794d87dedf1fb3b0af012da50bb6141c21c6fa7c29c16be4",
+}
+
 
 @pytest.fixture(scope="module")
 def forest_data():
@@ -104,3 +137,21 @@ def test_one_pass_equals_one_tree_per_pass(algorithm, forest_data, monkeypatch):
     single = fit(spec, *forest_data).trees
     for name in FIELDS:
         assert np.array_equal(getattr(pooled, name), getattr(single, name))
+
+
+@pytest.fixture(scope="module")
+def study_folds():
+    cleaned, _ = clean(generate_dataset(), "iqr", 1.5)
+    train = stratified_split(cleaned, 0.8, DEFAULT_SEED).train
+    plan = k_fold_plan(len(train.y), 10, DEFAULT_SEED, stratify_by=train.y)
+    return {fold: (train.X[plan.train_rows(fold)], train.y[plan.train_rows(fold)])
+            for fold in FOLDS}
+
+
+@pytest.mark.parametrize("fold", FOLDS)
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_dfs_fold_document_digest(case, fold, study_folds, monkeypatch):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)  # the document's "created" stamp
+    algorithm, hyper = FOLD_CASES[case]
+    model = fit(LearnerSpec(algorithm, hyper, seed=DEFAULT_SEED), *study_folds[fold])
+    assert hashlib.sha256(save_model(model)).hexdigest() == FOLD_DOC_SHA256[f"{case}-{fold}"]

@@ -401,3 +401,14 @@ def test_stack_bases_reading_other_than_schema_columns_rejected(
     doc = json.loads(json.dumps(stack_document))
     doc["payload"]["bases"] = [ten_feature_payload] * len(doc["payload"]["bases"])
     _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
+
+
+@pytest.mark.parametrize("field", ["n_features_in", "seed"])
+def test_overflowing_integer_rejected(field, train_data, tmp_path, dataset_csv):
+    # 1e400 parses as infinity, which int() cannot convert.
+    X, y = train_data
+    doc = json.loads(save_model(fit(LearnerSpec("naive_bayes"), X, y)))
+    target = doc["payload"] if field == "n_features_in" else doc["payload"]["spec"]
+    target[field] = "OVERFLOW"
+    text = json.dumps(doc).replace('"OVERFLOW"', "1e400")
+    _assert_rejected(text.encode("utf8"), tmp_path, dataset_csv)

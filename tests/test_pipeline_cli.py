@@ -136,6 +136,25 @@ def test_non_integer_jobs_is_config_error(workspace, tmp_path, monkeypatch):
     assert run(["train", "--config", workspace["config"], "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("fragment", [
+    '"seed": "abc"',
+    '"folds": "ten"',
+    '"split_fraction": "most"',
+    '"candidates": [{"algorithm": "cart", "seed": "abc"}]',
+    '"seed": 1e400',
+    '"cleaning": [1]',
+    '"stacking": {"bogus": 1}',
+    '"candidates": [{"algorithm": "nope"}]',
+    '"candidates": [{"algorithm": "cart", "hyperparameters": {"bogus": 1}}]',
+])
+def test_malformed_config_value_is_config_error(fragment, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text('{"dataset": "%s", %s}' % (tmp_path / "d.csv", fragment))
+    with pytest.raises(ConfigError):
+        load_config(config)
+    assert run(["analyze", "--config", config]) == 2
+
+
 def test_unreadable_dataset_is_data_error(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"dataset": str(tmp_path / "missing.csv")}))

@@ -5,7 +5,12 @@ import pytest
 
 from heartstack.learners.tree import (
     GrowParams,
+    SortedColumns,
     TreeBlock,
+    _impurity,
+    _sort_block,
+    _split_exhaustive,
+    _target_sums,
     best_split,
     grow_forest,
     grow_tree,
@@ -232,3 +237,109 @@ def test_blocks_number_children_after_parents_and_concatenate():
         assert np.array_equal(getattr(loaded, name), getattr(block, name))
     q = rng.normal(size=(30, 3))
     assert np.array_equal(tree_apply(block, q), np.vstack([tree_apply(t, q) for t in trees]))
+
+
+def row_major_split(V, feats, a, b, w, criterion, require_positive=True,
+                    reg_lambda=1.0, gamma=0.0):
+    """The split kernel as it was before the feature-major blocks: V holds
+    one column per candidate feature, every cut is scored, and cuts between
+    equal values are masked to -inf."""
+    order = np.argsort(V, axis=0)
+    Vs = np.take_along_axis(V, order, axis=0)
+    cum_w = np.cumsum(w[order], axis=0)
+    cum_a = np.cumsum(a[order], axis=0)
+    W = cum_w[-1, 0]
+    A = cum_a[-1, 0]
+    lw, la = cum_w[:-1], cum_a[:-1]
+    rw, ra = W - lw, A - la
+    if criterion == "second_order":
+        parent_score = A * A / (W + reg_lambda)
+        decrease = 0.5 * (la * la / (lw + reg_lambda) + ra * ra / (rw + reg_lambda)
+                          - parent_score) - gamma
+    else:
+        if criterion == "variance":
+            cum_b = np.cumsum(b[order], axis=0)
+            B = cum_b[-1, 0]
+            lb, rb = cum_b[:-1], B - cum_b[:-1]
+        else:
+            lb = rb = B = None
+        parent = float(_impurity(np.array(A), np.array(B) if B is not None else None,
+                                 np.array(W), criterion))
+        child = (lw * _impurity(la, lb, lw, criterion) + rw * _impurity(ra, rb, rw, criterion)) / W
+        decrease = parent - child
+    decrease[Vs[1:] == Vs[:-1]] = -np.inf
+
+    flat = np.argmax(decrease.T)
+    f_local, cut = divmod(flat, decrease.shape[0])
+    best = decrease[cut, f_local]
+    if best == -np.inf:
+        return None
+    if require_positive and not best > 0.0:
+        return None
+    threshold = (Vs[cut, f_local] + Vs[cut + 1, f_local]) / 2.0
+    return (int(feats[f_local]), float(threshold), float(best),
+            float(la[cut, f_local]), float(lw[cut, f_local]))
+
+
+def split_bits(found):
+    return None if found is None else (found[0], np.array(found[1:]).tobytes())
+
+
+def random_node(rng, criterion):
+    """A tie-heavy node block: V (m, k) over a feature subset of d, with
+    targets and weights of the kind the criterion's callers pass."""
+    m = int(rng.integers(2, 400))
+    d = int(rng.integers(1, 12))
+    k = int(rng.integers(1, d + 1))
+    feats = np.sort(rng.choice(d, size=k, replace=False))
+    levels = rng.integers(1, 30, size=k)
+    V = rng.integers(0, levels, size=(m, k)) / 4.0
+    V[:, rng.random(k) < 0.3] += np.round(rng.normal(size=m), 1)[:, None]
+    if rng.random() < 0.1:
+        V[:] = 1.5  # every candidate constant: no cut at all
+    if criterion == "second_order":
+        p = rng.choice([0.1, 0.3, 0.5, 0.75], size=m)
+        y = p - rng.integers(0, 2, m)  # gradients, hessians as weights
+        w = p * (1.0 - p)
+    elif criterion == "variance":
+        y = np.round(rng.uniform(-1.0, 1.0, m), 2)
+        w = rng.choice([0.5, 1.0, 2.0, 3.0], size=m)
+    else:
+        y = rng.integers(0, 2, m).astype(float)
+        w = rng.random(m) / m  # AdaBoost-like float weights
+    return V, feats, y, w
+
+
+@pytest.mark.parametrize("criterion, seed",
+                         [("gini", 1), ("entropy", 2), ("variance", 3), ("second_order", 4)])
+def test_feature_major_kernel_matches_row_major_reference(criterion, seed):
+    rng = np.random.default_rng(seed)
+    found = 0
+    for _ in range(150):
+        V, feats, y, w = random_node(rng, criterion)
+        options = (bool(rng.integers(0, 2)), float(rng.choice([0.0, 0.5, 1.0])),
+                   float(rng.choice([0.0, 0.05])))  # require_positive, reg_lambda, gamma
+        for weights in (w, np.ones(len(y))):
+            a, b = _target_sums(y, weights, criterion)
+            want = row_major_split(V, feats, a, b, weights, criterion, *options)
+            got = _split_exhaustive(_sort_block(V.T), feats, a, b, weights, criterion, *options)
+            assert split_bits(got) == split_bits(want)
+            found += want is not None
+        # grow_tree passes unit weights as None.
+        unit = _split_exhaustive(_sort_block(V.T), feats, a, b, None, criterion, *options)
+        assert split_bits(unit) == split_bits(want)
+    assert found > 100
+
+
+def test_grow_tree_on_sorted_columns_equals_grow_tree_on_x():
+    rng = np.random.default_rng(31)
+    X = np.round(rng.normal(size=(120, 5)), 1)
+    columns = SortedColumns(X)
+    y = rng.integers(0, 2, 120)
+    for _ in range(3):
+        target = y - rng.random(120)
+        params = GrowParams(criterion="variance", max_depth=3)
+        a = grow_tree(columns, target, params)
+        b = grow_tree(X, target, params)
+        for name in ("feature", "threshold", "left", "right", "value", "roots"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
