@@ -31,6 +31,7 @@ scores every (tree, row) pair of a block at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -242,11 +243,15 @@ class SortedColumns:
     """X made ready for grow_tree: its transpose ``XT`` (one contiguous row
     per feature) and the sorted block of the root, which holds every row in
     index order. Boosting makes one per fit and grows every stage on it, so
-    the root is sorted once however many trees are grown."""
+    the root is sorted once however many trees are grown. The root block is
+    sorted when a root that searches every feature first asks for it."""
 
     def __init__(self, X):
         self.XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
-        self.root = _sort_block(self.XT)
+
+    @cached_property
+    def root(self) -> _SortedBlock:
+        return _sort_block(self.XT)
 
 
 def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_positive=True,
@@ -257,18 +262,13 @@ def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_po
     Only cuts between distinct sorted values are scored. Each row's sums are
     prefix sums in its sort order, and the node totals are those of the
     first row. The cuts are in row-major order, so ties go to the lowest
-    feature, then the lowest threshold. ``w`` None means unit weights."""
+    feature, then the lowest threshold."""
     f, c = block.cuts
     if not len(f):
         return None
-    m = block.order.shape[1]
-    if w is None:  # unit weights: the prefix sums are exact counts
-        lw = c + 1.0
-        W = np.float64(m)
-    else:
-        cum_w = np.cumsum(w[block.order], axis=1)
-        lw = cum_w[f, c]
-        W = cum_w[0, -1]
+    cum_w = np.cumsum(w[block.order], axis=1)
+    lw = cum_w[f, c]
+    W = cum_w[0, -1]
     cum_a = np.cumsum(a[block.order], axis=1)
     la = cum_a[f, c]
     A = cum_a[0, -1]
@@ -321,8 +321,7 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
     d, n = XT.shape
     if n == 0:
         raise ValueError("cannot grow a tree on zero rows")
-    unit = w is None
-    w = np.ones(n) if unit else np.asarray(w, dtype=np.float64)
+    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
     criterion = params.criterion
     if params.feature_subsample is not None and rng is None:
         raise ValueError("feature subsampling needs an rng")
@@ -376,7 +375,7 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
         # An impure class node keeps splitting even at zero impurity decrease
         # (parity patterns need the lookahead), so only depth, node size and
         # purity stop its growth; other nodes need a strictly positive score.
-        found = _split_exhaustive(block, feats, a, b, None if unit else wr, criterion,
+        found = _split_exhaustive(block, feats, a, b, wr, criterion,
                                   require_positive=not classes,
                                   reg_lambda=params.reg_lambda, gamma=params.gamma)
         if found is None:

@@ -325,9 +325,6 @@ def test_feature_major_kernel_matches_row_major_reference(criterion, seed):
             got = _split_exhaustive(_sort_block(V.T), feats, a, b, weights, criterion, *options)
             assert split_bits(got) == split_bits(want)
             found += want is not None
-        # grow_tree passes unit weights as None.
-        unit = _split_exhaustive(_sort_block(V.T), feats, a, b, None, criterion, *options)
-        assert split_bits(unit) == split_bits(want)
     assert found > 100
 
 
@@ -343,3 +340,14 @@ def test_grow_tree_on_sorted_columns_equals_grow_tree_on_x():
         b = grow_tree(X, target, params)
         for name in ("feature", "threshold", "left", "right", "value", "roots"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_root_block_is_sorted_only_when_the_root_searches_every_feature():
+    rng = np.random.default_rng(32)
+    X = np.round(rng.normal(size=(60, 6)), 1)
+    y = rng.integers(0, 2, 60)
+    columns = SortedColumns(X)
+    grow_tree(columns, y, GrowParams(feature_subsample=2, max_depth=2), rng=rng)
+    assert "root" not in vars(columns)
+    grow_tree(columns, y, GrowParams(max_depth=2))
+    assert "root" in vars(columns)
