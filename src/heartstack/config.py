@@ -12,9 +12,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, FitError
-from .learners import ALGORITHMS, LearnerSpec
+from .learners import LearnerSpec
 
 DEFAULT_SEED = 20407
+
+
+def _require(cond: bool, message: str):
+    if not cond:
+        raise ConfigError(message)
+
+
+def _at_least(value, low: int) -> bool:
+    """True for an int (not a bool, nor a float such as 2.0) of at least low."""
+    return type(value) is int and value >= low
 
 
 @dataclass(frozen=True)
@@ -43,12 +53,9 @@ class StackingPart:
     oof_folds: int = 10
 
     def __post_init__(self):
-        if self.meta_algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown meta algorithm {self.meta_algorithm!r}")
-        if self.top_n < 1:
-            raise ConfigError("top_n must be at least 1")
-        if self.oof_folds < 2:
-            raise ConfigError("oof_folds must be at least 2")
+        LearnerSpec(self.meta_algorithm, dict(self.meta_hyperparameters))  # FitError if unknown
+        _require(_at_least(self.top_n, 1), "top_n must be an integer of at least 1")
+        _require(_at_least(self.oof_folds, 2), "oof_folds must be an integer of at least 2")
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError("split_fraction must lie in (0, 1)")
-        if self.folds < 2:
-            raise ConfigError("folds must be at least 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        _require(_at_least(self.folds, 2), "folds must be an integer of at least 2")
+        _require(_at_least(self.seed, 0), "seed must be a non-negative integer")
         if not self.candidates:
             object.__setattr__(self, "candidates", default_candidates(self.seed))
         if self.stacking.top_n > len(self.candidates):
@@ -115,11 +120,6 @@ def paper_default_config(dataset: str, seed: int = DEFAULT_SEED, out_dir: str = 
     return PipelineConfig(dataset=dataset, out_dir=out_dir, seed=seed)
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ConfigError(message)
-
-
 def config_from_dict(raw: dict) -> PipelineConfig:
     """The PipelineConfig a parsed config file describes. A malformed value
     (a seed that is not an integer, a cleaning block that is not an object,
@@ -140,16 +140,18 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     _require(not unknown, f"unknown config key(s): {', '.join(sorted(unknown))}")
 
     cleaning = CleaningConfig(**raw.get("cleaning", {})) if "cleaning" in raw else CleaningConfig()
+    seed = raw.get("seed", DEFAULT_SEED)
 
     candidates: tuple[CandidateConfig, ...] = ()
     if "candidates" in raw:
-        seed = int(raw.get("seed", DEFAULT_SEED))
         built = []
         for entry in raw["candidates"]:
             _require(isinstance(entry, dict) and "algorithm" in entry,
                      "each candidate needs an 'algorithm'")
+            # A candidate without a seed takes the config's, which PipelineConfig checks.
+            _require(type(entry.get("seed", 0)) is int, "candidate seed must be an integer")
             spec = LearnerSpec(entry["algorithm"], dict(entry.get("hyperparameters", {})),
-                               int(entry.get("seed", seed)))
+                               entry.get("seed", seed))
             grid = entry.get("grid")
             if grid is not None:
                 _require(isinstance(grid, dict) and all(isinstance(v, list) for v in grid.values()),
@@ -162,9 +164,9 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     return PipelineConfig(
         dataset=str(raw["dataset"]),
         out_dir=str(raw.get("out_dir", "out")),
-        seed=int(raw.get("seed", DEFAULT_SEED)),
+        seed=seed,
         split_fraction=float(raw.get("split_fraction", 0.8)),
-        folds=int(raw.get("folds", 10)),
+        folds=raw.get("folds", 10),
         cleaning=cleaning,
         candidates=candidates,
         stacking=stacking,

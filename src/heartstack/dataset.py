@@ -5,14 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 from .schema import (
-    CANONICAL_SCHEMA,
     FEATURE_NAMES,
     FEATURE_SPECS,
     N_FEATURES,
@@ -36,7 +35,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     provenance: Provenance
-    schema: tuple[AttributeSpec, ...] = field(default=CANONICAL_SCHEMA)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -61,7 +59,7 @@ class Dataset:
 
     def take(self, indices, cleaned: bool | None = None) -> "Dataset":
         prov = self.provenance if cleaned is None else replace(self.provenance, cleaned=cleaned)
-        return Dataset(self.X[indices], self.y[indices], prov, self.schema)
+        return Dataset(self.X[indices], self.y[indices], prov)
 
 
 @dataclass(frozen=True)

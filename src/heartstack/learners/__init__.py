@@ -20,32 +20,19 @@ from .mlp import MlpModel, fit_mlp
 from .neighbors import KnnModel, fit_knn
 from .tree import GrowParams, TreeBlock, best_split, grow_tree, tree_apply
 
-_FITTERS = {
-    "cart": fit_cart,
-    "random_forest": fit_random_forest,
-    "extra_trees": fit_extra_trees,
-    "gbm": fit_gbm,
-    "xgb_style": fit_xgb,
-    "adaboost": fit_adaboost,
-    "knn": fit_knn,
-    "naive_bayes": fit_naive_bayes,
-    "sgd_logistic": fit_sgd_logistic,
-    "linear_svc": fit_linear_svc,
-    "mlp": fit_mlp,
-}
-
-MODEL_CLASSES = {
-    "cart": TreeEnsembleModel,
-    "random_forest": TreeEnsembleModel,
-    "extra_trees": TreeEnsembleModel,
-    "gbm": TreeEnsembleModel,
-    "xgb_style": TreeEnsembleModel,
-    "adaboost": AdaboostModel,
-    "knn": KnnModel,
-    "naive_bayes": NaiveBayesModel,
-    "sgd_logistic": LinearModel,
-    "linear_svc": LinearModel,
-    "mlp": MlpModel,
+# Each algorithm's fit function and the model class its documents load into.
+LEARNERS = {
+    "cart": (fit_cart, TreeEnsembleModel),
+    "random_forest": (fit_random_forest, TreeEnsembleModel),
+    "extra_trees": (fit_extra_trees, TreeEnsembleModel),
+    "gbm": (fit_gbm, TreeEnsembleModel),
+    "xgb_style": (fit_xgb, TreeEnsembleModel),
+    "adaboost": (fit_adaboost, AdaboostModel),
+    "knn": (fit_knn, KnnModel),
+    "naive_bayes": (fit_naive_bayes, NaiveBayesModel),
+    "sgd_logistic": (fit_sgd_logistic, LinearModel),
+    "linear_svc": (fit_linear_svc, LinearModel),
+    "mlp": (fit_mlp, MlpModel),
 }
 
 # Algorithms whose n-estimator prefixes are themselves valid smaller models
@@ -62,7 +49,7 @@ def fit(spec: LearnerSpec, X, y) -> TrainedModel:
     if spec.needs_standardization:
         standardizer = fit_standardizer(X)
         X = standardizer.apply(X)
-    model = _FITTERS[spec.algorithm](spec, X, y)
+    model = LEARNERS[spec.algorithm][0](spec, X, y)
     model.standardizer = standardizer
     return model
 
@@ -71,7 +58,7 @@ __all__ = [
     "ALGORITHMS", "DEFAULT_HYPERPARAMETERS", "STANDARDIZED", "STAGEABLE",
     "LearnerSpec", "TrainedModel", "fit",
     "best_split", "grow_tree", "tree_apply", "GrowParams", "TreeBlock",
-    "MODEL_CLASSES", "sigmoid", "logistic_loss_and_grad",
+    "LEARNERS", "sigmoid", "logistic_loss_and_grad",
     "TreeEnsembleModel", "AdaboostModel",
     "KnnModel", "NaiveBayesModel", "LinearModel", "MlpModel",
 ]

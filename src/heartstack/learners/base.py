@@ -10,20 +10,6 @@ import numpy as np
 from ..errors import FitError
 from ..standardize import Standardizer
 
-ALGORITHMS = (
-    "cart",
-    "random_forest",
-    "extra_trees",
-    "gbm",
-    "xgb_style",
-    "adaboost",
-    "knn",
-    "naive_bayes",
-    "sgd_logistic",
-    "linear_svc",
-    "mlp",
-)
-
 # Distance-based, linear and neural learners train on standardized features;
 # tree and Bayes learners take raw values.
 STANDARDIZED = frozenset({"knn", "sgd_logistic", "linear_svc", "mlp"})
@@ -46,6 +32,8 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
     "linear_svc": {"epochs": 200, "learning_rate": 0.5, "decay": 0.002, "l2": 1e-4},
     "mlp": {"hidden_units": 16, "epochs": 500, "learning_rate": 0.01, "momentum": 0.9},
 }
+
+ALGORITHMS = tuple(DEFAULT_HYPERPARAMETERS)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import FitError, ModelFormatError, SchemaMismatchError
-from .learners import MODEL_CLASSES, LearnerSpec, TrainedModel
+from .learners import LEARNERS, LearnerSpec, TrainedModel
 from .model_selection import FoldPlan
 from .schema import CANONICAL_SCHEMA, TARGET_ALIASES, schema_fingerprint
 from .stacking import BaseSelectionReport, StackedModel
@@ -63,7 +63,7 @@ def _spec_from_dict(d: dict) -> LearnerSpec:
 def _single_from_payload(payload: dict) -> TrainedModel:
     spec = _spec_from_dict(payload["spec"])
     n_features_in = int(payload["n_features_in"])
-    model = MODEL_CLASSES[spec.algorithm].from_payload(spec, n_features_in, payload["params"])
+    model = LEARNERS[spec.algorithm][1].from_payload(spec, n_features_in, payload["params"])
     if payload.get("standardizer") is not None:
         model.standardizer = Standardizer.from_dict(payload["standardizer"], n_features_in)
     return model
@@ -74,14 +74,11 @@ def save_model(model, sink=None) -> bytes:
     or binary file object. Returns the document bytes either way."""
     if isinstance(model, StackedModel):
         kind = "stacked"
-        entries = model.selection.entries
-        selected_idx = [i for i, (spec, _) in enumerate(entries)
-                        if any(spec is s for s in model.selection.selected)]
         payload = {
             "selection": {
                 "entries": [{"spec": spec.to_dict(), "mean_cv_accuracy": acc}
-                            for spec, acc in entries],
-                "selected_indices": selected_idx,
+                            for spec, acc in model.selection.entries],
+                "selected_indices": list(model.selection.indices),
             },
             "fold_plan": model.fold_plan.to_dict(),
             "bases": [_single_payload(b) for b in model.bases],
@@ -142,15 +139,11 @@ def load_model(source):
             sel = payload["selection"]
             entries = tuple((_spec_from_dict(e["spec"]), float(e["mean_cv_accuracy"]))
                             for e in sel["entries"])
-            chosen = set(int(i) for i in sel["selected_indices"])
+            indices = tuple(sorted(int(i) for i in sel["selected_indices"]))
             bases = [_single_from_payload(b) for b in payload["bases"]]
             meta = _single_from_payload(payload["meta"])
-            _check_stack(bases, meta, sel["selected_indices"], chosen, len(entries), n_columns)
-            selection = BaseSelectionReport(
-                entries,
-                tuple(entries[i][0] for i in range(len(entries)) if i in chosen),
-                tuple(entries[i][0] for i in range(len(entries)) if i not in chosen),
-            )
+            _check_stack(bases, meta, indices, len(entries), n_columns)
+            selection = BaseSelectionReport(entries, indices)
             model = StackedModel(bases, meta, selection, FoldPlan.from_dict(payload["fold_plan"]))
         else:
             raise ModelFormatError(f"unknown model kind {doc['kind']!r}")
@@ -168,8 +161,7 @@ def _check_reads_schema(model: TrainedModel, n_columns: int) -> None:
                          f"document's schema has {n_columns} feature columns")
 
 
-def _check_stack(bases, meta, selected_indices, chosen: set, n_entries: int,
-                 n_columns: int) -> None:
+def _check_stack(bases, meta, indices: tuple, n_entries: int, n_columns: int) -> None:
     """Raise ValueError unless the stack can score a row: at least one base,
     every base reading the schema's feature columns, the meta reading one probability
     per base, and one distinct in-range selected index per base."""
@@ -180,8 +172,8 @@ def _check_stack(bases, meta, selected_indices, chosen: set, n_entries: int,
     if meta.n_features_in != len(bases):
         raise ValueError(f"stack meta must read {len(bases)} base probabilities, "
                          f"not {meta.n_features_in}")
-    if (len(chosen) != len(selected_indices) or len(chosen) != len(bases)
-            or not all(0 <= i < n_entries for i in chosen)):
+    if (len(set(indices)) != len(indices) or len(indices) != len(bases)
+            or not all(0 <= i < n_entries for i in indices)):
         raise ValueError("stack selected_indices must be distinct, in range and "
                          "one per base")
 

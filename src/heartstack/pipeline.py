@@ -34,11 +34,8 @@ MODEL_FILE = "stacked.model"
 
 @dataclass(frozen=True)
 class PreparedData:
-    raw: Dataset
     cleaned: Dataset
     split: SplitPair
-    validation: dict
-    cleaning: dict
 
 
 def prepare(config: PipelineConfig) -> PreparedData:
@@ -49,9 +46,8 @@ def prepare(config: PipelineConfig) -> PreparedData:
             f"dataset failed validation with {len(validation.violations)} violation(s); "
             "see the analyze report for coordinates"
         )
-    cleaned, cleaning_report = clean(raw, config.cleaning.strategy, config.cleaning.iqr_k)
-    split = stratified_split(cleaned, config.split_fraction, config.seed)
-    return PreparedData(raw, cleaned, split, validation.to_dict(), cleaning_report.to_dict())
+    cleaned, _ = clean(raw, config.cleaning.strategy, config.cleaning.iqr_k)
+    return PreparedData(cleaned, stratified_split(cleaned, config.split_fraction, config.seed))
 
 
 def _outdir(config: PipelineConfig, sub: str) -> Path:
@@ -216,9 +212,9 @@ def cmd_evaluate(config: PipelineConfig, model_path) -> dict:
     data = prepare(config)
     test = data.split.test
 
-    scored: list[tuple[str, np.ndarray]] = [("stacked", model.predict_proba(test.X))]
-    for base in model.bases:
-        scored.append((base.spec.algorithm, base.predict_proba(test.X)))
+    base_proba = model.base_probabilities(test.X)
+    scored = [("stacked", model.meta.predict_proba(base_proba))]
+    scored += [(b.spec.algorithm, base_proba[:, i]) for i, b in enumerate(model.bases)]
 
     out = _outdir(config, "evaluation")
     table_rows = []

@@ -15,8 +15,6 @@ from .rng import stream
 class SplitPair:
     train: Dataset
     test: Dataset
-    seed: int
-    fraction: float
     train_rows: np.ndarray  # indices of train's and test's rows in the split dataset
     test_rows: np.ndarray
 
@@ -62,5 +60,4 @@ def stratified_split(ds: Dataset, fraction: float, seed: int) -> SplitPair:
         test_idx.append(rows[n_take:])
     train_rows = np.sort(np.concatenate(train_idx))
     test_rows = np.sort(np.concatenate(test_idx))
-    return SplitPair(ds.take(train_rows), ds.take(test_rows), seed, fraction,
-                     train_rows, test_rows)
+    return SplitPair(ds.take(train_rows), ds.take(test_rows), train_rows, test_rows)

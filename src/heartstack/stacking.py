@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .learners import LearnerSpec, TrainedModel, fit
-from .model_selection import FoldPlan, fold_fits, k_fold_plan
+from .model_selection import FoldPlan, _accuracy, fold_fits, k_fold_plan
 from .parallel import run_tasks
 from .rng import stream
 
@@ -41,15 +41,22 @@ class StackingConfig:
 @dataclass(frozen=True)
 class BaseSelectionReport:
     entries: tuple[tuple[LearnerSpec, float], ...]  # candidate order preserved
-    selected: tuple[LearnerSpec, ...]
-    rejected: tuple[LearnerSpec, ...]
+    indices: tuple[int, ...]  # positions of the selected entries, ascending
+
+    @property
+    def selected(self) -> tuple[LearnerSpec, ...]:
+        return tuple(self.entries[i][0] for i in self.indices)
+
+    @property
+    def rejected(self) -> tuple[LearnerSpec, ...]:
+        return tuple(spec for i, (spec, _) in enumerate(self.entries) if i not in self.indices)
 
     def to_dict(self) -> dict:
         return {
             "candidates": [
                 {"algorithm": s.algorithm, "mean_cv_accuracy": acc,
-                 "selected": any(s is t for t in self.selected)}
-                for s, acc in self.entries
+                 "selected": i in self.indices}
+                for i, (s, acc) in enumerate(self.entries)
             ],
             "selected": [s.algorithm for s in self.selected],
             "rejected": [s.algorithm for s in self.rejected],
@@ -66,10 +73,7 @@ def select_base_learners(cv_results, top_n: int) -> BaseSelectionReport:
     if top_n > len(entries):
         raise ConfigError(f"top_n={top_n} exceeds the {len(entries)} candidates")
     ranked = sorted(range(len(entries)), key=lambda i: (-entries[i][1], i))
-    chosen = set(ranked[:top_n])
-    selected = tuple(entries[i][0] for i in range(len(entries)) if i in chosen)
-    rejected = tuple(entries[i][0] for i in range(len(entries)) if i not in chosen)
-    return BaseSelectionReport(entries, selected, rejected)
+    return BaseSelectionReport(entries, tuple(sorted(ranked[:top_n])))
 
 
 class StackedModel:
@@ -103,7 +107,7 @@ def _oof_column(probas, y, plan: FoldPlan) -> tuple[np.ndarray, tuple[float, ...
     for fold, proba in enumerate(probas):
         test = plan.test_rows(fold)
         oof[test] = proba
-        scores.append(float(((proba >= 0.5).astype(np.int64) == y[test]).mean()))
+        scores.append(_accuracy(proba, y[test]))
     return oof, tuple(scores)
 
 
@@ -143,10 +147,8 @@ def fit_stack(config: StackingConfig, X, y) -> StackedModel:
         cv_results.append((spec, float(np.mean(scores))))
 
     selection = select_base_learners(cv_results, config.top_n)
-    selected_idx = [i for i, (spec, _) in enumerate(cv_results)
-                    if any(spec is s for s in selection.selected)]
-    meta_features = np.column_stack([oof_columns[i] for i in selected_idx])
-    *bases, meta = run_tasks(_fit, [(config.candidates[i], X, y) for i in selected_idx]
+    meta_features = np.column_stack([oof_columns[i] for i in selection.indices])
+    *bases, meta = run_tasks(_fit, [(config.candidates[i], X, y) for i in selection.indices]
                              + [(config.meta, meta_features, y)])
     return StackedModel(bases, meta, selection, plan)
 

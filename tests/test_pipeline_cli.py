@@ -146,6 +146,12 @@ def test_non_integer_jobs_is_config_error(workspace, tmp_path, monkeypatch):
     '"stacking": {"bogus": 1}',
     '"candidates": [{"algorithm": "nope"}]',
     '"candidates": [{"algorithm": "cart", "hyperparameters": {"bogus": 1}}]',
+    '"seed": 1.9',
+    '"folds": 2.7',
+    '"seed": true',
+    '"stacking": {"top_n": 2.5}',
+    '"stacking": {"oof_folds": 2.5}',
+    '"stacking": {"meta_hyperparameters": {"bogus": 1}}',
 ])
 def test_malformed_config_value_is_config_error(fragment, tmp_path):
     config = tmp_path / "c.json"

@@ -160,6 +160,22 @@ def test_fit_stack_deterministic():
     assert np.array_equal(a.fold_plan.assignments, b.fold_plan.assignments)
 
 
+def test_one_spec_listed_twice_is_selected_once():
+    # Selection is by position: the same spec object in two candidate slots
+    # must not make both slots look selected.
+    rng = np.random.default_rng(4)
+    X, y = random_classification(rng, 60, 11)
+    s = spec_of("naive_bayes")
+    stack = fit_stack(StackingConfig(candidates=(s, s), top_n=1, meta=FAST_META,
+                                     oof_folds=4, seed=2), X, y)
+    assert len(stack.bases) == 1
+    assert stack.meta.n_features_in == 1
+    report = stack.selection.to_dict()
+    assert [c["selected"] for c in report["candidates"]] == [True, False]
+    assert report["selected"] == ["naive_bayes"]
+    assert report["rejected"] == ["naive_bayes"]
+
+
 def test_identical_rows_score_identically(default_split):
     rng = np.random.default_rng(2)
     X, y = random_classification(rng, 40, 3)
