@@ -1,6 +1,7 @@
 """Time the tree learners' fits at the shape of one OOF fold.
 
     PYTHONPATH=src python3 scripts/bench_trees.py [--trees 25 500] [--repeats 5]
+    PYTHONPATH=src python3 scripts/bench_trees.py --src parent=DIR/src change=DIR/src ...
 
 The learners are random_forest, extra_trees, xgb_style, gbm and adaboost,
 each with ``n_estimators`` set to every ``--trees`` count, and one CART
@@ -12,9 +13,14 @@ training rows (nine tenths of the 940-row train split, one fold of the
 count) runs ``--repeats`` times, each in a fresh process that loads the
 prepared rows and makes one warm-up fit (one tree on 50 rows), so that
 first-call costs are not counted. The script prints one JSON object with the
-median fit time and the median peak RSS growth during the fit: the
-process's high-water RSS after the fit minus its RSS just before it (Linux
-only).
+median fit wall time (``fit_s``), the median fit CPU time of the process
+(``cpu_s``, steadier than wall time on a shared machine) and the median peak
+RSS growth during the fit: the process's high-water RSS after the fit minus
+its RSS just before it (Linux only).
+
+With ``--src``, each labelled source directory is benchmarked in turn for
+every repeat of every case, so two checkouts are compared interleaved, and
+the results are keyed by label.
 """
 
 from __future__ import annotations
@@ -62,35 +68,44 @@ def _child(data: str, algorithm: str, trees: int) -> None:
     spec = LearnerSpec(algorithm, _hyperparameters(algorithm, trees), seed=DEFAULT_SEED)
     with open("/proc/self/statm") as f:
         base = int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     fit(spec, X, y)
-    seconds = time.perf_counter() - start
+    seconds, cpu = time.perf_counter() - start, time.process_time() - cpu_start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"fit_s": seconds, "peak_above_base_mb": peak - base}))
+    print(json.dumps({"fit_s": seconds, "cpu_s": cpu, "peak_above_base_mb": peak - base}))
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trees", type=int, nargs="+", default=[25, 500])
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--src", nargs="+", metavar="LABEL=DIR",
+                    help="source directories to import heartstack from, interleaved")
     ap.add_argument("--child", nargs=3, metavar=("DATA", "ALGORITHM", "TREES"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
         _child(args.child[0], args.child[1], int(args.child[2]))
         return
-    results = {}
+    sources = dict(item.split("=", 1) for item in args.src) if args.src else {None: None}
+    runs = {label: {} for label in sources}
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "fold.npz"
         _prepare(data)
         cases = [(a, t, f"{a}-{t}") for t in args.trees for a in ENSEMBLES] + [("cart", 1, "cart")]
         for algorithm, trees, name in cases:
-            runs = [json.loads(subprocess.run(
-                [sys.executable, __file__, "--child", str(data), algorithm, str(trees)],
-                check=True, capture_output=True, text=True).stdout)
-                for _ in range(args.repeats)]
-            results[name] = {key: round(statistics.median(r[key] for r in runs), 4)
-                             for key in ("fit_s", "peak_above_base_mb")}
+            for _ in range(args.repeats):
+                for label, src in sources.items():
+                    env = dict(os.environ, PYTHONPATH=src) if src else None
+                    runs[label].setdefault(name, []).append(json.loads(subprocess.run(
+                        [sys.executable, __file__, "--child", str(data), algorithm, str(trees)],
+                        check=True, capture_output=True, text=True, env=env).stdout))
+    results = {label: {name: {key: round(statistics.median(r[key] for r in case_runs), 4)
+                              for key in ("fit_s", "cpu_s", "peak_above_base_mb")}
+                       for name, case_runs in cases_run.items()}
+               for label, cases_run in runs.items()}
+    if not args.src:
+        results = results[None]
     print(json.dumps({"rows": ROWS, "features": 11, "repeats": args.repeats,
                       "cpus": os.cpu_count(), "results": results}, indent=2))
 

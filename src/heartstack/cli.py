@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
@@ -52,12 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args):
     if not args.config:
         raise HeartstackError("--config is required for this command")
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    return config
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -173,13 +173,19 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     )
 
 
-def load_config(path) -> PipelineConfig:
+def load_config(path, overrides: dict | None = None) -> PipelineConfig:
+    """The config a JSON file describes. ``overrides`` replaces top-level
+    keys of the file before anything is built from it, so an overriding
+    seed also reaches the default candidates and every listed candidate
+    without a seed of its own."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return config_from_dict(raw)
 
 

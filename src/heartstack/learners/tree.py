@@ -13,12 +13,15 @@ every tree grown on one X, so ``SortedColumns`` sorts it once, as
 XGBoost's column blocks do (ibid., section 4.1), and boosting shares it
 across all stages of a fit.
 
-``grow_forest`` grows all classification trees of a forest together, level
-by level: each level's nodes, over all trees, are segments of one pooled
-array of (tree, row) pairs, so a level costs the same few dozen numpy calls
-whether it holds one tree or many. It scores every midpoint (random forest)
-or one uniform threshold per candidate feature (extremely randomized
-trees).
+``grow_forest`` grows all classification trees of a forest as one stream of
+level steps. A step splits every active node, over all trees and whatever
+their depths, as segments of one pooled array of (tree, row) pairs, so it
+costs the same few dozen numpy calls whether it holds one tree or many. At
+the top of each step the next trees join while the pairs stay within a
+fixed cap, which keeps the steps full and the working arrays bounded. A
+step scores the cuts between distinct values of each candidate feature
+(random forest) or one uniform threshold per candidate (extremely
+randomized trees).
 
 Tie-breaking is fully deterministic: among equal scores the split with the
 lowest feature index wins, then the lowest threshold.
@@ -396,10 +399,10 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     return -g_sum / (h_sum + reg_lambda)
 
 
-# Trees of a forest are grown together in passes of at most this many
+# Trees of a forest are grown together in level steps of at most this many
 # (tree, row) pairs, which bounds the engine's working arrays whatever the
 # number of trees.
-_PAIRS_PER_PASS = 1 << 13
+_PAIRS_PER_STEP = 1 << 13
 
 
 def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> TreeBlock:
@@ -412,6 +415,13 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
     uniform threshold per candidate; the largest impurity decrease wins,
     ties to the lowest feature index, then the lowest threshold.
 
+    The trees run as one stream of level steps. Each step splits every
+    active node, over all trees, and at its top admits the next trees, in
+    order, while the active (tree, row) pairs stay within
+    ``_PAIRS_PER_STEP`` (a tree is always admitted when nothing is active).
+    So a tree starts as soon as there is room, whatever depth the others
+    have reached, and a step holds as many pairs as the cap allows.
+
     Tree t draws only from ``rngs[t]``: with ``bootstrap``, first its n
     resampled rows, whose duplicates become integer row weights (the same
     tree on ~40% fewer rows; without bootstrap every row weighs one); then,
@@ -420,60 +430,79 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
     so every tree comes out bit for bit as if grown alone.
     """
     X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    if n == 0:
+        raise ValueError("cannot grow a tree on zero rows")
     y1 = (np.asarray(y, dtype=np.float64) == 1.0).astype(np.float64)
     # Exhaustive mode sorts by each value's rank among its feature's values.
     ranks = (np.stack([np.unique(col, return_inverse=True)[1] for col in X.T], axis=1)
              if params.candidate_mode == "exhaustive" else None)
-    per_pass = max(1, _PAIRS_PER_PASS // X.shape[0])
-    return _join([_grow_pass(X, ranks, y1, params, rngs[lo:lo + per_pass], bootstrap)
-                  for lo in range(0, len(rngs), per_pass)])
-
-
-def _grow_pass(X, ranks, y1, params: GrowParams, rngs, bootstrap: bool) -> dict:
-    """The field arrays of one pass's trees, as TreeBlock takes them."""
-    n, d = X.shape
     k = min(params.feature_subsample or d, d)
     n_trees = len(rngs)
-    if bootstrap:
-        w = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) for rng in rngs],
-                     dtype=np.float64)
-    else:
-        w = np.ones((n_trees, n))
-    count = np.count_nonzero(w, axis=1)
-    row = np.flatnonzero(w) % n  # each tree's rows of nonzero weight, in order
-    w = w[w > 0]
-    a = w * y1[row]
 
-    # The active nodes of a level, in (tree, node id) order; node i owns the
-    # next count[i] pairs of row, w and a.
-    tree = np.arange(n_trees)
-    local = np.zeros(n_trees, dtype=np.intp)
-    starts = np.cumsum(count) - count
-    a1 = np.add.reduceat(a, starts)
-    wt = np.add.reduceat(w, starts)
+    def rows_of(t):
+        """Tree t's rows of nonzero weight, in order, and their weights."""
+        if not bootstrap:
+            return np.arange(n), np.ones(n)
+        weights = np.bincount(rngs[t].integers(0, n, size=n), minlength=n)
+        rows = np.flatnonzero(weights)
+        return rows, weights[rows].astype(np.float64)
+
+    # The active nodes, in (tree, node id) order; node i owns the next
+    # count[i] pairs of row, w and a. Admitted trees come after every
+    # active one, so the order holds.
+    tree = local = depth = count = np.zeros(0, dtype=np.intp)
+    a1 = wt = w = a = np.zeros(0)
+    row = np.zeros(0, dtype=np.intp)
     next_id = np.ones(n_trees, dtype=np.intp)  # per tree, the next free node id
-    records = []  # per level: tree, node id, feature, threshold, left child id, value
-    depth = 0
-    while len(tree):
+    records = _NodeRecords(n)
+    admitted, waiting = 0, None  # trees admitted; the next tree's rows once drawn
+    while True:
+        new = []
+        pairs = len(row)
+        while admitted < n_trees:
+            if waiting is None:
+                waiting = rows_of(admitted)
+            if pairs and pairs + len(waiting[0]) > _PAIRS_PER_STEP:
+                break
+            new.append(waiting)
+            pairs += len(waiting[0])
+            admitted, waiting = admitted + 1, None
+        if new:
+            rows, weights = zip(*new)
+            targets = [wr * y1[r] for r, wr in new]
+            tree = np.concatenate((tree, np.arange(admitted - len(new), admitted)))
+            local = np.concatenate((local, np.zeros(len(new), dtype=np.intp)))
+            depth = np.concatenate((depth, np.zeros(len(new), dtype=np.intp)))
+            count = np.concatenate((count, [len(r) for r in rows]))
+            a1 = np.concatenate((a1, [t.sum() for t in targets]))
+            wt = np.concatenate((wt, [wr.sum() for wr in weights]))
+            row, w, a = (np.concatenate((row, *rows)), np.concatenate((w, *weights)),
+                         np.concatenate((a, *targets)))
+        if not len(tree):
+            break
+
         grow = (a1 > 0.0) & (a1 < wt) & (count >= params.min_samples_split)
-        if params.max_depth is not None and depth >= params.max_depth:
-            grow[:] = False
+        if params.max_depth is not None:
+            grow &= depth < params.max_depth
         feature = np.full(len(tree), -1, dtype=np.intp)
         threshold = np.zeros(len(tree))
         left_id = np.full(len(tree), -1, dtype=np.intp)
         value = np.minimum(np.maximum(a1, 0.0), wt) / wt
-        records.append((tree, local, feature, threshold, left_id, value))
-        if not grow.any():
-            break
+        step = (tree, local, feature, threshold, left_id, value)  # recorded once filled in
 
         on = np.repeat(grow, count)
         row, w, a = row[on], w[on], a[on]
         node = np.flatnonzero(grow)
-        tree, a1, wt, count = tree[node], a1[node], wt[node], count[node]
+        tree, depth, a1, wt, count = tree[node], depth[node], a1[node], wt[node], count[node]
+        if not len(node):
+            records.add(*step)
+            local = tree  # empty, as is every active array
+            continue
         m = len(node)
         seg = np.repeat(np.arange(m), count)
         starts = np.cumsum(count) - count
-        # Each tree's generator with the range of its nodes in this level.
+        # Each tree's generator with the range of its nodes in this step.
         trees_here, first, per_tree = np.unique(tree, return_index=True, return_counts=True)
         draws = [(rngs[t], lo, lo + c) for t, lo, c in zip(trees_here, first, per_tree)]
         if k >= d:
@@ -513,17 +542,63 @@ def _grow_pass(X, ranks, y1, params: GrowParams, rngs, bootstrap: bool) -> dict:
         wt = _siblings(lw[split], wt[split] - lw[split])
         count = _siblings(n_left[split], count[split] - n_left[split])
         tree = np.repeat(tree, 2)
+        depth = np.repeat(depth[split] + 1, 2)
         order = np.lexsort((~go_left, seg))
         order = order[split[seg[order]]]
         row, w, a = row[order], w[order], a[order]
-        depth += 1
+        records.add(*step)
 
-    tree, local, feature, threshold, left_id, value = map(np.concatenate, zip(*records))
-    roots = np.cumsum(next_id) - next_id
-    order = np.argsort(roots[tree] + local)  # the records in block order
-    left = np.where(left_id != -1, left_id + roots[tree], -1)[order]
-    return dict(feature=feature[order], threshold=threshold[order], left=left,
-                right=np.where(left != -1, left + 1, -1), value=value[order], roots=roots)
+    return records.block(next_id)
+
+
+class _NodeRecords:
+    """A forest's nodes in the order they were grown: per node its key
+    (tree, node id) as one integer, since a tree on n rows has fewer than
+    2n nodes, then its feature, threshold, left child id and value. Each
+    field is one array that doubles when full. So the records are a few
+    large blocks of memory, not a few small arrays per step, and each goes
+    back to the system as soon as block() has moved it."""
+
+    _DTYPES = (np.intp, np.intp, np.float64, np.intp, np.float64)
+
+    def __init__(self, n: int):
+        self.n = n
+        self.size = 0
+        self.fields = [np.empty(1 << 12, dtype) for dtype in self._DTYPES]
+
+    def add(self, tree, local, feature, threshold, left_id, value) -> None:
+        end = self.size + len(tree)
+        for i, array in enumerate((tree * 2 * self.n + local, feature, threshold, left_id, value)):
+            if end > len(self.fields[i]):
+                grown = np.empty(max(end, 2 * len(self.fields[i])), self._DTYPES[i])
+                grown[:self.size] = self.fields[i][:self.size]
+                self.fields[i] = grown
+            self.fields[i][self.size:end] = array
+        self.size = end
+
+    def block(self, next_id) -> TreeBlock:
+        """The trees as one block: tree t's node i goes to roots[t] + i. It
+        moves one field at a time and frees it, so no more than one field is
+        held twice."""
+        size, fields = self.size, self.fields
+        self.fields = None
+        roots = np.cumsum(next_id) - next_id
+        place, left = fields[0][:size], fields[3][:size]
+        for lo in range(0, size, _PAIRS_PER_STEP):  # in slices, to keep temporaries small
+            tree, local = np.divmod(place[lo:lo + _PAIRS_PER_STEP], 2 * self.n)
+            place[lo:lo + _PAIRS_PER_STEP] = roots[tree] + local
+            ids = left[lo:lo + _PAIRS_PER_STEP]
+            np.add(ids, roots[tree], out=ids, where=ids != -1)
+        moved = []
+        for i in range(1, 5):
+            field = np.empty(size, self._DTYPES[i])
+            field[place] = fields[i][:size]
+            fields[i] = None
+            moved.append(field)
+        feature, threshold, left, value = moved
+        right = left + 1
+        right[left == -1] = -1
+        return TreeBlock(feature, threshold, left, right, value, roots)
 
 
 def _siblings(left, right) -> np.ndarray:
@@ -537,7 +612,10 @@ def _random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, draws):
     each tree's generator with the range of its nodes."""
     lo = np.minimum.reduceat(V, starts, axis=0)
     hi = np.maximum.reduceat(V, starts, axis=0)
-    thr = np.concatenate([rng.uniform(lo[b:e], hi[b:e]) for rng, b, e in draws])
+    # Generator.uniform(lo, hi) computes lo + (hi - lo) * u from the same u,
+    # bit for bit; drawing u directly skips its per-call argument checks.
+    u = np.concatenate([rng.random((e - b, V.shape[1])) for rng, b, e in draws])
+    thr = lo + (hi - lo) * u
     left = V <= thr[seg]
     lw = np.add.reduceat(left * w[:, None], starts, axis=0)
     la = np.add.reduceat(left * a[:, None], starts, axis=0)
@@ -558,41 +636,49 @@ def _exhaustive_cuts(V, keys, seg, starts, w, a, a1, wt, parent, criterion):
 
     ``keys`` orders each column of V by (node, value). Pairs with equal
     keys may come out in any order: the integer-valued prefix sums agree
-    after the last of them, the only place a cut can sit."""
+    after the last of them, the only place a cut can sit. Only those cuts
+    are scored."""
     m, total = len(starts), len(seg)
     ends = np.append(starts[1:], total) - 1  # each segment's last position
-    positions = np.arange(total)
     same_node = seg[1:] == seg[:-1]
-    wt_seg, a1_seg, parent_seg = wt[seg], a1[seg], parent[seg]
     best_gain = np.full(m, -np.inf)
     best_col = np.zeros(m, dtype=np.intp)
     best_thr, best_la, best_lw = np.zeros(m), np.zeros(m), np.zeros(m)
     for j in range(V.shape[1]):
         order = np.argsort(keys[:, j])
         Vs = V[order, j]
+        # A cut sits after position i when i+1 is in the same segment and
+        # the sorted value strictly increases.
+        cut = np.flatnonzero(same_node & (Vs[1:] > Vs[:-1]))
+        if not len(cut):
+            continue
+        at = seg[cut]
         # Prefix sums over the whole level, less the sum before each segment.
         cw = np.cumsum(w[order])
         ca = np.cumsum(a[order])
-        lw = cw - np.concatenate(([0.0], cw[ends[:-1]]))[seg]
-        la = ca - np.concatenate(([0.0], ca[ends[:-1]]))[seg]
-        rw = wt_seg - lw
-        ra = a1_seg - la
-        # A cut sits after position i when i+1 is in the same segment and
-        # the sorted value strictly increases.
-        valid = np.zeros(total, dtype=bool)
-        valid[:-1] = same_node & (Vs[1:] > Vs[:-1])
+        lw = cw[cut] - np.concatenate(([0.0], cw[ends[:-1]]))[at]
+        la = ca[cut] - np.concatenate(([0.0], ca[ends[:-1]]))[at]
+        rw = wt[at] - lw
+        ra = a1[at] - la
         child = (lw * _class_impurity(la, np.where(lw > 0, lw, 1.0), criterion)
-                 + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt_seg
-        gain = np.where(valid, parent_seg - child, -np.inf)
-        seg_max = np.maximum.reduceat(gain, starts)
-        first = np.minimum.reduceat(np.where(gain == seg_max[seg], positions, total), starts)
-        better = np.flatnonzero(seg_max > best_gain)  # strict: earlier columns win ties
-        pos = first[better]
-        best_gain[better] = seg_max[better]
-        best_col[better] = j
-        best_thr[better] = (Vs[pos] + Vs[pos + 1]) / 2.0
-        best_la[better] = la[pos]
-        best_lw[better] = lw[pos]
+                 + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt[at]
+        gain = parent[at] - child
+        # Group the cuts by segment; per group, the best gain and the first
+        # cut that reaches it.
+        opens = np.append(True, at[1:] != at[:-1])
+        lo = np.flatnonzero(opens)
+        nodes = at[lo]
+        seg_max = np.maximum.reduceat(gain, lo)
+        is_max = gain == seg_max[np.cumsum(opens) - 1]
+        first = np.minimum.reduceat(np.where(is_max, np.arange(len(cut)), len(cut)), lo)
+        better = seg_max > best_gain[nodes]  # strict: earlier columns win ties
+        nodes, i = nodes[better], first[better]
+        pos = cut[i]
+        best_gain[nodes] = seg_max[better]
+        best_col[nodes] = j
+        best_thr[nodes] = (Vs[pos] + Vs[pos + 1]) / 2.0
+        best_la[nodes] = la[i]
+        best_lw[nodes] = lw[i]
     return best_gain, best_col, best_thr, best_la, best_lw
 
 

@@ -12,7 +12,11 @@ reproduce them bit for bit.
 The fold digests are sha256 hashes of whole ``save_model`` documents of the
 depth-first learners, fitted at their default sizes on two folds of the
 study's synthetic train split. They were recorded with the row-major split
-kernel that sorted every node, the root included, once per tree.
+kernel that sorted every node, the root included, once per tree. The
+forest fold digests (25 trees, default hyperparameters otherwise) were
+recorded while the forest engine still grew its trees in fixed passes, each
+run until its deepest tree was done, and scored every pair position of a
+level as a cut.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ from heartstack.learners import LearnerSpec, fit
 from heartstack.learners import tree as tree_module
 from heartstack.model_selection import k_fold_plan
 from heartstack.model_store import save_model
+from heartstack.rng import stream
 from heartstack.splitting import stratified_split
 from heartstack.synthetic import generate_dataset
 
@@ -97,6 +102,18 @@ FOLD_DOC_SHA256 = {
     "xgb_style-7": "5ded0a292d34f8db794d87dedf1fb3b0af012da50bb6141c21c6fa7c29c16be4",
 }
 
+# 25-tree forests on the same OOF folds.
+FOREST_FOLD_CASES = {
+    "random_forest": ("random_forest", {"n_estimators": 25}),
+    "extra_trees": ("extra_trees", {"n_estimators": 25}),
+}
+FOREST_FOLD_DOC_SHA256 = {
+    "extra_trees-0": "d558e6f30872588b41227c44769a43ae11c035cb653ffd4c9138ccba0cd7fac7",
+    "extra_trees-7": "5d5ba48a1c57fb0ccdc24167ad3259ffa96f74593a67a40b38d7fbe39d492f21",
+    "random_forest-0": "e3d7c8d5eab2c9b5f281e44bb3926f4e41fea0081108caae73e672fee25f90b3",
+    "random_forest-7": "8a7a23e2ff30d007e5634eba2a73345fb8222294999622ee8b8b60cac1e49de3",
+}
+
 
 @pytest.fixture(scope="module")
 def forest_data():
@@ -132,11 +149,36 @@ def test_dfs_trees_digest(case, forest_data):
 @pytest.mark.parametrize("algorithm", ["random_forest", "extra_trees"])
 def test_one_pass_equals_one_tree_per_pass(algorithm, forest_data, monkeypatch):
     spec = LearnerSpec(algorithm, {"n_estimators": 7}, seed=8)
-    pooled = fit(spec, *forest_data).trees  # 300 rows: all 7 trees in one pass
-    monkeypatch.setattr(tree_module, "_PAIRS_PER_PASS", 1)
+    pooled = fit(spec, *forest_data).trees  # 300 rows: all 7 trees in the first step
+    monkeypatch.setattr(tree_module, "_PAIRS_PER_STEP", 1)
     single = fit(spec, *forest_data).trees
     for name in FIELDS:
         assert np.array_equal(getattr(pooled, name), getattr(single, name))
+
+
+CAP_PARAMS = {
+    "gini": {"criterion": "gini"},
+    "entropy": {"criterion": "entropy"},
+    "shallow": {"max_depth": 5, "min_samples_split": 20},
+}
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random_threshold"])
+@pytest.mark.parametrize("bootstrap", [False, True])
+@pytest.mark.parametrize("case", sorted(CAP_PARAMS))
+def test_trees_do_not_depend_on_the_pair_cap(mode, bootstrap, case, forest_data, monkeypatch):
+    # One tree at a time (cap 1); about two trees a step, so trees are
+    # admitted while others are deeper (cap 700 at 300 rows); the default.
+    params = tree_module.GrowParams(feature_subsample=3, candidate_mode=mode,
+                                    **CAP_PARAMS[case])
+    grown = []
+    for cap in (1, 700, tree_module._PAIRS_PER_STEP):
+        monkeypatch.setattr(tree_module, "_PAIRS_PER_STEP", cap)
+        rngs = [stream(8, "tree", t) for t in range(12)]
+        grown.append(tree_module.grow_forest(*forest_data, params, rngs, bootstrap))
+    for trees in grown[1:]:
+        for name in FIELDS:
+            assert np.array_equal(getattr(trees, name), getattr(grown[0], name))
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +197,12 @@ def test_dfs_fold_document_digest(case, fold, study_folds, monkeypatch):
     algorithm, hyper = FOLD_CASES[case]
     model = fit(LearnerSpec(algorithm, hyper, seed=DEFAULT_SEED), *study_folds[fold])
     assert hashlib.sha256(save_model(model)).hexdigest() == FOLD_DOC_SHA256[f"{case}-{fold}"]
+
+
+@pytest.mark.parametrize("fold", FOLDS)
+@pytest.mark.parametrize("case", sorted(FOREST_FOLD_CASES))
+def test_forest_fold_document_digest(case, fold, study_folds, monkeypatch):
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)  # the document's "created" stamp
+    algorithm, hyper = FOREST_FOLD_CASES[case]
+    model = fit(LearnerSpec(algorithm, hyper, seed=DEFAULT_SEED), *study_folds[fold])
+    assert hashlib.sha256(save_model(model)).hexdigest() == FOREST_FOLD_DOC_SHA256[f"{case}-{fold}"]

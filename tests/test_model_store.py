@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_classification
 from heartstack.cli import main
@@ -412,3 +414,90 @@ def test_overflowing_integer_rejected(field, train_data, tmp_path, dataset_csv):
     target[field] = "OVERFLOW"
     text = json.dumps(doc).replace('"OVERFLOW"', "1e400")
     _assert_rejected(text.encode("utf8"), tmp_path, dataset_csv)
+
+
+FUZZ_CANDIDATES = (LearnerSpec("cart", {"max_depth": 3}), LearnerSpec("gbm", {"n_estimators": 2}),
+                   LearnerSpec("random_forest", {"n_estimators": 2}),
+                   LearnerSpec("adaboost", {"n_estimators": 2}), LearnerSpec("naive_bayes"),
+                   LearnerSpec("knn", {"k": 3}), LearnerSpec("mlp", {"epochs": 5}),
+                   LearnerSpec("linear_svc", {"epochs": 5}))
+
+
+@pytest.fixture(scope="module")
+def fuzz_case(train_data, dataset_csv, tmp_path_factory):
+    """A directory with a micro stack over one base of each model kind and a
+    short input."""
+    config = StackingConfig(candidates=FUZZ_CANDIDATES, top_n=len(FUZZ_CANDIDATES),
+                            meta=LearnerSpec("sgd_logistic", {"epochs": 5}), oof_folds=2, seed=3)
+    root = tmp_path_factory.mktemp("fuzz")
+    lines = dataset_csv.read_text().splitlines()
+    (root / "input.csv").write_text("\n".join(lines[:6]) + "\n")
+    (root / "stack.model").write_bytes(save_model(fit_stack(config, *train_data)))
+    return root
+
+
+def _nodes(value, path=()):
+    """Every (path, value) in a parsed JSON document, containers included."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _replace(doc, path, new):
+    if not path:
+        return new
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+ODD_NUMBERS = (float("nan"), float("inf"), -float("inf"), 1e308, -1e308, -1, -0.5, 0, 2**63)
+
+
+def hostile_document(data, doc) -> bytes:
+    """One to three mutations of a parsed document, drawn from ``data``: a
+    list cut short, a number made odd, a value nested deeper in lists, or a
+    value of another type. Deep nesting is spliced into the text, so the
+    document itself stays shallow."""
+    deep = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        kind = data.draw(st.sampled_from(["truncate", "number", "deepen", "retype"]))
+        if kind == "truncate":
+            nodes = [(p, v) for p, v in nodes if isinstance(v, list) and v]
+        elif kind == "number":
+            nodes = [(p, v) for p, v in nodes
+                     if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        if not nodes:
+            continue
+        path, value = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+        if kind == "truncate":
+            new = value[:data.draw(st.integers(0, len(value) - 1))]
+        elif kind == "number":
+            new = data.draw(st.sampled_from(ODD_NUMBERS + (-value, value + 1)))
+        elif kind == "deepen":
+            new = f"deep-{len(deep)}"
+            deep[new] = (value, data.draw(st.sampled_from([1, 2, 50, 3000])))
+        else:
+            new = data.draw(st.sampled_from([None, "x", True, {}, [], [0.5]]))
+        doc = _replace(doc, path, new)
+    text = json.dumps(doc)
+    for mark, (value, depth) in deep.items():
+        text = text.replace(json.dumps(mark), "[" * depth + json.dumps(value) + "]" * depth)
+    return text.encode("utf8")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_hostile_documents_never_escape_predict(data, fuzz_case):
+    root = fuzz_case
+    doc = json.loads((root / "stack.model").read_bytes())
+    (root / "hostile.model").write_bytes(hostile_document(data, doc))
+    argv = ["predict", "--model", str(root / "hostile.model"), "--input",
+            str(root / "input.csv"), "--output", str(root / "p.csv")]
+    assert main(argv) in (0, 5)

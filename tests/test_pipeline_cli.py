@@ -4,8 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heartstack import config as config_module
 from heartstack.cli import main
 from heartstack.config import config_from_dict, load_config, paper_default_config
+from heartstack.learners import LearnerSpec
+from heartstack.model_store import load_model
+from heartstack.pipeline import MODEL_FILE
 from heartstack.errors import ConfigError
 from heartstack.reporting import read_csv, read_json
 from heartstack.schema import FEATURE_NAMES
@@ -176,6 +180,34 @@ def test_seed_flag_overrides_config(workspace, tmp_path):
     table_a = (out_a / "baseline" / "baseline_table.csv").read_bytes()
     table_b = (out_b / "baseline" / "baseline_table.csv").read_bytes()
     assert table_a == table_b
+
+
+def test_seed_flag_reaches_default_candidates(dataset_csv, tmp_path, monkeypatch):
+    # Quick stand-ins for the default candidates, built from the seed they
+    # are given, as the defaults are.
+    quick = (("cart", {"max_depth": 3}), ("naive_bayes", {}), ("knn", {"k": 5}))
+    monkeypatch.setattr(config_module, "default_candidates", lambda seed: tuple(
+        config_module.CandidateConfig(LearnerSpec(a, h, seed)) for a, h in quick))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "dataset": str(dataset_csv), "folds": 3,
+        "stacking": {"top_n": 3, "meta_hyperparameters": {"epochs": 5}, "oof_folds": 3}}))
+    assert run(["train", "--config", config, "--seed", "7", "--out", tmp_path / "out"]) == 0
+    model = load_model(tmp_path / "out" / "models" / MODEL_FILE)
+    assert {b.spec.seed for b in model.bases} == {7}
+    assert {spec.seed for spec, _ in model.selection.entries} == {7}
+    assert model.meta.spec.seed == 7
+
+
+def test_seed_override_reaches_listed_candidates_without_their_own(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"dataset": "x.csv", "seed": 3, "stacking": {"top_n": 2},
+                                  "candidates": [{"algorithm": "cart"},
+                                                 {"algorithm": "knn", "seed": 11}]}))
+    assert [c.spec.seed for c in load_config(config).candidates] == [3, 11]
+    overridden = load_config(config, {"seed": 7, "out_dir": "o"})
+    assert [c.spec.seed for c in overridden.candidates] == [7, 11]
+    assert (overridden.seed, overridden.out_dir) == (7, "o")
 
 
 def test_config_validation():

@@ -7,6 +7,8 @@ from heartstack.learners.tree import (
     GrowParams,
     SortedColumns,
     TreeBlock,
+    _class_impurity,
+    _exhaustive_cuts,
     _impurity,
     _sort_block,
     _split_exhaustive,
@@ -351,3 +353,92 @@ def test_root_block_is_sorted_only_when_the_root_searches_every_feature():
     assert "root" not in vars(columns)
     grow_tree(columns, y, GrowParams(max_depth=2))
     assert "root" in vars(columns)
+
+
+def all_positions_cuts(V, keys, seg, starts, w, a, a1, wt, parent, criterion):
+    """The forest engine's exhaustive kernel as it was before it scored only
+    the cuts between distinct values: every pair position is scored, and the
+    positions that are not cuts are masked to -inf."""
+    m, total = len(starts), len(seg)
+    ends = np.append(starts[1:], total) - 1
+    positions = np.arange(total)
+    same_node = seg[1:] == seg[:-1]
+    wt_seg, a1_seg, parent_seg = wt[seg], a1[seg], parent[seg]
+    best_gain = np.full(m, -np.inf)
+    best_col = np.zeros(m, dtype=np.intp)
+    best_thr, best_la, best_lw = np.zeros(m), np.zeros(m), np.zeros(m)
+    for j in range(V.shape[1]):
+        order = np.argsort(keys[:, j])
+        Vs = V[order, j]
+        cw = np.cumsum(w[order])
+        ca = np.cumsum(a[order])
+        lw = cw - np.concatenate(([0.0], cw[ends[:-1]]))[seg]
+        la = ca - np.concatenate(([0.0], ca[ends[:-1]]))[seg]
+        rw = wt_seg - lw
+        ra = a1_seg - la
+        valid = np.zeros(total, dtype=bool)
+        valid[:-1] = same_node & (Vs[1:] > Vs[:-1])
+        child = (lw * _class_impurity(la, np.where(lw > 0, lw, 1.0), criterion)
+                 + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt_seg
+        gain = np.where(valid, parent_seg - child, -np.inf)
+        seg_max = np.maximum.reduceat(gain, starts)
+        first = np.minimum.reduceat(np.where(gain == seg_max[seg], positions, total), starts)
+        better = np.flatnonzero(seg_max > best_gain)
+        pos = first[better]
+        best_gain[better] = seg_max[better]
+        best_col[better] = j
+        best_thr[better] = (Vs[pos] + Vs[pos + 1]) / 2.0
+        best_la[better] = la[pos]
+        best_lw[better] = lw[pos]
+    return best_gain, best_col, best_thr, best_la, best_lw
+
+
+def random_level(rng, criterion):
+    """A tie-heavy level of the forest engine: m nodes of integer-weighted
+    (tree, row) pairs, their candidate columns V, the (node, value) sort
+    keys and the node sums. About one node in five has every candidate
+    column constant, and one-pair nodes have no cut either."""
+    m = int(rng.integers(1, 12))
+    count = rng.integers(1, 40, size=m)
+    total = int(count.sum())
+    k = int(rng.integers(1, 5))
+    seg = np.repeat(np.arange(m), count)
+    starts = np.cumsum(count) - count
+    V = rng.integers(0, rng.integers(1, 6, size=k), size=(total, k)) / 2.0
+    V[:, rng.random(k) < 0.3] += np.round(rng.normal(size=total), 1)[:, None]
+    V[(rng.random(m) < 0.2)[seg]] = 1.5
+    w = rng.integers(1, 4, size=total).astype(float)  # bootstrap counts
+    a = w * rng.integers(0, 2, size=total)
+    a1, wt = np.add.reduceat(a, starts), np.add.reduceat(w, starts)
+    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in V.T], axis=1)
+    keys = seg[:, None] * total + ranks
+    return V, keys, seg, starts, w, a, a1, wt, _class_impurity(a1, wt, criterion), criterion
+
+
+@pytest.mark.parametrize("criterion, seed", [("gini", 5), ("entropy", 6)])
+def test_distinct_value_cuts_match_all_positions_reference(criterion, seed):
+    rng = np.random.default_rng(seed)
+    nodes = cut_nodes = 0
+    for _ in range(200):
+        level = random_level(rng, criterion)
+        want = all_positions_cuts(*level)
+        got = _exhaustive_cuts(*level)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+        nodes += len(want[0])
+        cut_nodes += int(np.isfinite(want[0]).sum())
+    assert 0.5 * nodes < cut_nodes < nodes
+
+
+def test_random_thresholds_are_generator_uniform_draws():
+    # The forest engine draws u and forms lo + (hi - lo) * u, which must be
+    # Generator.uniform(lo, hi) bit for bit, ties (lo == hi) included.
+    rng = np.random.default_rng(12)
+    for seed in range(50):
+        lo = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-5, 6, size=(40, 4))
+        hi = lo + np.abs(rng.normal(size=(40, 4))) * 10.0 ** rng.integers(-8, 6, size=(40, 4))
+        tie = rng.random((40, 4)) < 0.1
+        hi[tie] = lo[tie]
+        want = np.random.default_rng(seed).uniform(lo, hi)
+        got = lo + (hi - lo) * np.random.default_rng(seed).random(lo.shape)
+        assert got.tobytes() == want.tobytes()
