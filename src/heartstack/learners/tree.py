@@ -510,25 +510,25 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
         else:
             noise = np.concatenate([rng.random((hi - lo, d)) for rng, lo, hi in draws])
             feats = np.sort(np.argsort(noise, axis=1)[:, :k], axis=1)
-        # Each pair's candidate cells as flat indices into X. np.take of
-        # whole rows is several times faster than indexing with seg.
-        cells = np.take(feats, seg, axis=0)
-        cells += row[:, None] * d
-        V = np.take(X, cells)
         parent = _class_impurity(a1, wt, params.criterion)
         if params.candidate_mode == "exhaustive":
-            keys = seg[:, None] * n + np.take(ranks, cells)
-            gain, col, thr, la, lw = _exhaustive_cuts(V, keys, seg, starts, w, a, a1, wt,
-                                                      parent, params.criterion)
+            gain, col, thr, la, lw = _exhaustive_cuts(X, ranks, row, feats, seg, starts, w, a,
+                                                      a1, wt, parent, params.criterion)
         else:
-            gain, col, thr, la, lw = _random_cuts(V, seg, starts, w, a, a1, wt, parent,
-                                                  params.criterion, draws)
+            # Each pair's candidate cells as flat indices into X. np.take of
+            # whole rows is several times faster than indexing with seg.
+            cells = np.take(feats, seg, axis=0)
+            cells += row[:, None] * d
+            gain, col, thr, la, lw = _random_cuts(np.take(X, cells), seg, starts, w, a, a1, wt,
+                                                  parent, params.criterion, draws)
+            del cells
 
-        go_left = V[np.arange(len(seg)), col[seg]] <= thr[seg]
+        best = feats[np.arange(m), col]  # each node's best feature
+        go_left = np.take(X, row * d + np.take(best, seg)) <= np.take(thr, seg)
         n_left = np.add.reduceat(go_left.astype(np.intp), starts)
         split = gain > -np.inf
         at = node[split]
-        feature[at] = feats[split, col[split]]
+        feature[at] = best[split]
         threshold[at] = thr[split]
         value[at] = 0.0
         # A tree's split nodes take its next free ids in pairs, in order.
@@ -632,24 +632,29 @@ def _random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, draws):
     return gain[at, col], col, thr[at, col], la[at, col], lw[at, col]
 
 
-def _exhaustive_cuts(V, keys, seg, starts, w, a, a1, wt, parent, criterion):
+def _exhaustive_cuts(X, ranks, row, feats, seg, starts, w, a, a1, wt, parent, criterion):
     """Per node: the best midpoint cut over its candidate columns, as
     (gain, column, threshold, left class-1 weight, left weight); the gain
-    is -inf when every candidate column is constant on the node.
+    is -inf when every candidate column is constant on the node. Pair i is
+    row ``row[i]`` of node ``seg[i]``, whose candidate features are
+    ``feats[seg[i]]``; ``ranks`` holds each value's rank in its column of X.
 
-    ``keys`` orders each column of V by (node, value). Pairs with equal
-    keys may come out in any order: the integer-valued prefix sums agree
-    after the last of them, the only place a cut can sit. Only those cuts
-    are scored."""
+    One candidate column at a time, the pairs are sorted by (node, value
+    rank). Pairs with equal keys may come out in any order: the
+    integer-valued prefix sums agree after the last of them, the only place
+    a cut can sit. Only those cuts are scored."""
+    n, d = X.shape
     m, total = len(starts), len(seg)
     ends = np.append(starts[1:], total) - 1  # each segment's last position
     same_node = seg[1:] == seg[:-1]
+    node_key = seg * n
     best_gain = np.full(m, -np.inf)
     best_col = np.zeros(m, dtype=np.intp)
     best_thr, best_la, best_lw = np.zeros(m), np.zeros(m), np.zeros(m)
-    for j in range(V.shape[1]):
-        order = np.argsort(keys[:, j])
-        Vs = V[order, j]
+    for j in range(feats.shape[1]):
+        cells = row * d + np.take(feats[:, j], seg)  # flat indices into X
+        order = np.argsort(node_key + np.take(ranks, cells))
+        Vs = np.take(X, cells[order])
         # A cut sits after position i when i+1 is in the same segment and
         # the sorted value strictly increases.
         cut = np.flatnonzero(same_node & (Vs[1:] > Vs[:-1]))

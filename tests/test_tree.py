@@ -394,25 +394,29 @@ def all_positions_cuts(V, keys, seg, starts, w, a, a1, wt, parent, criterion):
 
 
 def random_level(rng, criterion):
-    """A tie-heavy level of the forest engine: m nodes of integer-weighted
-    (tree, row) pairs, their candidate columns V, the (node, value) sort
-    keys and the node sums. About one node in five has every candidate
-    column constant, and one-pair nodes have no cut either."""
+    """A tie-heavy level of the forest engine: X with the rank of each value
+    in its column, and m nodes of integer-weighted (tree, row) pairs with
+    their candidate features and class sums. About one node in five takes
+    its rows from a block of equal rows, where every candidate column is
+    constant, and one-pair nodes have no cut either."""
+    n, d = int(rng.integers(8, 60)), int(rng.integers(1, 6))
+    X = rng.integers(0, rng.integers(1, 6, size=d), size=(n, d)) / 2.0
+    X[:, rng.random(d) < 0.3] += np.round(rng.normal(size=n), 1)[:, None]
+    X[:4] = X[0]
+    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T], axis=1)
     m = int(rng.integers(1, 12))
     count = rng.integers(1, 40, size=m)
-    total = int(count.sum())
-    k = int(rng.integers(1, 5))
     seg = np.repeat(np.arange(m), count)
     starts = np.cumsum(count) - count
-    V = rng.integers(0, rng.integers(1, 6, size=k), size=(total, k)) / 2.0
-    V[:, rng.random(k) < 0.3] += np.round(rng.normal(size=total), 1)[:, None]
-    V[(rng.random(m) < 0.2)[seg]] = 1.5
-    w = rng.integers(1, 4, size=total).astype(float)  # bootstrap counts
-    a = w * rng.integers(0, 2, size=total)
+    row = np.where((rng.random(m) < 0.2)[seg], rng.integers(0, 4, len(seg)),
+                   rng.integers(0, n, len(seg)))
+    k = int(rng.integers(1, d + 1))
+    feats = np.sort(np.argsort(rng.random((m, d)), axis=1)[:, :k], axis=1)
+    w = rng.integers(1, 4, size=len(seg)).astype(float)  # bootstrap counts
+    a = w * rng.integers(0, 2, size=len(seg))
     a1, wt = np.add.reduceat(a, starts), np.add.reduceat(w, starts)
-    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in V.T], axis=1)
-    keys = seg[:, None] * total + ranks
-    return V, keys, seg, starts, w, a, a1, wt, _class_impurity(a1, wt, criterion), criterion
+    parent = _class_impurity(a1, wt, criterion)
+    return X, ranks, row, feats, seg, starts, w, a, a1, wt, parent, criterion
 
 
 @pytest.mark.parametrize("criterion, seed", [("gini", 5), ("entropy", 6)])
@@ -421,7 +425,9 @@ def test_distinct_value_cuts_match_all_positions_reference(criterion, seed):
     nodes = cut_nodes = 0
     for _ in range(200):
         level = random_level(rng, criterion)
-        want = all_positions_cuts(*level)
+        X, ranks, row, feats, seg = level[:5]
+        cells = (row[:, None], feats[seg])
+        want = all_positions_cuts(X[cells], seg[:, None] * len(X) + ranks[cells], *level[4:])
         got = _exhaustive_cuts(*level)
         for g, r in zip(got, want):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
