@@ -5,13 +5,17 @@
         perfbench --workload train --seeds 1,2,3 --pairs 8 [--seconds 30] [--label L]
     python3 scripts/bench_pairs.py ... traced --workload train [--seed 1]
     python3 scripts/bench_pairs.py ... tier1
+    python3 scripts/bench_pairs.py ... generate [--seed 77] [--pairs 10]
 
 ``perfbench`` runs ``python3 perfbench/run.py`` in each checkout,
 alternating the side that goes first per pair, and stores every run's
 end-to-end metrics with their quartiles, the share of pairs in which the
 change is better and the change of the medians. ``traced`` stores one
 ``--trace 1`` run per side. ``tier1`` times the tier-1 test command in
-each checkout. Each mode adds its section to ``--out`` and keeps the others.
+each checkout. ``generate`` times, in a fresh process per run and in pairs
+like ``perfbench``, the import of ``heartstack.synthetic``, one
+``generate_dataset`` call and the whole process. Each mode adds its section
+to ``--out`` and keeps the others.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+GENERATE = ("import sys, time; t0 = time.perf_counter(); "
+            "from heartstack.synthetic import generate_dataset; t1 = time.perf_counter(); "
+            "generate_dataset(int(sys.argv[1])); print(t1 - t0, time.perf_counter() - t1)")
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -43,6 +50,18 @@ def quartiles(values: list[float]) -> dict:
             "runs": [round(v, 4) for v in values]}
 
 
+def compare(values: dict, lower: bool, pairs: int) -> dict:
+    """Quartiles of each side's runs, pairs won by the change and the change
+    of the medians."""
+    better = sum((c < p) if lower else (c > p)
+                 for p, c in zip(values["parent"], values["change"]))
+    medians = [statistics.median(values[s]) for s in SIDES]
+    return {**{s: quartiles(values[s]) for s in SIDES},
+            "better": "lower" if lower else "higher",
+            "change_better_in_pairs": f"{better}/{pairs}",
+            "median_change_pct": round(100 * (medians[1] / medians[0] - 1), 1)}
+
+
 def paired(args, dirs) -> dict:
     seeds = [int(s) for s in args.seeds.split(",")]
     runs = {side: [] for side in SIDES}
@@ -57,14 +76,25 @@ def paired(args, dirs) -> dict:
                "failed_operations": {s: sum(r["failed"] for r in runs[s]) for s in SIDES}}
     for name in runs["parent"][0]["metrics"]:
         values = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in SIDES}
-        lower = name != "rows_per_s"
-        better = sum((c < p) if lower else (c > p)
-                     for p, c in zip(values["parent"], values["change"]))
-        medians = [statistics.median(values[s]) for s in SIDES]
-        section[name] = {**{s: quartiles(values[s]) for s in SIDES},
-                         "better": "lower" if lower else "higher",
-                         "change_better_in_pairs": f"{better}/{args.pairs}",
-                         "median_change_pct": round(100 * (medians[1] / medians[0] - 1), 1)}
+        section[name] = compare(values, name != "rows_per_s", args.pairs)
+    return section
+
+
+def generate(args, dirs) -> dict:
+    names = ("import_s", "generate_s", "process_s")
+    runs = {side: {name: [] for name in names} for side in SIDES}
+    for i in range(args.pairs):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", GENERATE, str(args.seed)],
+                                  cwd=dirs[side], env={**os.environ, "PYTHONPATH": "src"},
+                                  capture_output=True, text=True, check=True)
+            times = [float(v) for v in proc.stdout.split()] + [time.perf_counter() - t0]
+            for name, value in zip(names, times):
+                runs[side][name].append(value)
+    section = {"pairs": args.pairs, "seed": args.seed}
+    for name in names:
+        section[name] = compare({s: runs[s][name] for s in SIDES}, True, args.pairs)
     return section
 
 
@@ -104,6 +134,9 @@ def main(argv=None) -> int:
     trace.add_argument("--seed", type=int, default=1)
     trace.add_argument("--seconds", type=float, default=30.0)
     modes.add_parser("tier1")
+    gen = modes.add_parser("generate")
+    gen.add_argument("--seed", type=int, default=77)
+    gen.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -112,6 +145,8 @@ def main(argv=None) -> int:
         record.setdefault("perfbench", {})[args.label or args.workload] = paired(args, dirs)
     elif args.mode == "traced":
         record.setdefault("traced", {})[args.workload] = traced(args, dirs)
+    elif args.mode == "generate":
+        record["generate"] = generate(args, dirs)
     else:
         record["tier1"] = tier1(args, dirs)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

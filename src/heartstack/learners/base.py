@@ -169,14 +169,24 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# Every learned parameter a model document holds must lie within
+# +-PARAMETER_BOUND. Fitted parameters stay below 1e4 (the largest is a
+# naive_bayes variance of raw cholesterol, about 4e3). At 1e100, a product of
+# two parameters summed over thousands of terms stays near 1e204, far below
+# float64's 1.8e308, so scoring ordinary rows with a loaded model cannot
+# overflow into wrong labels.
+PARAMETER_BOUND = 1e100
+
+
 def finite_array(name: str, values, shape: tuple | None) -> np.ndarray:
     """``values`` as a float array of the given shape (any shape for None)
-    with every entry finite; ValueError otherwise. For model documents."""
+    with every entry finite and within +-PARAMETER_BOUND; ValueError
+    otherwise. For model documents."""
     a = np.asarray(values, dtype=np.float64)
     if shape is not None and a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, not {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} is not finite")
+    if not (np.abs(a) <= PARAMETER_BOUND).all():
+        raise ValueError(f"{name} must be finite and within +-{PARAMETER_BOUND:g}")
     return a
 
 

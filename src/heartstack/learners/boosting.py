@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..errors import FitError
-from .base import LearnerSpec, TrainedModel, sigmoid
+from .base import LearnerSpec, TrainedModel, finite_array, sigmoid
 from .forest import TreeEnsembleModel
 from .tree import GrowParams, SortedColumns, TreeBlock, grow_tree, tree_apply
 from .tree import leaf_weight  # noqa: F401  (xgb_style's leaf formula, importable from here too)
@@ -99,9 +99,7 @@ class AdaboostModel(TrainedModel):
     @classmethod
     def from_payload(cls, spec, n_features_in, payload):
         stumps = TreeBlock.from_dict(payload["stumps"], n_features_in)
-        alphas = [float(a) for a in payload["alphas"]]
-        if len(alphas) != stumps.n_trees or not np.isfinite(alphas).all():
-            raise ValueError("adaboost needs one finite alpha per stump")
+        alphas = finite_array("adaboost alphas", payload["alphas"], (stumps.n_trees,)).tolist()
         return cls(spec, n_features_in, stumps, alphas)
 
 

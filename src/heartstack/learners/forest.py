@@ -3,12 +3,10 @@ that also serves the boosted ensembles."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..rng import stream
-from .base import LearnerSpec, TrainedModel, resolve_max_features, sigmoid
+from .base import LearnerSpec, TrainedModel, finite_array, resolve_max_features, sigmoid
 from .tree import GrowParams, TreeBlock, grow_forest, grow_tree, tree_apply
 
 BOOSTED = frozenset({"gbm", "xgb_style"})
@@ -82,9 +80,8 @@ class TreeEnsembleModel(TrainedModel):
         trees = TreeBlock.from_dict(payload["trees"], n_features_in)
         if spec.algorithm not in BOOSTED:
             return cls(spec, n_features_in, trees)
-        init_score, learning_rate = float(payload["init_score"]), float(payload["learning_rate"])
-        if not (math.isfinite(init_score) and math.isfinite(learning_rate)):
-            raise ValueError("init_score and learning_rate must be finite")
+        init_score, learning_rate = (float(finite_array(field, payload[field], ()))
+                                     for field in ("init_score", "learning_rate"))
         return cls(spec, n_features_in, trees, init_score, learning_rate)
 
 

@@ -8,8 +8,6 @@ logistic link on the margin, so thresholding at 0.5 equals sign(margin).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..rng import stream
@@ -33,9 +31,7 @@ class LinearModel(TrainedModel):
         """Inverse of params_payload. Raises ValueError unless weights holds
         n_features_in finite numbers and bias is finite."""
         weights = finite_array("linear weights", payload["weights"], (n_features_in,))
-        bias = float(payload["bias"])
-        if not math.isfinite(bias):
-            raise ValueError("linear bias is not finite")
+        bias = float(finite_array("linear bias", payload["bias"], ()))
         return cls(spec, n_features_in, weights, bias)
 
 

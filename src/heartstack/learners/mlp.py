@@ -3,8 +3,6 @@ logistic loss, full-batch gradient descent with momentum."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..rng import stream
@@ -40,9 +38,7 @@ class MlpModel(TrainedModel):
         hidden = (W1.shape[1],)
         b1 = finite_array("mlp b1", payload["b1"], hidden)
         W2 = finite_array("mlp W2", payload["W2"], hidden)
-        b2 = float(payload["b2"])
-        if not math.isfinite(b2):
-            raise ValueError("mlp b2 is not finite")
+        b2 = float(finite_array("mlp b2", payload["b2"], ()))
         return cls(spec, n_features_in, W1, b1, W2, b2)
 
 

@@ -38,6 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .base import finite_array
+
 CLASS_CRITERIA = ("gini", "entropy")
 CRITERIA = CLASS_CRITERIA + ("variance",)
 
@@ -84,8 +86,9 @@ class TreeBlock:
         """Inverse of to_dict. Raises ValueError for any block a traversal
         could not score: arrays of unequal length or of the wrong type,
         children that are out of range or not numbered after their parent,
-        split features outside [0, n_features), non-finite thresholds or
-        values, or roots outside the node range."""
+        split features outside [0, n_features), non-finite thresholds, values
+        that are not finite or beyond +-PARAMETER_BOUND, or roots outside the
+        node range."""
         arrays = {name: _flat_array(name, d[name], name in _INDEX_FIELDS) for name in _FIELDS}
         n = len(arrays["feature"])
         if any(len(arrays[name]) != n for name in _FIELDS[:-1]):
@@ -101,8 +104,9 @@ class TreeBlock:
         feature = arrays["feature"][inner]
         if ((feature < 0) | (feature >= n_features)).any():
             raise ValueError("a split feature is out of range")
-        if not (np.isfinite(arrays["threshold"]).all() and np.isfinite(arrays["value"]).all()):
-            raise ValueError("a tree threshold or value is not finite")
+        if not np.isfinite(arrays["threshold"]).all():
+            raise ValueError("a tree threshold is not finite")
+        finite_array("tree values", arrays["value"], None)
         roots = arrays["roots"]
         if len(roots) == 0 or ((roots < 0) | (roots >= n)).any():
             raise ValueError("a tree root is missing or out of range")

@@ -29,16 +29,16 @@ class Standardizer:
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "Standardizer":
         """Inverse of to_dict. Raises ValueError unless mean, std and constant
-        hold n_features entries each, mean is finite and std is finite and
-        positive."""
-        mean = np.array(d["mean"], dtype=np.float64)
+        hold n_features entries each, mean is finite and within the learned
+        parameters' bound and std is finite and positive."""
+        from .learners.base import finite_array  # learners.base imports this module
+
+        mean = finite_array("standardizer mean", d["mean"], None)
         std = np.array(d["std"], dtype=np.float64)
         constant = np.array(d["constant"], dtype=bool)
         if not mean.shape == std.shape == constant.shape == (n_features,):
             raise ValueError(f"standardizer mean, std and constant must hold "
                              f"{n_features} entries each")
-        if not np.isfinite(mean).all():
-            raise ValueError("standardizer mean is not finite")
         if not (np.isfinite(std) & (std > 0)).all():
             raise ValueError("standardizer std must be finite and positive")
         return cls(mean, std, constant)

@@ -11,12 +11,16 @@ the linear models trail and k-NN comes last.
 It is not patient data. Class-conditional value pools are built as count
 tables over discrete grids and calibrated by a blend search plus greedy
 one-row moves until each feature's Pearson correlation with the target
-matches the reference profile; values are then dealt to rows through
-latent "risk subtype" scores, which couples features within a class and
-gives the classes locally clustered, non-Gaussian structure.
+matches the reference profile. The calibration reads only module
+constants, never the seed, so it runs once per process and every data seed
+deals from the same pools. Values are dealt to rows through latent "risk
+subtype" scores, which couples features within a class and gives the
+classes locally clustered, non-Gaussian structure.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -225,23 +229,26 @@ def _quantize(p: np.ndarray, n: int) -> np.ndarray:
     counts = np.floor(exact).astype(int)
     remainder = exact - counts
     short = n - counts.sum()
-    for idx in np.lexsort((np.arange(len(p)), -remainder))[:short]:
-        counts[idx] += 1
+    counts[np.lexsort((np.arange(len(p)), -remainder))[:short]] += 1
     return counts
 
 
-def _pearson_from_counts(grid, c0, c1) -> float:
-    n = c0.sum() + c1.sum()
-    x_sum = grid @ (c0 + c1)
-    x2_sum = (grid * grid) @ (c0 + c1)
-    t_sum = c1.sum()
-    xt_sum = grid @ c1
+def _pearson(n, x_sum, x2_sum, t_sum, xt_sum):
+    """Pearson correlation of value and target from count-table sums,
+    elementwise over arrays of sums; 0 where a variance is not positive.
+    np.square keeps scalars and arrays bit-equal (a scalar's ** 2 is pow)."""
     cov = xt_sum / n - (x_sum / n) * (t_sum / n)
-    var_x = x2_sum / n - (x_sum / n) ** 2
-    var_t = t_sum / n - (t_sum / n) ** 2
-    if var_x <= 0 or var_t <= 0:
-        return 0.0
-    return float(cov / np.sqrt(var_x * var_t))
+    var_x = x2_sum / n - np.square(x_sum / n)
+    var_t = t_sum / n - np.square(t_sum / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = cov / np.sqrt(var_x * var_t)
+    return np.where((var_x > 0) & (var_t > 0), r, 0.0)
+
+
+def _pearson_from_counts(grid, c0, c1) -> float:
+    total = c0 + c1
+    return float(_pearson(total.sum(), grid @ total, (grid * grid) @ total,
+                          c1.sum(), grid @ c1))
 
 
 def _bisect_theta(r_of_theta, target_r) -> float:
@@ -284,54 +291,52 @@ def _blend_counts(grid, shape0, shape1, n0, n1, target_r, special=()):
 def _greedy_refine(grid, c0, c1, target_r, core_len, tol=2e-4, max_moves=400):
     """Move one row at a time between adjacent values among the first
     ``core_len`` of the grid (within a class) while it shrinks the
-    correlation error."""
-    counts = [c0.copy(), c1.copy()]
+    correlation error. Each step scores every move at once from one-row
+    deltas of the sums and takes the first best in scan order: class, then
+    position, then the upward move first."""
+    counts = np.stack([c0, c1])
+    i = np.tile(np.repeat(np.arange(core_len - 1), 2), 2)
+    down = np.tile([0, 1], 2 * (core_len - 1))
+    cls = np.repeat([0, 1], 2 * (core_len - 1))
+    src, dst = i + down, i + 1 - down
+    sq = grid * grid
+    dx, dx2 = grid[dst] - grid[src], sq[dst] - sq[src]
+    n, t_sum = counts.sum(), counts[1].sum()
     for _ in range(max_moves):
-        err = abs(_pearson_from_counts(grid, counts[0], counts[1]) - target_r)
+        total = counts.sum(axis=0)
+        x_sum, x2_sum, xt_sum = grid @ total, sq @ total, grid @ counts[1]
+        err = abs(_pearson(n, x_sum, x2_sum, t_sum, xt_sum) - target_r)
         if err < tol:
             break
-        best = None
-        for cls in (0, 1):
-            c = counts[cls]
-            for i in range(core_len - 1):
-                for src, dst in ((i, i + 1), (i + 1, i)):
-                    if c[src] == 0:
-                        continue
-                    c[src] -= 1
-                    c[dst] += 1
-                    trial = abs(_pearson_from_counts(grid, counts[0], counts[1]) - target_r)
-                    c[src] += 1
-                    c[dst] -= 1
-                    if trial < err and (best is None or trial < best[0]):
-                        best = (trial, cls, src, dst)
-        if best is None:
+        trial = np.abs(_pearson(n, x_sum + dx, x2_sum + dx2, t_sum,
+                                xt_sum + dx * cls) - target_r)
+        trial[(counts[cls, src] == 0) | (trial >= err)] = np.inf
+        best = int(np.argmin(trial))
+        if trial[best] == np.inf:
             break
-        _, cls, src, dst = best
-        counts[cls][src] -= 1
-        counts[cls][dst] += 1
+        counts[cls[best], src[best]] -= 1
+        counts[cls[best], dst[best]] += 1
     return counts[0], counts[1]
 
 
 def _binary_counts(name: str, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact search over integer joint tables for a binary feature."""
+    """Exact search over integer joint tables for a binary feature: the
+    correlation error first, the marginal's error second."""
     n = n0 + n1
     target_r = REFERENCE_CORRELATIONS[name]
     a_ref = BINARY_MARGINALS[name]
-    grid = np.array([0.0, 1.0])
     best = None
     for total_ones in range(int(a_ref * n) - 6, int(a_ref * n) + 7):
         # Keep the displayed percentage of the marginal intact.
         if round(100 * total_ones / n) != round(100 * a_ref):
             continue
-        for ones_pos in range(max(0, total_ones - n0), min(n1, total_ones) + 1):
-            c1 = np.array([n1 - ones_pos, ones_pos])
-            c0 = np.array([n0 - (total_ones - ones_pos), total_ones - ones_pos])
-            if (c0 < 0).any():
-                continue
-            r = _pearson_from_counts(grid, c0, c1)
-            key = (abs(r - target_r), abs(total_ones / n - a_ref))
-            if best is None or key < best[0]:
-                best = (key, c0, c1)
+        ones_pos = np.arange(max(0, total_ones - n0), min(n1, total_ones) + 1)
+        r = _pearson(n, total_ones, total_ones, n1, ones_pos)
+        j = int(np.argmin(np.abs(r - target_r)))
+        key = (abs(r[j] - target_r), abs(total_ones / n - a_ref))
+        if best is None or key < best[0]:
+            pos, neg = ones_pos[j], total_ones - ones_pos[j]
+            best = (key, np.array([n0 - neg, neg]), np.array([n1 - pos, pos]))
     return best[1], best[2]
 
 
@@ -346,22 +351,37 @@ def _numeric_counts(name: str, n0: int, n1: int):
     lo, hi, step = NUMERIC_GRIDS[name]
     k = int(round((hi - lo) / step)) + 1
     grid = lo + step * np.arange(k)
-    shape0 = _mixture_pmf(grid, NUMERIC_SHAPES[name][0])
-    shape1 = _mixture_pmf(grid, NUMERIC_SHAPES[name][1])
+    shape0, shape1 = (_mixture_pmf(grid, NUMERIC_SHAPES[name][c]) for c in (0, 1))
 
     # Reserve the designated special rows; the core pools exclude them but
     # the correlation calibration accounts for their contribution.
     special = [(cls, value) for feat, cls, value in DOMAIN_INVALID + IQR_OUTLIERS
                if feat == name]
-    n_special = [sum(1 for cls, _ in special if cls == c) for c in (0, 1)]
-    core0, core1 = _blend_counts(
-        grid, shape0, shape1, n0 - n_special[0], n1 - n_special[1],
-        REFERENCE_CORRELATIONS[name], special)
-    return grid, core0, core1, special
+    n_special = [sum(cls == c for cls, _ in special) for c in (0, 1)]
+    return (grid, *_blend_counts(grid, shape0, shape1, n0 - n_special[0], n1 - n_special[1],
+                                 REFERENCE_CORRELATIONS[name], special), special)
 
 
-def _expand(grid, counts) -> np.ndarray:
-    return np.repeat(grid, counts)
+@functools.cache
+def _pools() -> dict[str, tuple]:
+    """(grid, class-0 counts, class-1 counts, special rows) per feature,
+    calibrated once per process."""
+    n1, n0 = N_POSITIVE, N_ROWS - N_POSITIVE
+    pools = {}
+    for name in FEATURE_NAMES:
+        if name in NUMERIC_GRIDS:
+            pools[name] = _numeric_counts(name, n0, n1)
+        elif name in BINARY_MARGINALS:
+            pools[name] = (np.array([0.0, 1.0]), *_binary_counts(name, n0, n1), [])
+        else:
+            grid, shape0, shape1 = NOMINAL_SHAPES[name]
+            grid = grid.astype(float)
+            pools[name] = (grid, *_blend_counts(grid, shape0, shape1, n0, n1,
+                                                REFERENCE_CORRELATIONS[name]), [])
+    for pool in pools.values():  # shared by every later call in the process
+        for a in pool[:3]:
+            a.flags.writeable = False
+    return pools
 
 
 _CACHE: dict[int, Dataset] = {}
@@ -369,26 +389,20 @@ _CACHE: dict[int, Dataset] = {}
 
 def generate_dataset(seed: int = DEFAULT_DATA_SEED) -> Dataset:
     """Build the 1190-row stand-in table; deterministic per seed."""
-    if seed in _CACHE:
-        return _CACHE[seed]
-    ds = _generate(seed)
-    _CACHE[seed] = ds
-    return ds
+    if seed not in _CACHE:
+        _CACHE[seed] = _generate(seed)
+    return _CACHE[seed]
 
 
 def _generate(seed: int) -> Dataset:
-    n1, n0 = N_POSITIVE, N_ROWS - N_POSITIVE
     y = np.zeros(N_ROWS, dtype=np.int64)
-    y[stream(seed, "target").permutation(N_ROWS)[:n1]] = 1
+    y[stream(seed, "target").permutation(N_ROWS)[:N_POSITIVE]] = 1
     rows_by_class = {c: np.nonzero(y == c)[0] for c in (0, 1)}
 
     # Latent flags drive within-class couplings: the risky subtype, the
     # exception pockets (with a key variant each) and the hard-overlap zone.
-    subtype = np.zeros(N_ROWS)
-    exception = np.zeros(N_ROWS)
+    subtype, exception, hard, flip = np.zeros((4, N_ROWS))
     exc_variant = np.full(N_ROWS, -1)
-    hard = np.zeros(N_ROWS)
-    flip = np.zeros(N_ROWS)
     # Per-row intensities keep pocket and overlap-zone rows from stacking
     # into small self-coherent clusters that tiny neighbourhoods could read.
     hard_intensity = stream(seed, "hard-intensity").uniform(0.2, 2.2, size=N_ROWS)
@@ -429,7 +443,7 @@ def _generate(seed: int) -> Dataset:
             rows = rows_by_class[c]
             held = reserved.get(c, {})
             open_rows = np.array([r for r in rows if r not in held], dtype=np.intp)
-            pool = np.sort(_expand(grid, counts_by_class[c]))
+            pool = np.sort(np.repeat(grid, counts_by_class[c]))
             noise = stream(seed, "couple", name, c).normal(size=len(open_rows))
             flipped = flip[open_rows]
             own = 1.0 - flipped
@@ -460,18 +474,10 @@ def _generate(seed: int) -> Dataset:
         X[:, col[name]] = values
         assigned.add(name)
 
+    pools = _pools()
     for name in ASSIGN_ORDER:
-        if name in NUMERIC_GRIDS:
-            grid, c0, c1, special = _numeric_counts(name, n0, n1)
-            assign(name, grid, {0: c0, 1: c1}, special)
-        elif name in BINARY_MARGINALS:
-            c0, c1 = _binary_counts(name, n0, n1)
-            assign(name, np.array([0.0, 1.0]), {0: c0, 1: c1}, [])
-        else:
-            grid, shape0, shape1 = NOMINAL_SHAPES[name]
-            c0, c1 = _blend_counts(grid.astype(float), shape0, shape1, n0, n1,
-                                   REFERENCE_CORRELATIONS[name])
-            assign(name, grid.astype(float), {0: c0, 1: c1}, [])
+        grid, c0, c1, special = pools[name]
+        assign(name, grid, {0: c0, 1: c1}, special)
 
     # Round the st_depression grid arithmetic to one decimal.
     sd_col = col["st_depression"]
@@ -484,10 +490,9 @@ def _reserve_special_rows(name, special, rows_by_class, seed):
     """Pick one distinct carrier row per designated special value, spread
     deterministically so no row carries two special values."""
     reserved: dict[int, dict[int, float]] = {}
-    specials = [(feat, cls, value) for feat, cls, value in DOMAIN_INVALID + IQR_OUTLIERS]
     # Global ordering gives every special value a unique slot in its class.
     slot_in_class: dict[int, int] = {0: 0, 1: 0}
-    for feat, cls, value in specials:
+    for feat, cls, value in DOMAIN_INVALID + IQR_OUTLIERS:
         rows = rows_by_class[cls]
         slot = slot_in_class[cls]
         slot_in_class[cls] += 1
@@ -499,14 +504,9 @@ def _reserve_special_rows(name, special, rows_by_class, seed):
 
 def dataset_to_csv(ds: Dataset) -> str:
     header = list(FEATURE_NAMES) + [TARGET_SPEC.name]
-    rows = []
-    for i in range(ds.n_rows):
-        cells = []
-        for j, name in enumerate(FEATURE_NAMES):
-            v = ds.X[i, j]
-            cells.append(f"{v:.1f}" if name == "st_depression" else str(int(round(v))))
-        cells.append(str(int(ds.y[i])))
-        rows.append(cells)
+    rows = [[f"{v:.1f}" if name == "st_depression" else str(int(round(v)))
+             for name, v in zip(FEATURE_NAMES, x)] + [str(int(t))]
+            for x, t in zip(ds.X, ds.y)]
     return format_csv(header, rows)
 
 

@@ -167,6 +167,7 @@ TREE_MUTATIONS = {
     "fractional_index": _set("feature", 0, 0.5),
     "threshold_nan": _set("threshold", 0, float("nan")),
     "value_infinite": _set("value", _first_leaf, float("inf")),
+    "value_huge": _set("value", _first_leaf, 1e308),
     "root_out_of_range": lambda t: t["roots"].__setitem__(0, len(t["left"])),
     "no_roots": lambda t: t["roots"].clear(),
 }
@@ -212,6 +213,8 @@ KNN_MUTATIONS = {
     "row_missing": lambda p: p["X_train"].pop(),
     "column_missing": lambda p: [row.pop() for row in p["X_train"]],
     "value_nan": lambda p: p["X_train"][0].__setitem__(0, float("nan")),
+    # Finite but huge: scoring would overflow and label rows wrongly.
+    "value_huge": lambda p: p["X_train"][0].__setitem__(0, 1e308),
     "label_out_of_range": lambda p: p["y_train"].__setitem__(0, 7),
     "label_fractional": lambda p: p["y_train"].__setitem__(0, 0.5),
 }
@@ -252,6 +255,7 @@ STANDARDIZER_MUTATIONS = {
     "constant_short": lambda s: s["constant"].pop(),
     "mean_nan": lambda s: s["mean"].__setitem__(0, float("nan")),
     "mean_infinite": lambda s: s["mean"].__setitem__(0, float("-inf")),
+    "mean_huge": lambda s: s["mean"].__setitem__(0, -1e308),
     "std_zero": lambda s: s["std"].__setitem__(0, 0.0),
     "std_negative": lambda s: s["std"].__setitem__(0, -1.0),
     "std_infinite": lambda s: s["std"].__setitem__(0, float("inf")),
@@ -297,6 +301,7 @@ PARAMS_MUTATIONS = {
     "sgd_logistic-weights_nested": ("sgd_logistic", lambda p: p.__setitem__(
         "weights", [p["weights"]])),
     "sgd_logistic-bias_nan": ("sgd_logistic", lambda p: p.__setitem__("bias", float("nan"))),
+    "sgd_logistic-weight_huge": ("sgd_logistic", _set_entry("weights", 1e308)),
     "linear_svc-bias_infinite": ("linear_svc", lambda p: p.__setitem__("bias", float("inf"))),
     "mlp-W2_2_entries": ("mlp", _cut("W2", 2)),
     "mlp-W1_rows_missing": ("mlp", _cut("W1", 3)),
@@ -491,6 +496,7 @@ def hostile_document(data, doc) -> bytes:
     return text.encode("utf8")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
