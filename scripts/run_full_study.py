@@ -4,8 +4,8 @@ evaluation with the default (study-reproducing) configuration.
 
 Points at a real combined heart-disease CSV when given one; otherwise
 generates the synthetic stand-in first. On the stand-in the whole study
-took 59 s of wall time on a 2-CPU Xeon: 37 s of baseline grids, then 21 s
-of stack training and evaluation.
+took 59 s and 91 s of wall time in two runs on a 2-CPU Xeon, nearly two
+thirds of it in the baseline grids.
 """
 
 import argparse
