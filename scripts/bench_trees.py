@@ -4,12 +4,12 @@
     PYTHONPATH=src python3 scripts/bench_trees.py --src parent=DIR/src change=DIR/src ...
 
 The learners are random_forest, extra_trees, xgb_style, gbm and adaboost,
-each with ``n_estimators`` set to every ``--trees`` count, and one CART
-tree, which has no tree count. The data is the study's stand-in table,
-cleaned and split as the default config does; the fit uses the first 846
-training rows (nine tenths of the 940-row train split, one fold of the
-10-fold OOF stage) with the default hyperparameters apart from
-``n_estimators``; AdaBoost may stop before its count. Each (algorithm, tree
+each with ``n_estimators`` set to every ``--trees`` count, and CART,
+sgd_logistic and linear_svc, which have no tree count. The data is the
+study's stand-in table, cleaned and split as the default config does; the
+fit uses the first 846 training rows (nine tenths of the 940-row train
+split, one fold of the 10-fold OOF stage) with the default hyperparameters
+apart from ``n_estimators``; AdaBoost may stop before its count. Each (algorithm, tree
 count) runs ``--repeats`` times, each in a fresh process that loads the
 prepared rows and makes one warm-up fit (one tree on 50 rows), so that
 first-call costs are not counted. The script prints one JSON object with the
@@ -40,6 +40,7 @@ import numpy as np
 
 ROWS = 846
 ENSEMBLES = ("random_forest", "extra_trees", "xgb_style", "gbm", "adaboost")
+SINGLE_FITS = ("cart", "sgd_logistic", "linear_svc")  # no tree count
 
 
 def _prepare(path: Path) -> None:
@@ -54,7 +55,7 @@ def _prepare(path: Path) -> None:
 
 
 def _hyperparameters(algorithm: str, trees: int) -> dict:
-    return {} if algorithm == "cart" else {"n_estimators": trees}
+    return {} if algorithm in SINGLE_FITS else {"n_estimators": trees}
 
 
 def _child(data: str, algorithm: str, trees: int) -> None:
@@ -92,7 +93,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "fold.npz"
         _prepare(data)
-        cases = [(a, t, f"{a}-{t}") for t in args.trees for a in ENSEMBLES] + [("cart", 1, "cart")]
+        cases = ([(a, t, f"{a}-{t}") for t in args.trees for a in ENSEMBLES]
+                 + [(a, 1, a) for a in SINGLE_FITS])
         for algorithm, trees, name in cases:
             for _ in range(args.repeats):
                 for label, src in sources.items():

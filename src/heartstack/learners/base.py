@@ -174,7 +174,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 # naive_bayes variance of raw cholesterol, about 4e3). At 1e100, a product of
 # two parameters summed over thousands of terms stays near 1e204, far below
 # float64's 1.8e308, so scoring ordinary rows with a loaded model cannot
-# overflow into wrong labels.
+# overflow into wrong labels. A standardizer divides by its std, so a std must
+# be at least 1/PARAMETER_BOUND, which then scales a value no more than one
+# parameter does; fitted stds stay above 0.29 (a stack meta's column on the
+# stand-in; the smallest feature std over data seeds, splits and folds is 0.40).
 PARAMETER_BOUND = 1e100
 
 

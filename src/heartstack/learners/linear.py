@@ -39,21 +39,20 @@ def _sgd(X, y, loss: str, epochs: int, eta0: float, decay: float, l2: float, see
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
-    y_signed = 2.0 * y - 1.0
-    t = 0
     for epoch in range(epochs):
         order = stream(seed, "epoch", epoch).permutation(n)
-        for i in order:
-            eta = eta0 / (1.0 + decay * t)
-            t += 1
-            x = X[i]
-            margin = float(x @ w) + b
+        # Step t has eta0 / (1 + decay * t); each epoch's rows, targets and
+        # steps are taken at once, and the loop below runs on Python scalars.
+        etas = eta0 / (1.0 + decay * np.arange(epoch * n, (epoch + 1) * n, dtype=np.float64))
+        for x, target, eta in zip(X[order], y[order].tolist(), etas.tolist()):
+            margin = x.dot(w) + b
             if loss == "logistic":
                 p = 1.0 / (1.0 + np.exp(-margin)) if margin >= 0 else (
                     np.exp(margin) / (1.0 + np.exp(margin)))
-                gfac = p - y[i]
+                gfac = p - target
             else:  # hinge subgradient
-                gfac = -y_signed[i] if y_signed[i] * margin < 1.0 else 0.0
+                sign = 2 * target - 1
+                gfac = -sign if sign * margin < 1.0 else 0.0
             if l2:
                 w *= 1.0 - eta * l2
             if gfac:

@@ -8,10 +8,11 @@ the node's sums are accumulated with prefix sums along it, and every
 midpoint between consecutive distinct values is scored in one pass. The
 score is the impurity decrease (gini, entropy, or variance for gbm's
 residuals) or, for xgb_style, the second-order gain of Chen & Guestrin
-(arXiv:1603.02754, eq. 7). The root holds every row in the same order in
-every tree grown on one X, so ``SortedColumns`` sorts it once, as
-XGBoost's column blocks do (ibid., section 4.1), and boosting shares it
-across all stages of a fit.
+(arXiv:1603.02754, eq. 7). X is fixed within a fit, so a node's split path
+fixes its rows; ``SortedColumns`` sorts each node once and keeps it, as
+XGBoost's column blocks do for the root (ibid., section 4.1), and boosting
+shares it across all stages of a fit. The cache is interim, until a
+presorted level-wise engine keeps every node in order without it.
 
 ``grow_forest`` grows all classification trees of a forest as one stream of
 level steps. A step splits every active node, over all trees and whatever
@@ -229,36 +230,55 @@ def _impurity(a, b, wt, criterion):
 
 @dataclass(frozen=True, eq=False)
 class _SortedBlock:
-    """A node's candidate columns, one row per feature: each row's argsort
-    (``order``), its sorted values, and the cuts: the (row, position) index
-    pairs, in row-major order, after which a row's sorted value changes."""
+    """A node's candidate columns as the rows of a feature-major block V:
+    each row's argsort into V's columns (``order``) and the cuts, the flat
+    positions in ``order``, row-major, after which a row's sorted value
+    changes, both in the smallest integer type that holds them."""
 
+    V: np.ndarray
     order: np.ndarray
-    values: np.ndarray
-    cuts: tuple[np.ndarray, np.ndarray]
+    cuts: np.ndarray
 
 
 def _sort_block(V) -> _SortedBlock:
     """Sort each row of the feature-major (k, m) block V."""
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    order = np.argsort(V, axis=1)
-    values = np.take_along_axis(V, order, axis=1)
-    return _SortedBlock(order, values, np.nonzero(values[:, 1:] != values[:, :-1]))
+    m = V.shape[1]
+    order = np.argsort(V, axis=1).astype(np.min_scalar_type(m))
+    values = np.sort(V, axis=1).ravel()  # V through order, up to equal values
+    change = values[1:] != values[:-1]
+    change[m - 1::m] = False  # a row's last value against the next row's first
+    return _SortedBlock(V, order, np.flatnonzero(change).astype(np.min_scalar_type(V.size)))
 
 
 class SortedColumns:
     """X made ready for grow_tree: its transpose ``XT`` (one contiguous row
-    per feature) and the sorted block of the root, which holds every row in
-    index order. Boosting makes one per fit and grows every stage on it, so
-    the root is sorted once however many trees are grown. The root block is
-    sorted when a root that searches every feature first asks for it."""
+    per feature) and its nodes' sorted blocks, whose ``order`` holds row
+    indices of X. Boosting grows every stage of a fit on one. A node's split
+    path, a tuple of (feature, threshold, side) from the root ``()``, fixes
+    its rows, so a node that searches every feature is sorted when first
+    asked for and kept under its path; one on a feature subset is not kept."""
 
     def __init__(self, X):
         self.XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        self._nodes: dict[tuple, _SortedBlock] = {}
 
     @cached_property
     def root(self) -> _SortedBlock:
         return _sort_block(self.XT)
+
+    def node(self, path: tuple, rows, feats=None) -> _SortedBlock:
+        """The block of the node at ``path`` holding ``rows``, on every
+        feature or, uncached, on the feature subset ``feats``."""
+        if feats is not None:
+            block = _sort_block(self.XT[np.ix_(feats, rows)])
+            return _SortedBlock(self.XT[feats], rows.take(block.order), block.cuts)
+        if not path:
+            return self.root
+        if path not in self._nodes:
+            block = _sort_block(self.XT[:, rows])
+            rows = rows.astype(np.min_scalar_type(len(self.XT[0])))
+            self._nodes[path] = _SortedBlock(self.XT, rows.take(block.order), block.cuts)
+        return self._nodes[path]
 
 
 def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_positive=True,
@@ -269,15 +289,16 @@ def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_po
     Only cuts between distinct sorted values are scored. Each row's sums are
     prefix sums in its sort order, and the node totals are those of the
     first row. The cuts are in row-major order, so ties go to the lowest
-    feature, then the lowest threshold."""
-    f, c = block.cuts
-    if not len(f):
+    feature, then the lowest threshold. a, b and w are indexed as the
+    columns of the block's V."""
+    cuts = block.cuts
+    if not len(cuts):
         return None
-    cum_w = np.cumsum(w[block.order], axis=1)
-    lw = cum_w[f, c]
+    cum_w = np.cumsum(w.take(block.order), axis=1)
+    lw = cum_w.take(cuts)
     W = cum_w[0, -1]
-    cum_a = np.cumsum(a[block.order], axis=1)
-    la = cum_a[f, c]
+    cum_a = np.cumsum(a.take(block.order), axis=1)
+    la = cum_a.take(cuts)
     A = cum_a[0, -1]
     rw, ra = W - lw, A - la
     if criterion == "second_order":
@@ -287,9 +308,9 @@ def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_po
                           - parent_score) - gamma
     else:
         if criterion == "variance":
-            cum_b = np.cumsum(b[block.order], axis=1)
+            cum_b = np.cumsum(b.take(block.order), axis=1)
             B = cum_b[0, -1]
-            lb = cum_b[f, c]
+            lb = cum_b.take(cuts)
             rb = B - lb
         else:
             lb = rb = B = None
@@ -304,8 +325,9 @@ def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_po
         return None
     if require_positive and not best > 0.0:
         return None
-    row, cut = f[i], c[i]
-    threshold = (block.values[row, cut] + block.values[row, cut + 1]) / 2.0
+    row, cut = divmod(int(cuts[i]), block.order.shape[1])
+    lo, hi = block.V[row, block.order[row, cut:cut + 2]]
+    threshold = (lo + hi) / 2.0
     return int(feats[row]), float(threshold), float(best), float(la[i]), float(lw[i])
 
 
@@ -353,11 +375,12 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
 
     wt_root = float(w.sum()) if classes else 0.0
     w1_root = float(w[y == 1.0].sum()) if classes else 0.0
+    a, b = _target_sums(y, w, criterion)
     # Class sums ride along with each node so purity checks and leaf stats
-    # need no extra passes over the rows.
-    stack = [(0, np.arange(n), 0, w1_root, wt_root)]
+    # need no extra passes over the rows; the path keys the node's block.
+    stack = [(0, np.arange(n), 0, w1_root, wt_root, ())]
     while stack:
-        node, rows, depth, w1, wt = stack.pop()
+        node, rows, depth, w1, wt, path = stack.pop()
         if classes:
             pure = w1 <= 0.0 or w1 >= wt
         else:
@@ -373,16 +396,11 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
         subset = params.feature_subsample is not None and params.feature_subsample < d
         feats = (np.sort(rng.choice(d, size=params.feature_subsample, replace=False))
                  if subset else all_feats)
-        if node == 0 and not subset:
-            block = columns.root
-        else:
-            block = _sort_block(XT[np.ix_(feats, rows)] if subset else XT[:, rows])
-        wr = w[rows]
-        a, b = _target_sums(y[rows], wr, criterion)
+        block = columns.node(path, rows, feats if subset else None)
         # An impure class node keeps splitting even at zero impurity decrease
         # (parity patterns need the lookahead), so only depth, node size and
         # purity stop its growth; other nodes need a strictly positive score.
-        found = _split_exhaustive(block, feats, a, b, wr, criterion,
+        found = _split_exhaustive(block, feats, a, b, w, criterion,
                                   require_positive=not classes,
                                   reg_lambda=params.reg_lambda, gamma=params.gamma)
         if found is None:
@@ -393,8 +411,10 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
         left, right = tree.split(node, feature, threshold)
         go_left = XT[feature, rows] <= threshold
         # Push right first so the left child is grown first (stable rng order).
-        stack.append((right, rows[~go_left], depth + 1, w1 - left_w1, wt - left_wt))
-        stack.append((left, rows[go_left], depth + 1, left_w1, left_wt))
+        stack.append((right, rows[~go_left], depth + 1, w1 - left_w1, wt - left_wt,
+                      (*path, (feature, threshold, 1))))
+        stack.append((left, rows[go_left], depth + 1, left_w1, left_wt,
+                      (*path, (feature, threshold, 0))))
     return tree.block()
 
 

@@ -30,8 +30,8 @@ class Standardizer:
     def from_dict(cls, d: dict, n_features: int) -> "Standardizer":
         """Inverse of to_dict. Raises ValueError unless mean, std and constant
         hold n_features entries each, mean is finite and within the learned
-        parameters' bound and std is finite and positive."""
-        from .learners.base import finite_array  # learners.base imports this module
+        parameters' bound and std is finite and at least its inverse."""
+        from .learners.base import PARAMETER_BOUND, finite_array  # base imports this module
 
         mean = finite_array("standardizer mean", d["mean"], None)
         std = np.array(d["std"], dtype=np.float64)
@@ -39,8 +39,8 @@ class Standardizer:
         if not mean.shape == std.shape == constant.shape == (n_features,):
             raise ValueError(f"standardizer mean, std and constant must hold "
                              f"{n_features} entries each")
-        if not (np.isfinite(std) & (std > 0)).all():
-            raise ValueError("standardizer std must be finite and positive")
+        if not (np.isfinite(std) & (std >= 1 / PARAMETER_BOUND)).all():
+            raise ValueError(f"standardizer std must be finite and >= {1 / PARAMETER_BOUND:g}")
         return cls(mean, std, constant)
 
 

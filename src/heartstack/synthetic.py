@@ -435,10 +435,12 @@ def _generate(seed: int) -> Dataset:
         sd = v.std()
         return (v - v.mean()) / (sd if sd > 0 else 1.0)
 
-    def assign(name: str, grid, counts_by_class, special):
+    carriers = _special_carriers(rows_by_class, seed)
+
+    def assign(name: str, grid, counts_by_class):
         spec = COUPLINGS[name]
         values = np.zeros(N_ROWS)
-        reserved = _reserve_special_rows(name, special, rows_by_class, seed)
+        reserved = carriers.get(name, {})
         for c in (0, 1):
             rows = rows_by_class[c]
             held = reserved.get(c, {})
@@ -476,8 +478,8 @@ def _generate(seed: int) -> Dataset:
 
     pools = _pools()
     for name in ASSIGN_ORDER:
-        grid, c0, c1, special = pools[name]
-        assign(name, grid, {0: c0, 1: c1}, special)
+        grid, c0, c1, _ = pools[name]
+        assign(name, grid, {0: c0, 1: c1})
 
     # Round the st_depression grid arithmetic to one decimal.
     sd_col = col["st_depression"]
@@ -486,20 +488,17 @@ def _generate(seed: int) -> Dataset:
     return Dataset(X, y, Provenance(source=f"synthetic(seed={seed})"))
 
 
-def _reserve_special_rows(name, special, rows_by_class, seed):
-    """Pick one distinct carrier row per designated special value, spread
-    deterministically so no row carries two special values."""
-    reserved: dict[int, dict[int, float]] = {}
-    # Global ordering gives every special value a unique slot in its class.
-    slot_in_class: dict[int, int] = {0: 0, 1: 0}
+def _special_carriers(rows_by_class, seed):
+    """{feature: {class: {row: value}}}: one distinct carrier row per
+    designated special value, spread deterministically so no row carries two
+    special values. Each class's rows are permuted once per data seed, and
+    the global ordering gives every special value the next slot in its class."""
+    slots = {c: iter(rows[stream(seed, "special", c).permutation(len(rows))].tolist())
+             for c, rows in rows_by_class.items()}
+    carriers: dict[str, dict[int, dict[int, float]]] = {}
     for feat, cls, value in DOMAIN_INVALID + IQR_OUTLIERS:
-        rows = rows_by_class[cls]
-        slot = slot_in_class[cls]
-        slot_in_class[cls] += 1
-        row = int(rows[stream(seed, "special", cls).permutation(len(rows))[slot]])
-        if feat == name:
-            reserved.setdefault(cls, {})[row] = value
-    return reserved
+        carriers.setdefault(feat, {}).setdefault(cls, {})[next(slots[cls])] = value
+    return carriers
 
 
 def dataset_to_csv(ds: Dataset) -> str:

@@ -5,9 +5,11 @@ from conftest import random_classification
 from heartstack.errors import FitError
 from heartstack.learners import ALGORITHMS, LearnerSpec, fit
 from heartstack.learners.boosting import leaf_weight
-from heartstack.learners.linear import logistic_loss_and_grad
+from heartstack.learners.linear import _sgd, logistic_loss_and_grad
 from heartstack.learners.mlp import init_params, loss_and_grad
 from heartstack.learners.tree import tree_apply
+from heartstack.rng import stream
+from heartstack.standardize import fit_standardizer
 
 SMALL = {"random_forest": {"n_estimators": 15}, "extra_trees": {"n_estimators": 15},
          "gbm": {"n_estimators": 15}, "xgb_style": {"n_estimators": 15},
@@ -213,3 +215,53 @@ def test_prediction_schema_width_checked(train_data):
     model = fit(small_spec("cart"), X, y)
     with pytest.raises(FitError, match="features"):
         model.predict(np.zeros((3, X.shape[1] + 1)))
+
+
+def loop_sgd(X, y, loss, epochs, eta0, decay, l2, seed):
+    """The per-step SGD loop that _sgd replaced, kept as its oracle."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    y_signed = 2.0 * y - 1.0
+    t = 0
+    for epoch in range(epochs):
+        order = stream(seed, "epoch", epoch).permutation(n)
+        for i in order:
+            eta = eta0 / (1.0 + decay * t)
+            t += 1
+            x = X[i]
+            margin = float(x @ w) + b
+            if loss == "logistic":
+                p = 1.0 / (1.0 + np.exp(-margin)) if margin >= 0 else (
+                    np.exp(margin) / (1.0 + np.exp(margin)))
+                gfac = p - y[i]
+            else:  # hinge subgradient
+                gfac = -y_signed[i] if y_signed[i] * margin < 1.0 else 0.0
+            if l2:
+                w *= 1.0 - eta * l2
+            if gfac:
+                w -= (eta * gfac) * x
+                b -= eta * gfac
+    return w, b
+
+
+@pytest.mark.parametrize("loss", ["logistic", "hinge"])
+@pytest.mark.parametrize("d", [1, 4, 11])
+@pytest.mark.parametrize("meta", [False, True])
+def test_sgd_equals_per_step_loop(loss, d, meta):
+    rng = np.random.default_rng(100 * d + meta)
+    n = 97
+    y = rng.integers(0, 2, n)
+    if meta:
+        # Like the stack meta's input: standardized base probabilities, with
+        # ties, exact 0 and 1, and columns that mostly agree with y.
+        p = np.clip(y[:, None] * 0.6 + rng.uniform(0.0, 0.6, (n, d)), 0.0, 1.0)
+        X = fit_standardizer(np.round(p, 2)).apply(np.round(p, 2))
+    else:
+        X = rng.normal(size=(n, d))
+    for l2 in (0.0, 1e-4):
+        for decay in (0.0, 0.002):
+            want = loop_sgd(X, y, loss, 4, 0.5, decay, l2, 7)
+            got = _sgd(X, y, loss, 4, 0.5, decay, l2, 7)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()

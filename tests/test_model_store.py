@@ -260,6 +260,7 @@ STANDARDIZER_MUTATIONS = {
     "std_negative": lambda s: s["std"].__setitem__(0, -1.0),
     "std_infinite": lambda s: s["std"].__setitem__(0, float("inf")),
     "std_nan": lambda s: s["std"].__setitem__(0, float("nan")),
+    "std_tiny": lambda s: s["std"].__setitem__(0, 1e-300),
     "nested": lambda s: s.__setitem__("mean", [s["mean"]]),
 }
 

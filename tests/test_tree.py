@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from heartstack.cleaning import clean
+from heartstack.config import DEFAULT_SEED
+from heartstack.learners import LearnerSpec, boosting, fit
+from heartstack.learners import tree as tree_module
 from heartstack.learners.tree import (
     GrowParams,
     SortedColumns,
@@ -18,7 +22,11 @@ from heartstack.learners.tree import (
     grow_tree,
     tree_apply,
 )
+from heartstack.model_selection import k_fold_plan
+from heartstack.model_store import save_model
 from heartstack.rng import stream
+from heartstack.splitting import stratified_split
+from heartstack.synthetic import generate_dataset
 
 
 def scalar_impurity(labels, weights, criterion):
@@ -353,6 +361,88 @@ def test_root_block_is_sorted_only_when_the_root_searches_every_feature():
     assert "root" not in vars(columns)
     grow_tree(columns, y, GrowParams(max_depth=2))
     assert "root" in vars(columns)
+
+
+class UncachedColumns(SortedColumns):
+    """SortedColumns that forgets every sorted block before each lookup, so
+    each node of each tree is sorted anew, as before the node cache."""
+
+    lookups = 0
+
+    def node(self, path, rows, feats=None):
+        UncachedColumns.lookups += 1
+        self._nodes.clear()
+        vars(self).pop("root", None)
+        return super().node(path, rows, feats)
+
+
+def tie_heavy_data(seed, n=300, d=6):
+    """Coded and one-decimal features with many tied values."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 5, size=(n, d)) / 2.0
+    X[:, 0] = np.round(rng.normal(size=n), 1)
+    y = (X[:, 0] + X[:, 1] - X[:, 2] + rng.normal(scale=0.8, size=n) > 0.5).astype(np.int64)
+    return X, y
+
+
+NODE_CACHE_CASES = [
+    ("xgb_style", {"n_estimators": 60}),
+    ("gbm", {"n_estimators": 60}),
+    ("adaboost", {"n_estimators": 20}),
+    ("cart", {}),
+    ("cart", {"max_features": "sqrt"}),  # nodes on a feature subset are not cached
+]
+
+
+@pytest.mark.parametrize("algorithm, hyper", NODE_CACHE_CASES)
+def test_node_cache_leaves_model_documents_unchanged(algorithm, hyper, monkeypatch):
+    X, y = tie_heavy_data(33)
+    spec = LearnerSpec(algorithm, hyper, seed=5)
+    cached = save_model(fit(spec, X, y))
+    monkeypatch.setattr(tree_module, "SortedColumns", UncachedColumns)
+    monkeypatch.setattr(boosting, "SortedColumns", UncachedColumns)
+    monkeypatch.setattr(UncachedColumns, "lookups", 0)
+    assert save_model(fit(spec, X, y)) == cached
+    assert UncachedColumns.lookups > 0
+
+
+@pytest.mark.parametrize("algorithm", ["xgb_style", "gbm"])
+def test_each_node_path_is_sorted_once_per_fit(algorithm, monkeypatch):
+    X, y = tie_heavy_data(34)
+    sorts, paths = [], []
+    sort_block, node = tree_module._sort_block, SortedColumns.node
+
+    def counted_sort(V):
+        sorts.append(V.shape)
+        return sort_block(V)
+
+    def recorded_node(self, path, rows, feats=None):
+        paths.append(path)
+        return node(self, path, rows, feats)
+
+    monkeypatch.setattr(tree_module, "_sort_block", counted_sort)
+    monkeypatch.setattr(SortedColumns, "node", recorded_node)
+    fit(LearnerSpec(algorithm, {"n_estimators": 60}), X, y)
+    assert len(sorts) == len(set(paths)) < len(paths) / 2
+
+
+def test_node_cache_of_a_fold_fit_is_compact(monkeypatch):
+    """About 4 bytes per cached value; float sorted blocks would hold 8.9 MB."""
+    cleaned, _ = clean(generate_dataset(), "iqr", 1.5)
+    train = stratified_split(cleaned, 0.8, DEFAULT_SEED).train
+    rows = k_fold_plan(len(train.y), 10, DEFAULT_SEED, stratify_by=train.y).train_rows(0)
+    made = []
+
+    def recorded_columns(X):
+        made.append(SortedColumns(X))
+        return made[-1]
+
+    monkeypatch.setattr(boosting, "SortedColumns", recorded_columns)
+    fit(LearnerSpec("xgb_style", {"n_estimators": 100}), train.X[rows], train.y[rows])
+    (columns,) = made
+    blocks = [columns.root, *columns._nodes.values()]
+    assert len(blocks) > 100
+    assert sum(b.order.nbytes + b.cuts.nbytes for b in blocks) <= 1.5e6
 
 
 def all_positions_cuts(V, keys, seg, starts, w, a, a1, wt, parent, criterion):
