@@ -6,6 +6,7 @@
     python3 scripts/bench_pairs.py ... traced --workload train [--seed 1]
     python3 scripts/bench_pairs.py ... tier1
     python3 scripts/bench_pairs.py ... generate [--seed 77] [--pairs 10]
+    python3 scripts/bench_pairs.py ... trees [--trees 25 100 500] [--repeats 5]
 
 ``perfbench`` runs ``python3 perfbench/run.py`` in each checkout,
 alternating the side that goes first per pair, and stores every run's
@@ -14,8 +15,9 @@ change is better and the change of the medians. ``traced`` stores one
 ``--trace 1`` run per side. ``tier1`` times the tier-1 test command in
 each checkout. ``generate`` times, in a fresh process per run and in pairs
 like ``perfbench``, the import of ``heartstack.synthetic``, one
-``generate_dataset`` call and the whole process. Each mode adds its section
-to ``--out`` and keeps the others.
+``generate_dataset`` call and the whole process. ``trees`` stores the
+output of ``scripts/bench_trees.py --src`` over both checkouts' sources.
+Each mode adds its section to ``--out`` and keeps the others.
 """
 
 from __future__ import annotations
@@ -105,6 +107,15 @@ def traced(args, dirs) -> dict:
             for side in SIDES}
 
 
+def trees(args, dirs) -> dict:
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("bench_trees.py")),
+                           "--trees", *map(str, args.trees), "--repeats", str(args.repeats),
+                           "--src", *(f"{s}={dirs[s] / 'src'}" for s in SIDES)],
+                          env={**os.environ, "PYTHONPATH": str(dirs["change"] / "src")},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def tier1(args, dirs) -> dict:
     out = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:])}
     for side in SIDES:
@@ -137,6 +148,9 @@ def main(argv=None) -> int:
     gen = modes.add_parser("generate")
     gen.add_argument("--seed", type=int, default=77)
     gen.add_argument("--pairs", type=int, default=10)
+    tree_fits = modes.add_parser("trees")
+    tree_fits.add_argument("--trees", type=int, nargs="+", default=[25, 100, 500])
+    tree_fits.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -147,6 +161,8 @@ def main(argv=None) -> int:
         record.setdefault("traced", {})[args.workload] = traced(args, dirs)
     elif args.mode == "generate":
         record["generate"] = generate(args, dirs)
+    elif args.mode == "trees":
+        record["trees"] = trees(args, dirs)
     else:
         record["tier1"] = tier1(args, dirs)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
