@@ -16,7 +16,11 @@ kernel that sorted every node, the root included, once per tree. The
 forest fold digests (25 trees, default hyperparameters otherwise) were
 recorded while the forest engine still grew its trees in fixed passes, each
 run until its deepest tree was done, and scored every pair position of a
-level as a cut.
+level as a cut. The same fold fits' probabilities on the fold's held-out
+rows are pinned too (``FOLD_PROBA_SHA256``), so a change of the document
+format must leave every prediction bit-identical.
+
+``scripts/record_digests.py`` prints every digest set for a checkout.
 """
 
 import hashlib
@@ -113,15 +117,35 @@ FOREST_FOLD_DOC_SHA256 = {
     "random_forest-0": "e3d7c8d5eab2c9b5f281e44bb3926f4e41fea0081108caae73e672fee25f90b3",
     "random_forest-7": "8a7a23e2ff30d007e5634eba2a73345fb8222294999622ee8b8b60cac1e49de3",
 }
+FOLD_PROBA_SHA256 = {
+    "adaboost-0": "50b8bb2de5d6a59716f90c8033ee76515aef5abd3a8be744221310bc6094f7d1",
+    "adaboost-7": "238be725b3f0250cba5762f9a31b7257fff70303b597f41c7b650e0306134da2",
+    "cart-0": "a7f1c84cd3adf7ae5b8eb8499aabc98a475047d7a7e49eb019b2e81db3fa1b27",
+    "cart-7": "f15813171eacff6a7723b0ea34a7365bdc7b16f2213a42a9568a1e68ff8021f9",
+    "cart-sqrt_features-0": "47885cc4dd66a8157178d839f707671d7e0cfd8d17ed11b4e27797688d5a6996",
+    "cart-sqrt_features-7": "6a14a9154dc9d7506e3e0a95d0434bb131b50cdd0d8cf092e0fffae05b5d875c",
+    "extra_trees-0": "de65defecba93f8b67e9c41cb3e217b42b0354e3e939528f55c20685396e20d9",
+    "extra_trees-7": "1e67046378abbdea55376fc1af313e5c488aaf31022fc7350e5e153d6913ac32",
+    "gbm-0": "b8fae523dbe43b6f1f1c726883a01bc182f6474299e6186309bce722ad32122d",
+    "gbm-7": "f05c13f86c0100d4c3689ab21a4f904c5b426a69655f5fda76c251d9be7ed80f",
+    "random_forest-0": "369f15d8d7966144b1c356ecdeb883f8b85a57bd1e52153e4fd4ebf503dcba05",
+    "random_forest-7": "4fb8e89dddeda519435c4dc774d3b3b9838669966cd6cb8f764d0dd517ca0abd",
+    "xgb_style-0": "9f363404989879d91aa5934e61d854b7069b9eaa877decdaceb15280c3c0cfe7",
+    "xgb_style-7": "75e42928a076cce04a600be222ed21c7e3932b1158867accfd1634c920d1c704",
+}
 
 
-@pytest.fixture(scope="module")
-def forest_data():
+def make_forest_data():
     rng = np.random.default_rng(846)
     X, y = random_classification(rng, 300, 11)
     X[:, :4] = np.round(X[:, :4], 1)  # tied values exercise the midpoint rule
     X[:, 4] = rng.integers(0, 4, 300)  # a coded feature with four levels
     return X, y
+
+
+@pytest.fixture(scope="module")
+def forest_data():
+    return make_forest_data()
 
 
 def trees_digest(trees) -> str:
@@ -131,19 +155,26 @@ def trees_digest(trees) -> str:
     return h.hexdigest()
 
 
+def forest_trees_digest(case, data) -> str:
+    algorithm, hyper = CASES[case]
+    return trees_digest(fit(LearnerSpec(algorithm, {"n_estimators": 10, **hyper}, seed=5),
+                            *data).trees)
+
+
+def dfs_trees_digest(case, data) -> str:
+    algorithm, hyper = DFS_CASES[case]
+    model = fit(LearnerSpec(algorithm, hyper, seed=5), *data)
+    return trees_digest(model.stumps if algorithm == "adaboost" else model.trees)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_forest_trees_digest(case, forest_data):
-    algorithm, hyper = CASES[case]
-    model = fit(LearnerSpec(algorithm, {"n_estimators": 10, **hyper}, seed=5), *forest_data)
-    assert trees_digest(model.trees) == TREES_SHA256[case]
+    assert forest_trees_digest(case, forest_data) == TREES_SHA256[case]
 
 
 @pytest.mark.parametrize("case", sorted(DFS_CASES))
 def test_dfs_trees_digest(case, forest_data):
-    algorithm, hyper = DFS_CASES[case]
-    model = fit(LearnerSpec(algorithm, hyper, seed=5), *forest_data)
-    trees = model.stumps if algorithm == "adaboost" else model.trees
-    assert trees_digest(trees) == DFS_TREES_SHA256[case]
+    assert dfs_trees_digest(case, forest_data) == DFS_TREES_SHA256[case]
 
 
 @pytest.mark.parametrize("algorithm", ["random_forest", "extra_trees"])
@@ -181,28 +212,44 @@ def test_trees_do_not_depend_on_the_pair_cap(mode, bootstrap, case, forest_data,
             assert np.array_equal(getattr(trees, name), getattr(grown[0], name))
 
 
-@pytest.fixture(scope="module")
-def study_folds():
+def make_study_folds():
+    """Per fold of FOLDS: its training rows, labels and held-out rows."""
     cleaned, _ = clean(generate_dataset(), "iqr", 1.5)
     train = stratified_split(cleaned, 0.8, DEFAULT_SEED).train
     plan = k_fold_plan(len(train.y), 10, DEFAULT_SEED, stratify_by=train.y)
-    return {fold: (train.X[plan.train_rows(fold)], train.y[plan.train_rows(fold)])
+    return {fold: (train.X[plan.train_rows(fold)], train.y[plan.train_rows(fold)],
+                   train.X[plan.test_rows(fold)])
             for fold in FOLDS}
+
+
+@pytest.fixture(scope="module")
+def study_folds():
+    return make_study_folds()
+
+
+def fold_digests(algorithm, hyper, fold_data) -> tuple[str, str]:
+    """The sha256 of one fold fit's save_model document and of its
+    predict_proba bytes on the fold's held-out rows. The document's
+    "created" stamp reads SOURCE_DATE_EPOCH, which must be unset."""
+    X, y, held_out = fold_data
+    model = fit(LearnerSpec(algorithm, hyper, seed=DEFAULT_SEED), X, y)
+    proba = np.ascontiguousarray(model.predict_proba(held_out))
+    return hashlib.sha256(save_model(model)).hexdigest(), hashlib.sha256(proba).hexdigest()
 
 
 @pytest.mark.parametrize("fold", FOLDS)
 @pytest.mark.parametrize("case", sorted(FOLD_CASES))
 def test_dfs_fold_document_digest(case, fold, study_folds, monkeypatch):
-    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)  # the document's "created" stamp
-    algorithm, hyper = FOLD_CASES[case]
-    model = fit(LearnerSpec(algorithm, hyper, seed=DEFAULT_SEED), *study_folds[fold])
-    assert hashlib.sha256(save_model(model)).hexdigest() == FOLD_DOC_SHA256[f"{case}-{fold}"]
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    doc, proba = fold_digests(*FOLD_CASES[case], study_folds[fold])
+    assert doc == FOLD_DOC_SHA256[f"{case}-{fold}"]
+    assert proba == FOLD_PROBA_SHA256[f"{case}-{fold}"]
 
 
 @pytest.mark.parametrize("fold", FOLDS)
 @pytest.mark.parametrize("case", sorted(FOREST_FOLD_CASES))
 def test_forest_fold_document_digest(case, fold, study_folds, monkeypatch):
-    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)  # the document's "created" stamp
-    algorithm, hyper = FOREST_FOLD_CASES[case]
-    model = fit(LearnerSpec(algorithm, hyper, seed=DEFAULT_SEED), *study_folds[fold])
-    assert hashlib.sha256(save_model(model)).hexdigest() == FOREST_FOLD_DOC_SHA256[f"{case}-{fold}"]
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    doc, proba = fold_digests(*FOREST_FOLD_CASES[case], study_folds[fold])
+    assert doc == FOREST_FOLD_DOC_SHA256[f"{case}-{fold}"]
+    assert proba == FOLD_PROBA_SHA256[f"{case}-{fold}"]

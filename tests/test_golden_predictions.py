@@ -51,13 +51,17 @@ STAGED_SHA256 = {
 }
 
 
-@pytest.fixture(scope="module")
-def golden_data():
+def make_golden_data():
     rng = np.random.default_rng(4242)
     X, y = random_classification(rng, 150, 6)
     X[:, :3] = np.round(X[:, :3], 1)  # tied values exercise the midpoint rule
     queries = np.round(rng.normal(size=(200, 6)), 2)
     return X, y, queries
+
+
+@pytest.fixture(scope="module")
+def golden_data():
+    return make_golden_data()
 
 
 def _digest(arrays) -> str:
@@ -67,15 +71,23 @@ def _digest(arrays) -> str:
     return h.hexdigest()
 
 
+def proba_digest(algorithm, data) -> str:
+    X, y, queries = data
+    model = fit(LearnerSpec(algorithm, SPECS[algorithm], seed=5), X, y)
+    return _digest([model.predict_proba(queries)])
+
+
+def staged_digest(algorithm, data) -> str:
+    X, y, queries = data
+    model = fit(LearnerSpec(algorithm, SPECS[algorithm], seed=5), X, y)
+    return _digest(model.staged_proba(queries, CHECKPOINTS))
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_predict_proba_digest(algorithm, golden_data):
-    X, y, queries = golden_data
-    model = fit(LearnerSpec(algorithm, SPECS[algorithm], seed=5), X, y)
-    assert _digest([model.predict_proba(queries)]) == PROBA_SHA256[algorithm]
+    assert proba_digest(algorithm, golden_data) == PROBA_SHA256[algorithm]
 
 
 @pytest.mark.parametrize("algorithm", sorted(STAGEABLE))
 def test_staged_proba_digest(algorithm, golden_data):
-    X, y, queries = golden_data
-    model = fit(LearnerSpec(algorithm, SPECS[algorithm], seed=5), X, y)
-    assert _digest(model.staged_proba(queries, CHECKPOINTS)) == STAGED_SHA256[algorithm]
+    assert staged_digest(algorithm, golden_data) == STAGED_SHA256[algorithm]
