@@ -13,7 +13,7 @@ from .base import (
     sigmoid,
 )
 from .bayes import NaiveBayesModel, fit_naive_bayes
-from .boosting import AdaboostModel, fit_adaboost, fit_gbm, fit_xgb
+from .boosting import fit_adaboost, fit_gbm, fit_xgb
 from .forest import TreeEnsembleModel, fit_cart, fit_extra_trees, fit_random_forest
 from .linear import LinearModel, fit_linear_svc, fit_sgd_logistic, logistic_loss_and_grad
 from .mlp import MlpModel, fit_mlp
@@ -27,7 +27,7 @@ LEARNERS = {
     "extra_trees": (fit_extra_trees, TreeEnsembleModel),
     "gbm": (fit_gbm, TreeEnsembleModel),
     "xgb_style": (fit_xgb, TreeEnsembleModel),
-    "adaboost": (fit_adaboost, AdaboostModel),
+    "adaboost": (fit_adaboost, TreeEnsembleModel),
     "knn": (fit_knn, KnnModel),
     "naive_bayes": (fit_naive_bayes, NaiveBayesModel),
     "sgd_logistic": (fit_sgd_logistic, LinearModel),
@@ -59,6 +59,6 @@ __all__ = [
     "LearnerSpec", "TrainedModel", "fit",
     "best_split", "grow_tree", "tree_apply", "GrowParams", "TreeBlock",
     "LEARNERS", "sigmoid", "logistic_loss_and_grad",
-    "TreeEnsembleModel", "AdaboostModel",
+    "TreeEnsembleModel",
     "KnnModel", "NaiveBayesModel", "LinearModel", "MlpModel",
 ]

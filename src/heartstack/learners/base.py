@@ -178,6 +178,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 # be at least 1/PARAMETER_BOUND, which then scales a value no more than one
 # parameter does; fitted stds stay above 0.29 (a stack meta's column on the
 # stand-in; the smallest feature std over data seeds, splits and folds is 0.40).
+# The two bounds do not compose: a mean of 1e100 over a std of 1e-100 shifts
+# every standardized value by 1e200, and squared k-NN distances overflow. So
+# |mean| / std, the standardized shift, must stay within PARAMETER_BOUND too;
+# fitted features give a few units.
 PARAMETER_BOUND = 1e100
 
 

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from ..errors import FitError
-from .base import LearnerSpec, TrainedModel, finite_array, sigmoid
+from .base import LearnerSpec, sigmoid
 from .forest import TreeEnsembleModel
-from .tree import GrowParams, SortedColumns, TreeBlock, grow_tree, tree_apply
+from .tree import GrowParams, SortedColumns, TreeBlock, grow_tree
 from .tree import leaf_weight  # noqa: F401  (xgb_style's leaf formula, importable from here too)
+from .tree import tree_apply  # noqa: F401  (perfbench's tracer times boosting.tree_apply)
 
 # Stumps with weighted error at or above chance end AdaBoost; a perfect
 # stump gets its weight from this floored error instead of infinity.
@@ -67,43 +69,10 @@ def fit_xgb(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), 0.0, lr)
 
 
-class AdaboostModel(TrainedModel):
-    """Reweighted depth-1 stumps with a weighted-majority output.
-
-    The probability is sigmoid(2 * s) where s is the alpha-weighted mean
-    vote in [-1, 1], so thresholding at 0.5 reproduces the weighted
-    majority label.
-    """
-
-    def __init__(self, spec, n_features_in, stumps: TreeBlock, alphas: list[float]):
-        super().__init__(spec, n_features_in)
-        self.stumps = stumps
-        self.alphas = alphas
-
-    def decision(self, X) -> np.ndarray:
-        total = np.zeros(X.shape[0])
-        alpha_sum = sum(self.alphas)
-        if alpha_sum == 0.0:
-            return total
-        for leaf, alpha in zip(tree_apply(self.stumps, X), self.alphas):
-            votes = np.where(leaf >= 0.5, 1.0, -1.0)
-            total += alpha * votes
-        return total / alpha_sum
-
-    def _proba(self, X):
-        return sigmoid(2.0 * self.decision(X))
-
-    def params_payload(self):
-        return {"stumps": self.stumps.to_dict(), "alphas": list(self.alphas)}
-
-    @classmethod
-    def from_payload(cls, spec, n_features_in, payload):
-        stumps = TreeBlock.from_dict(payload["stumps"], n_features_in)
-        alphas = finite_array("adaboost alphas", payload["alphas"], (stumps.n_trees,)).tolist()
-        return cls(spec, n_features_in, stumps, alphas)
-
-
-def fit_adaboost(spec: LearnerSpec, X, y) -> AdaboostModel:
+def fit_adaboost(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
+    """Reweighted depth-1 stumps. Each stump's leaves hold its weight alpha
+    signed by their weighted-majority vote: +alpha for class 1 and -alpha
+    for class 0."""
     p = spec.resolved()
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
@@ -111,7 +80,6 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> AdaboostModel:
     fitted = np.empty(n)
     columns = SortedColumns(X)  # a stump splits only its root
     stumps: list[TreeBlock] = []
-    alphas: list[float] = []
     for _ in range(p["n_estimators"]):
         stump = grow_tree(columns, y, params, w=w, fitted=fitted)
         pred = (fitted >= 0.5).astype(np.int64)
@@ -122,10 +90,10 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> AdaboostModel:
             break
         err = max(err, _ADA_EPS)
         alpha = math.log((1.0 - err) / err)
-        stumps.append(stump)
-        alphas.append(alpha)
+        vote = np.where(stump.value >= 0.5, alpha, -alpha)
+        stumps.append(dataclasses.replace(stump, value=np.where(stump.left == -1, vote, 0.0)))
         if err <= _ADA_EPS:
             break  # perfect stump; further rounds cannot change the vote
         w *= np.exp(alpha * (pred != y))
         w /= w.sum()
-    return AdaboostModel(spec, X.shape[1], TreeBlock.concat(stumps), alphas)
+    return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(stumps))

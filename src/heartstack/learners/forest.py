@@ -1,5 +1,5 @@
 """Single CART trees, the two tree forests, and the tree-ensemble model
-that also serves the boosted ensembles."""
+that also serves the boosted ensembles and AdaBoost."""
 
 from __future__ import annotations
 
@@ -18,8 +18,13 @@ class TreeEnsembleModel(TrainedModel):
     cart, random_forest and extra_trees output the mean leaf value; for the
     forests that is the probability-weighted majority vote. gbm and
     xgb_style output sigmoid(init_score + sum of learning_rate * leaf), with
-    an init_score of 0 for xgb_style. Leaves are added one tree at a time,
-    in tree order.
+    an init_score of 0 for xgb_style. AdaBoost's leaves are +-alpha, its
+    stump's weight, and it outputs sigmoid(2 * total / alpha_sum): the
+    alpha-weighted mean vote, in [-1, 1], so thresholding at 0.5 gives the
+    weighted majority label. A stump's alpha is the largest |value| of its
+    nodes, and alpha_sum adds them in tree order; a document whose alphas
+    are all 0 scores 0.5. Leaves are added one tree at a time, in tree
+    order.
     """
 
     def __init__(self, spec, n_features_in, trees: TreeBlock,
@@ -48,6 +53,10 @@ class TreeEnsembleModel(TrainedModel):
         return out
 
     def _link(self, total, n_trees: int) -> np.ndarray:
+        if self.spec.algorithm == "adaboost":
+            alphas = np.maximum.reduceat(np.abs(self.trees.value), self.trees.roots)
+            alpha_sum = sum(alphas[:n_trees].tolist())
+            return sigmoid(2.0 * (total / alpha_sum if alpha_sum else np.zeros_like(total)))
         return sigmoid(total) if self.boosted else total / n_trees
 
     def decision(self, X) -> np.ndarray:

@@ -44,8 +44,8 @@ from .base import finite_array
 CLASS_CRITERIA = ("gini", "entropy")
 CRITERIA = CLASS_CRITERIA + ("variance",)
 
-_FIELDS = ("feature", "threshold", "left", "right", "value", "roots")  # TreeBlock's, in order
-_INDEX_FIELDS = ("feature", "left", "right", "roots")
+_FIELDS = ("feature", "threshold", "left", "value", "roots")  # TreeBlock's, in order
+_INDEX_FIELDS = ("feature", "left", "roots")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,16 +53,17 @@ class TreeBlock:
     """The nodes of one or more trees as parallel arrays.
 
     Node i is a leaf when ``left[i] == -1`` and then predicts ``value[i]``
-    (class-1 probability, mean residual or boosting leaf weight). Otherwise
-    rows with ``x[feature[i]] <= threshold[i]`` continue at ``left[i]`` and
-    the others at ``right[i]``. Every child is numbered after its parent,
-    so each walk from a root ends. Tree t starts at node ``roots[t]``.
+    (class-1 probability, mean residual, boosting leaf weight, or AdaBoost's
+    vote times its stump's weight). Otherwise rows with
+    ``x[feature[i]] <= threshold[i]`` continue at ``left[i]`` and the others
+    at its sibling ``left[i] + 1``. Every child is numbered after its
+    parent, so each walk from a root ends. Tree t starts at node
+    ``roots[t]``.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     roots: np.ndarray
 
@@ -94,14 +95,12 @@ class TreeBlock:
         n = len(arrays["feature"])
         if any(len(arrays[name]) != n for name in _FIELDS[:-1]):
             raise ValueError("tree arrays differ in length")
-        left, right = arrays["left"], arrays["right"]
+        left = arrays["left"]
         inner = left != -1
-        if not np.array_equal(inner, right != -1):
-            raise ValueError("a tree node has a single child")
-        parent = np.flatnonzero(inner)
-        for child in (left[inner], right[inner]):
-            if ((child <= parent) | (child >= n)).any():
-                raise ValueError("a child node is out of range or not after its parent")
+        # The right child, left + 1, must be in range too (as left >= n - 1,
+        # which cannot overflow).
+        if ((left[inner] <= np.flatnonzero(inner)) | (left[inner] >= n - 1)).any():
+            raise ValueError("a child node is out of range or not after its parent")
         feature = arrays["feature"][inner]
         if ((feature < 0) | (feature >= n_features)).any():
             raise ValueError("a split feature is out of range")
@@ -123,7 +122,7 @@ def _join(parts: list[dict]) -> TreeBlock:
     joined = {}
     for name in _FIELDS:
         arrays = [p.pop(name) for p in parts]
-        if name in ("left", "right", "roots"):
+        if name in ("left", "roots"):
             arrays = [np.where(a == -1, a, a + off) for a, off in zip(arrays, offsets)]
         joined[name] = np.concatenate(arrays)
     return TreeBlock(**joined)
@@ -138,27 +137,28 @@ def _flat_array(name, values, integer: bool) -> np.ndarray:
 
 
 class TreeBuilder:
-    """One tree being grown, as [feature, threshold, left, right, value]
-    node records. Node 0 is the root, and a split appends its two children,
-    so each child is numbered after its parent."""
+    """One tree being grown, as [feature, threshold, left, value] node
+    records. Node 0 is the root, and a split appends its two children, so
+    each child is numbered after its parent and the right one follows the
+    left."""
 
     def __init__(self):
-        self.nodes = [[-1, 0.0, -1, -1, 0.0]]
+        self.nodes = [[-1, 0.0, -1, 0.0]]
 
     def split(self, node: int, feature: int, threshold: float) -> tuple[int, int]:
         left = len(self.nodes)
-        self.nodes[node][:4] = feature, threshold, left, left + 1
-        self.nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+        self.nodes[node][:3] = feature, threshold, left
+        self.nodes += [[-1, 0.0, -1, 0.0], [-1, 0.0, -1, 0.0]]
         return left, left + 1
 
     def leaf(self, node: int, value: float) -> None:
-        self.nodes[node][4] = value
+        self.nodes[node][3] = value
 
     def block(self) -> TreeBlock:
-        feature, threshold, left, right, value = zip(*self.nodes)
+        feature, threshold, left, value = zip(*self.nodes)
         return TreeBlock(np.array(feature, dtype=np.intp), np.array(threshold),
-                         np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-                         np.array(value), np.zeros(1, dtype=np.intp))
+                         np.array(left, dtype=np.intp), np.array(value),
+                         np.zeros(1, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -622,10 +622,7 @@ class _NodeRecords:
             field[place] = fields[i][:size]
             fields[i] = None
             moved.append(field)
-        feature, threshold, left, value = moved
-        right = left + 1
-        right[left == -1] = -1
-        return TreeBlock(feature, threshold, left, right, value, roots)
+        return TreeBlock(*moved, roots)
 
 
 def _siblings(left, right) -> np.ndarray:
@@ -731,7 +728,8 @@ def tree_apply(trees: TreeBlock, X) -> np.ndarray:
     leaf = trees.left == -1
     index = np.arange(trees.n_nodes)
     # Right children, then left ones; a leaf is its own child on both sides.
-    child = np.concatenate((np.where(leaf, index, trees.right), np.where(leaf, index, trees.left)))
+    child = np.concatenate((np.where(leaf, index, trees.left + 1),
+                            np.where(leaf, index, trees.left)))
     feature = np.where(leaf, 0, trees.feature)
     out = np.empty((trees.n_trees, n))
     chunk = max(1, _PAIRS_PER_CHUNK // trees.n_trees)

@@ -5,9 +5,12 @@ models and stacks: top-level keys are format_version, created, kind, schema
 and payload. Numbers are written with full round-trippable precision, and
 documents are pure data; loading never executes anything beyond parsing.
 
-Format 2 stores each tree model's nodes as flat parallel lists (see
-``TreeBlock``), which ``load_model`` checks before any row is scored.
-Format 1 documents, with nested tree nodes, are rejected.
+Format 3 stores each tree model's nodes as flat parallel lists (see
+``TreeBlock``), which ``load_model`` checks before any row is scored; an
+inner node's right child is its left child plus one, and AdaBoost's stumps
+carry their weights in their leaves. Format 1 documents, with nested tree
+nodes, and format 2 documents, with a stored right-child list and a
+separate AdaBoost weight list, are rejected.
 
 The ``created`` stamp honours SOURCE_DATE_EPOCH and otherwise falls back to
 a fixed epoch so that repeated pipeline runs stay byte-identical.
@@ -27,7 +30,7 @@ from .schema import CANONICAL_SCHEMA, TARGET_ALIASES, schema_fingerprint
 from .stacking import BaseSelectionReport, StackedModel
 from .standardize import Standardizer
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _created_stamp() -> str:

@@ -30,7 +30,8 @@ class Standardizer:
     def from_dict(cls, d: dict, n_features: int) -> "Standardizer":
         """Inverse of to_dict. Raises ValueError unless mean, std and constant
         hold n_features entries each, mean is finite and within the learned
-        parameters' bound and std is finite and at least its inverse."""
+        parameters' bound, std is finite and at least its inverse, and
+        |mean| / std is within the bound too."""
         from .learners.base import PARAMETER_BOUND, finite_array  # base imports this module
 
         mean = finite_array("standardizer mean", d["mean"], None)
@@ -41,6 +42,8 @@ class Standardizer:
                              f"{n_features} entries each")
         if not (np.isfinite(std) & (std >= 1 / PARAMETER_BOUND)).all():
             raise ValueError(f"standardizer std must be finite and >= {1 / PARAMETER_BOUND:g}")
+        if (np.abs(mean) / std > PARAMETER_BOUND).any():
+            raise ValueError(f"standardizer |mean| / std must be <= {PARAMETER_BOUND:g}")
         return cls(mean, std, constant)
 
 

@@ -1,24 +1,23 @@
 """The tree growers against recorded trees, and the forest engine against
 itself.
 
-The digests are sha256 hashes of the tree arrays of fitted models. The
-forest digests were recorded with the per-tree level-wise growers the
-engine replaced. Class sums are integer-valued, so growing all trees of a
-forest together must reproduce every node of every tree bit for bit. The
-depth-first digests (CART, gbm, AdaBoost and xgb_style) were recorded
-while second-order trees still had a grower of their own; grow_tree must
-reproduce them bit for bit.
+The digests are sha256 hashes of the tree arrays of fitted models, taken
+with each inner node's right child as ``left + 1``, as blocks stored it
+before format 3. The forest digests were recorded with the per-tree
+level-wise growers the engine replaced. Class sums are integer-valued, so
+growing all trees of a forest together must reproduce every node of every
+tree bit for bit. The depth-first digests (CART, gbm and xgb_style) were
+recorded while second-order trees still had a grower of their own;
+grow_tree must reproduce them bit for bit. AdaBoost's was recorded again
+when its stumps' leaves became +-alpha.
 
 The fold digests are sha256 hashes of whole ``save_model`` documents of the
 depth-first learners, fitted at their default sizes on two folds of the
-study's synthetic train split. They were recorded with the row-major split
-kernel that sorted every node, the root included, once per tree. The
-forest fold digests (25 trees, default hyperparameters otherwise) were
-recorded while the forest engine still grew its trees in fixed passes, each
-run until its deepest tree was done, and scored every pair position of a
-level as a cut. The same fold fits' probabilities on the fold's held-out
-rows are pinned too (``FOLD_PROBA_SHA256``), so a change of the document
-format must leave every prediction bit-identical.
+study's synthetic train split, and of 25-tree forests (default
+hyperparameters otherwise) on the same folds. Both sets were recorded
+again for format 3. The same fold fits' probabilities on the fold's
+held-out rows (``FOLD_PROBA_SHA256``) were recorded with format 2 and did
+not move: the format change left every prediction bit-identical.
 
 ``scripts/record_digests.py`` prints every digest set for a checkout.
 """
@@ -49,7 +48,7 @@ CASES = {
     "extra_trees-shallow": ("extra_trees", {"max_depth": 5, "min_samples_split": 20}),
     "extra_trees-all_features": ("extra_trees", {"max_features": None}),
 }
-FIELDS = ("feature", "threshold", "left", "right", "value", "roots")
+FIELDS = ("feature", "threshold", "left", "value", "roots")
 TREES_SHA256 = {
     "extra_trees-all_features": "1d65ab1f1c10321c8bcf631f4f1391312b87b890c6cae7cd9f95677a2e7a2d8d",
     "extra_trees-entropy": "38e3a7bb2c3a10ae45111599d80a24c4a58a9e45f834c013f2ec9bea481b042b",
@@ -74,7 +73,7 @@ DFS_CASES = {
     "cart-entropy_subsample": ("cart", {"criterion": "entropy", "max_features": 3}),
 }
 DFS_TREES_SHA256 = {
-    "adaboost-stumps": "16effc3b90ce673c6e48828ff28474690386c10c88cc5bd7ead4875e1d11952e",
+    "adaboost-stumps": "3c043b5b79ead8a959a39359edde6d6ba1216fa78936da0f2cec6744683720fb",
     "cart-default": "877aa1b72f73b041e2ea9535e7b436cfd726dea4e846909ae38c9a93b66babcf",
     "cart-entropy_subsample": "6da871cfb2068b24876f389a6e9c2fa3f32676b0553a7c4a3a92d04ef9529849",
     "gbm-default": "06688c59d2559cfff98b2d23b86dd88c2454fbacb1a378724e999c261728bfa2",
@@ -94,16 +93,16 @@ FOLD_CASES = {
 }
 FOLDS = (0, 7)
 FOLD_DOC_SHA256 = {
-    "adaboost-0": "d2f86f09f39ca920fad06d8ae777c984b123360d4ef58e70c0223e03ee161456",
-    "adaboost-7": "f3f4c71643900fc644883e73bfbf43f73e2363b530e61ab815e28fbd68f165ea",
-    "cart-0": "0331713e5627f67b79771d5ffd3d937c804201e528479f0c79be3b5fbceecfb6",
-    "cart-7": "274dd84fb1974f9d883d8f9200de83985b3d132dc8e263cf32df859092adafd2",
-    "cart-sqrt_features-0": "7d21807b50b67e3c9005fc91436ee2c758c1d3fd0d5f5a3ad7f0a81dc6b14f62",
-    "cart-sqrt_features-7": "3641c846c9def8d265e7d82f5016710e31c40533bea9c1cf3b8e7679d288a398",
-    "gbm-0": "e8b50b5fdaffa102167757496cdf1578955467b99d3d63ed449b81c65e633f8b",
-    "gbm-7": "b475b8534552d9db9a781a248bc1a3b1d238ad0f0330ea4ed3dcdeff7bc77b02",
-    "xgb_style-0": "03041beca6c16ffc8cfdb9c5be1f28d1db257573f59bb2f3e8129498b16e62c9",
-    "xgb_style-7": "5ded0a292d34f8db794d87dedf1fb3b0af012da50bb6141c21c6fa7c29c16be4",
+    "adaboost-0": "146255264f33b3d75b14f37f221ae72d7a2070dca530ee030c3666899af633d4",
+    "adaboost-7": "f0ece6aa0e2ad03166ad877d6e8a4aea5189a57ebf8be2b523671518d12dc554",
+    "cart-0": "825478835de17f39c178b9277586354c8092825754f364ab42fe6b2367bafee1",
+    "cart-7": "2aaf70ade36239570ac3e3e361c63b38795df51795f00b5f7ee66d235de3b738",
+    "cart-sqrt_features-0": "5500e4e1bba72d0604ac5a2279cfb96272393b7af3c2bb7e5f741cf42718966b",
+    "cart-sqrt_features-7": "61f664a366b719143d90140abfd1f73dc507886b663faa2f3b8b1fde2e2c00b5",
+    "gbm-0": "67e0a0c7f6057bf4381e0359d6f6b106f0f77b8a56c48f110ef55ed1f1e0554d",
+    "gbm-7": "c3bccace68c2284d511dd622b7b07caac8e2f0646ffd34942d04db112ec73b22",
+    "xgb_style-0": "5c1295caee6760744b6eee3c2adc969d06240ba8ff8f8891ac2870399526c157",
+    "xgb_style-7": "d4f2035616a914f638e1a2ac19a85ccbcaa5978cfdeaee5b5ebe0beb3419935b",
 }
 
 # 25-tree forests on the same OOF folds.
@@ -112,10 +111,10 @@ FOREST_FOLD_CASES = {
     "extra_trees": ("extra_trees", {"n_estimators": 25}),
 }
 FOREST_FOLD_DOC_SHA256 = {
-    "extra_trees-0": "d558e6f30872588b41227c44769a43ae11c035cb653ffd4c9138ccba0cd7fac7",
-    "extra_trees-7": "5d5ba48a1c57fb0ccdc24167ad3259ffa96f74593a67a40b38d7fbe39d492f21",
-    "random_forest-0": "e3d7c8d5eab2c9b5f281e44bb3926f4e41fea0081108caae73e672fee25f90b3",
-    "random_forest-7": "8a7a23e2ff30d007e5634eba2a73345fb8222294999622ee8b8b60cac1e49de3",
+    "extra_trees-0": "1022cb4a7a7ccb23b7117df638b24621abe98b516ed3e6ed68c8cdcac94cc8df",
+    "extra_trees-7": "2f2e8a36c17ac06ca4d30e5c282cf52e94864e2664235b119cd441d7bec8baef",
+    "random_forest-0": "8092c4493765192f804fc63fe34fdd317bc1b0dc73590261a786fbc0c1449a9e",
+    "random_forest-7": "83d923857a30d4d6e9345738ce92aac33b2d5a9e6db68b30aabe296d351b7c69",
 }
 FOLD_PROBA_SHA256 = {
     "adaboost-0": "50b8bb2de5d6a59716f90c8033ee76515aef5abd3a8be744221310bc6094f7d1",
@@ -149,9 +148,13 @@ def forest_data():
 
 
 def trees_digest(trees) -> str:
+    """The digest of a block's arrays as recorded when blocks still stored
+    each inner node's right child, which is its left child plus one."""
+    arrays = {name: getattr(trees, name) for name in FIELDS}
+    arrays["right"] = np.where(trees.left == -1, -1, trees.left + 1)
     h = hashlib.sha256()
-    for name in FIELDS:
-        h.update(np.ascontiguousarray(getattr(trees, name)).tobytes())
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        h.update(np.ascontiguousarray(arrays[name]).tobytes())
     return h.hexdigest()
 
 
@@ -164,7 +167,7 @@ def forest_trees_digest(case, data) -> str:
 def dfs_trees_digest(case, data) -> str:
     algorithm, hyper = DFS_CASES[case]
     model = fit(LearnerSpec(algorithm, hyper, seed=5), *data)
-    return trees_digest(model.stumps if algorithm == "adaboost" else model.trees)
+    return trees_digest(model.trees)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

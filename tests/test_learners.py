@@ -41,9 +41,12 @@ def test_adaboost_single_round_on_separable_data():
     X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
     model = fit(LearnerSpec("adaboost", {"n_estimators": 1}), X, y)
-    assert model.stumps.n_trees == 1
+    stump = model.trees
+    assert stump.n_trees == 1
     assert (model.predict(X) == y).all()
-    assert 2.0 < model.stumps.threshold[model.stumps.roots[0]] < 10.0
+    assert 2.0 < stump.threshold[stump.roots[0]] < 10.0
+    alpha = abs(stump.value).max()
+    assert alpha > 0 and set(stump.value[stump.left == -1]) == {-alpha, alpha}
 
 
 def test_gbm_initial_margin_zero_at_balanced_rate():

@@ -127,7 +127,7 @@ def test_deep_tree_round_trips(tmp_path):
     trees = loaded.trees
     depth = np.zeros(trees.n_nodes, dtype=np.int64)
     for i in np.flatnonzero(trees.left != -1):  # parents are numbered first
-        depth[trees.left[i]] = depth[trees.right[i]] = depth[i] + 1
+        depth[trees.left[i]] = depth[trees.left[i] + 1] = depth[i] + 1
     assert depth.max() == 999
 
 
@@ -149,7 +149,7 @@ def _set(field, at, value):
 
 def _child_to_parent(t):
     node, parent = _first_grandchild_parent(t)
-    t["right"][node] = parent
+    t["left"][node] = parent
 
 
 def _first_leaf(t):
@@ -161,7 +161,10 @@ TREE_MUTATIONS = {
     "child_out_of_range": lambda t: t["left"].__setitem__(0, len(t["left"])),
     "child_is_itself": _set("left", 0, 0),
     "child_points_back_at_parent": _child_to_parent,
-    "single_child": _set("right", _first_leaf, 1),
+    # The last node as a left child: its sibling, left + 1, is past the end.
+    "sibling_out_of_range": lambda t: t["left"].__setitem__(0, len(t["left"]) - 1),
+    # left + 1 would wrap around to a negative index.
+    "child_at_int64_max": _set("left", 0, 2**63 - 1),
     "feature_negative": _set("feature", 0, -1),
     "feature_out_of_range": _set("feature", 0, 11),
     "fractional_index": _set("feature", 0, 0.5),
@@ -230,22 +233,17 @@ def test_hostile_knn_document_rejected(mutation, train_data, tmp_path, dataset_c
 
 def test_deeply_nested_document_rejected(tmp_path, dataset_csv):
     depth = 100_000
-    data = b'{"format_version": 2, "payload": ' + b"[" * depth + b"]" * depth + b"}"
+    data = b'{"format_version": 3, "payload": ' + b"[" * depth + b"]" * depth + b"}"
     _assert_rejected(data, tmp_path, dataset_csv)
 
 
 def test_format_1_document_rejected(tree_document, tmp_path, dataset_csv):
-    doc = json.loads(json.dumps(tree_document))
-    doc["format_version"] = 1
-    _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
-
-
-def test_adaboost_needs_one_alpha_per_stump(train_data):
-    X, y = train_data
-    doc = json.loads(save_model(fit(LearnerSpec("adaboost", {"n_estimators": 3}), X, y)))
-    doc["payload"]["params"]["alphas"].append(1.0)
-    with pytest.raises(ModelFormatError, match="alpha"):
-        load_model(json.dumps(doc).encode("utf8"))
+    # Formats 1 (nested tree nodes) and 2 (a stored right-child array) are
+    # no longer read.
+    for version in (1, 2):
+        doc = json.loads(json.dumps(tree_document))
+        doc["format_version"] = version
+        _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
 
 
 STANDARDIZER_MUTATIONS = {
@@ -261,6 +259,9 @@ STANDARDIZER_MUTATIONS = {
     "std_infinite": lambda s: s["std"].__setitem__(0, float("inf")),
     "std_nan": lambda s: s["std"].__setitem__(0, float("nan")),
     "std_tiny": lambda s: s["std"].__setitem__(0, 1e-300),
+    # Each within its own bound, but the standardized rows reach 1e200.
+    "mean_over_std_huge": lambda s: (s["mean"].__setitem__(0, 1e100),
+                                     s["std"].__setitem__(0, 1e-100)),
     "nested": lambda s: s.__setitem__("mean", [s["mean"]]),
 }
 

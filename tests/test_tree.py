@@ -239,11 +239,11 @@ def test_blocks_number_children_after_parents_and_concatenate():
              grow_forest(X, y, random_params, [stream(5, "tree", t) for t in range(2)])]
     for tree in trees:
         inner = np.flatnonzero(tree.left != -1)
-        assert (tree.left[inner] > inner).all() and (tree.right[inner] > inner).all()
+        assert (tree.left[inner] > inner).all() and (tree.left[inner] + 1 < tree.n_nodes).all()
     block = TreeBlock.concat(trees)
     assert block.n_trees == 6 and block.n_nodes == sum(t.n_nodes for t in trees)
     loaded = TreeBlock.from_dict(block.to_dict(), 3)
-    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+    for name in ("feature", "threshold", "left", "value", "roots"):
         assert np.array_equal(getattr(loaded, name), getattr(block, name))
     q = rng.normal(size=(30, 3))
     assert np.array_equal(tree_apply(block, q), np.vstack([tree_apply(t, q) for t in trees]))
@@ -348,7 +348,7 @@ def test_grow_tree_on_sorted_columns_equals_grow_tree_on_x():
         params = GrowParams(criterion="variance", max_depth=3)
         a = grow_tree(columns, target, params)
         b = grow_tree(X, target, params)
-        for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        for name in ("feature", "threshold", "left", "value", "roots"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
