@@ -7,6 +7,7 @@
     python3 scripts/bench_pairs.py ... tier1
     python3 scripts/bench_pairs.py ... generate [--seed 77] [--pairs 10]
     python3 scripts/bench_pairs.py ... trees [--trees 25 100 500] [--repeats 5]
+    python3 scripts/bench_pairs.py ... store [--pairs 10] [--work DIR]
 
 ``perfbench`` runs ``python3 perfbench/run.py`` in each checkout,
 alternating the side that goes first per pair, and stores every run's
@@ -17,7 +18,12 @@ each checkout. ``generate`` times, in a fresh process per run and in pairs
 like ``perfbench``, the import of ``heartstack.synthetic``, one
 ``generate_dataset`` call and the whole process. ``trees`` stores the
 output of ``scripts/bench_trees.py --src`` over both checkouts' sources.
-Each mode adds its section to ``--out`` and keeps the others.
+``store`` trains the default stack once per checkout on the stand-in
+(``heartstack train`` with the default config, under ``--work``), then, in
+a fresh process per run and in pairs like ``perfbench``, times
+``load_model`` of that document and ``predict_proba`` of 1, 235 and 4096
+stand-in rows; it also stores the document bytes and each train's wall
+time. Each mode adds its section to ``--out`` and keeps the others.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,6 +43,33 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 GENERATE = ("import sys, time; t0 = time.perf_counter(); "
             "from heartstack.synthetic import generate_dataset; t1 = time.perf_counter(); "
             "generate_dataset(int(sys.argv[1])); print(t1 - t0, time.perf_counter() - t1)")
+
+STORE_TRAIN = """
+import sys
+from heartstack.config import paper_default_config
+from heartstack.pipeline import cmd_train
+from heartstack.synthetic import write_dataset_csv
+write_dataset_csv(sys.argv[1] + "/heart.csv")
+config = paper_default_config(sys.argv[1] + "/heart.csv", out_dir=sys.argv[1])
+print(cmd_train(config)["model_path"])
+"""
+STORE_LOAD = """
+import json, sys, time
+import numpy as np
+from heartstack.dataset import parse_feature_csv
+from heartstack.model_store import load_model
+X = parse_feature_csv(sys.argv[2])[0]
+rows = [np.resize(X, (int(n), X.shape[1])) for n in sys.argv[3:]]
+t0 = time.perf_counter()
+model = load_model(sys.argv[1])
+out = [time.perf_counter() - t0]
+for r in rows:
+    t0 = time.perf_counter()
+    model.predict_proba(r)
+    out.append(time.perf_counter() - t0)
+print(json.dumps(out))
+"""
+STORE_ROWS = (1, 235, 4096)
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -116,6 +150,37 @@ def trees(args, dirs) -> dict:
     return json.loads(proc.stdout)
 
 
+def store(args, dirs) -> dict:
+    env = {side: {**os.environ, "PYTHONPATH": str(dirs[side] / "src")} for side in SIDES}
+    names = ["load_s"] + [f"proba_{n}_s" for n in STORE_ROWS]
+    runs = {side: {name: [] for name in names} for side in SIDES}
+    section = {"pairs": args.pairs, "rows": list(STORE_ROWS), "train_s": {}, "doc_bytes": {}}
+    with tempfile.TemporaryDirectory(prefix="bench_store_", dir=args.work) as tmp:
+        work = {side: Path(tmp) / side for side in SIDES}
+        models = {}
+        for side in SIDES:
+            work[side].mkdir()
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", STORE_TRAIN, str(work[side])],
+                                  env=env[side], capture_output=True, text=True, check=True)
+            section["train_s"][side] = round(time.perf_counter() - t0, 1)
+            models[side] = proc.stdout.strip().splitlines()[-1]
+            section["doc_bytes"][side] = Path(models[side]).stat().st_size
+        for i in range(args.pairs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                proc = subprocess.run([sys.executable, "-c", STORE_LOAD, models[side],
+                                       str(work[side] / "heart.csv"), *map(str, STORE_ROWS)],
+                                      env=env[side], capture_output=True, text=True, check=True)
+                for name, value in zip(names, json.loads(proc.stdout)):
+                    runs[side][name].append(value)
+            print(f"store pair {i + 1}/{args.pairs}: load_s "
+                  f"{runs['parent']['load_s'][-1]:.3f} -> {runs['change']['load_s'][-1]:.3f}",
+                  file=sys.stderr)
+    for name in names:
+        section[name] = compare({s: runs[s][name] for s in SIDES}, True, args.pairs)
+    return section
+
+
 def tier1(args, dirs) -> dict:
     out = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:])}
     for side in SIDES:
@@ -151,6 +216,9 @@ def main(argv=None) -> int:
     tree_fits = modes.add_parser("trees")
     tree_fits.add_argument("--trees", type=int, nargs="+", default=[25, 100, 500])
     tree_fits.add_argument("--repeats", type=int, default=5)
+    store_runs = modes.add_parser("store")
+    store_runs.add_argument("--pairs", type=int, default=10)
+    store_runs.add_argument("--work", help="where the trained stacks go (default: a temp dir)")
     args = parser.parse_args(argv)
 
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -163,6 +231,8 @@ def main(argv=None) -> int:
         record["generate"] = generate(args, dirs)
     elif args.mode == "trees":
         record["trees"] = trees(args, dirs)
+    elif args.mode == "store":
+        record["store"] = store(args, dirs)
     else:
         record["tier1"] = tier1(args, dirs)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass, field
 
@@ -195,6 +196,29 @@ def finite_array(name: str, values, shape: tuple | None) -> np.ndarray:
     if not (np.abs(a) <= PARAMETER_BOUND).all():
         raise ValueError(f"{name} must be finite and within +-{PARAMETER_BOUND:g}")
     return a
+
+
+def pack(array, dtype: str) -> str:
+    """``array``, flattened row-major, as the base64 of its ``dtype`` bytes:
+    "<i4" for indices and labels, "<f8" for reals. ValueError for an integer
+    that "<i4" cannot hold. Model documents store their large arrays so."""
+    a = np.asarray(array)
+    packed = a.astype(dtype)
+    if packed.dtype.kind == "i" and not np.array_equal(packed, a):
+        raise ValueError(f"an array entry does not fit {dtype}")
+    return base64.b64encode(packed.tobytes()).decode("ascii")
+
+
+def unpack(text, dtype: str) -> np.ndarray:
+    """Inverse of pack: a writable flat array of np.intp for "<i4" or of
+    float64 for "<f8". ValueError for a non-string, invalid base64, or a
+    byte count that is not a whole number of entries."""
+    if not isinstance(text, str):
+        raise ValueError(f"a packed array must be a base64 string, not {type(text).__name__}")
+    data = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
+    if len(data) % np.dtype(dtype).itemsize:
+        raise ValueError(f"a packed array's {len(data)} bytes are not whole {dtype} entries")
+    return np.frombuffer(data, dtype).astype(np.intp if dtype == "<i4" else np.float64)
 
 
 def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:

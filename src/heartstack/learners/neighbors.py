@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LearnerSpec, TrainedModel, finite_array
+from .base import LearnerSpec, TrainedModel, finite_array, pack, unpack
 from ..errors import FitError
 
 # Query rows are scored in blocks of at most this many, which bounds the
@@ -17,7 +17,8 @@ class KnnModel(TrainedModel):
     fraction among the k nearest by Euclidean distance, with distance ties
     broken toward the lower training-row index. Scoring selects the k
     nearest of each query row, block by block of a fixed number of rows,
-    so its memory does not grow with the request size."""
+    so its memory does not grow with the request size. A document packs
+    the rows row-major as float64 and the labels as int32."""
 
     def __init__(self, spec, n_features_in, X_train, y_train, k: int):
         super().__init__(spec, n_features_in)
@@ -39,19 +40,24 @@ class KnnModel(TrainedModel):
         return ones / self.k
 
     def params_payload(self):
-        return {"X_train": self.X_train.tolist(), "y_train": self.y_train.tolist(),
+        return {"X_train": pack(self.X_train, "<f8"), "y_train": pack(self.y_train, "<i4"),
                 "k": self.k}
 
     @classmethod
     def from_payload(cls, spec, n_features_in, payload):
-        """Inverse of params_payload. Raises ValueError unless the labels
-        are 0 or 1, ``k`` is an integer in [1, len(y_train)] and X_train is
-        a finite matrix of one row per label and n_features_in columns."""
-        y_train = np.array(payload["y_train"])
+        """Inverse of params_payload. Raises ValueError unless both arrays
+        are packed, the labels are 0 or 1, ``k`` is an integer in
+        [1, len(y_train)] and X_train holds, row-major, a finite matrix of
+        one row per label and n_features_in columns."""
+        y_train = unpack(payload["y_train"], "<i4")
         k = payload["k"]
-        if y_train.ndim != 1 or not np.isin(y_train, (0, 1)).all():
-            raise ValueError("knn y_train must be a list of 0/1 labels")
-        X_train = finite_array("knn X_train", payload["X_train"], (len(y_train), n_features_in))
+        if not np.isin(y_train, (0, 1)).all():
+            raise ValueError("knn y_train must be 0/1 labels")
+        X_train = unpack(payload["X_train"], "<f8")
+        shape = (len(y_train), n_features_in)
+        if len(X_train) != shape[0] * shape[1]:
+            raise ValueError(f"knn X_train must have shape {shape}")
+        X_train = finite_array("knn X_train", X_train.reshape(shape), shape)
         if type(k) is not int or not 1 <= k <= len(y_train):
             raise ValueError(f"knn k must be an integer in [1, {len(y_train)}]")
         return cls(spec, n_features_in, X_train, y_train, k)

@@ -39,13 +39,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import finite_array
+from .base import finite_array, pack, unpack
 
 CLASS_CRITERIA = ("gini", "entropy")
 CRITERIA = CLASS_CRITERIA + ("variance",)
 
 _FIELDS = ("feature", "threshold", "left", "value", "roots")  # TreeBlock's, in order
-_INDEX_FIELDS = ("feature", "left", "roots")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +57,9 @@ class TreeBlock:
     ``x[feature[i]] <= threshold[i]`` continue at ``left[i]`` and the others
     at its sibling ``left[i] + 1``. Every child is numbered after its
     parent, so each walk from a root ends. Tree t starts at node
-    ``roots[t]``.
+    ``roots[t]``. A leaf's feature is -1 and its threshold 0.0, and an inner
+    node's value is 0.0, so a document packs only ``left``, inner-node
+    features and thresholds, leaf values and ``roots`` (see ``base.pack``).
     """
 
     feature: np.ndarray
@@ -81,22 +82,32 @@ class TreeBlock:
         return _join([dict(vars(b)) for b in blocks])
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in _FIELDS}
+        inner = self.left != -1
+        return {"left": pack(self.left, "<i4"), "feature": pack(self.feature[inner], "<i4"),
+                "threshold": pack(self.threshold[inner], "<f8"),
+                "value": pack(self.value[~inner], "<f8"), "roots": pack(self.roots, "<i4")}
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "TreeBlock":
-        """Inverse of to_dict. Raises ValueError for any block a traversal
-        could not score: arrays of unequal length or of the wrong type,
-        children that are out of range or not numbered after their parent,
-        split features outside [0, n_features), non-finite thresholds, values
-        that are not finite or beyond +-PARAMETER_BOUND, or roots outside the
-        node range."""
-        arrays = {name: _flat_array(name, d[name], name in _INDEX_FIELDS) for name in _FIELDS}
-        n = len(arrays["feature"])
-        if any(len(arrays[name]) != n for name in _FIELDS[:-1]):
-            raise ValueError("tree arrays differ in length")
-        left = arrays["left"]
+        """Inverse of to_dict, bit for bit. Raises ValueError for any block a
+        traversal could not score: fields that are not packed arrays, other
+        than one feature and threshold per inner node and one value per
+        leaf, children that are out of range or not numbered after their
+        parent, split features outside [0, n_features), non-finite
+        thresholds, values that are not finite or beyond +-PARAMETER_BOUND,
+        or roots outside the node range."""
+        left = unpack(d["left"], "<i4")
+        n = len(left)
         inner = left != -1
+        arrays = {"feature": np.full(n, -1, dtype=np.intp), "threshold": np.zeros(n),
+                  "left": left, "value": np.zeros(n)}
+        for name, dtype, nodes, kind in (("feature", "<i4", inner, "inner node"),
+                                         ("threshold", "<f8", inner, "inner node"),
+                                         ("value", "<f8", ~inner, "leaf")):
+            packed = unpack(d[name], dtype)
+            if len(packed) != np.count_nonzero(nodes):
+                raise ValueError(f"tree field {name!r} needs one entry per {kind}")
+            arrays[name][nodes] = packed
         # The right child, left + 1, must be in range too (as left >= n - 1,
         # which cannot overflow).
         if ((left[inner] <= np.flatnonzero(inner)) | (left[inner] >= n - 1)).any():
@@ -107,10 +118,10 @@ class TreeBlock:
         if not np.isfinite(arrays["threshold"]).all():
             raise ValueError("a tree threshold is not finite")
         finite_array("tree values", arrays["value"], None)
-        roots = arrays["roots"]
+        roots = unpack(d["roots"], "<i4")
         if len(roots) == 0 or ((roots < 0) | (roots >= n)).any():
             raise ValueError("a tree root is missing or out of range")
-        return cls(**arrays)
+        return cls(**arrays, roots=roots)
 
 
 def _join(parts: list[dict]) -> TreeBlock:
@@ -126,14 +137,6 @@ def _join(parts: list[dict]) -> TreeBlock:
             arrays = [np.where(a == -1, a, a + off) for a, off in zip(arrays, offsets)]
         joined[name] = np.concatenate(arrays)
     return TreeBlock(**joined)
-
-
-def _flat_array(name, values, integer: bool) -> np.ndarray:
-    a = np.asarray(values)
-    if a.ndim != 1 or (a.size and a.dtype.kind not in ("i" if integer else "if")):
-        kind = "integers" if integer else "numbers"
-        raise ValueError(f"tree field {name!r} must be a list of {kind}")
-    return a.astype(np.intp if integer else np.float64)
 
 
 class TreeBuilder:

@@ -2,18 +2,19 @@
 
 One self-describing JSON document (extension ``.model``) serves both single
 models and stacks: top-level keys are format_version, created, kind, schema
-and payload. Numbers are written with full round-trippable precision, and
-documents are pure data; loading never executes anything beyond parsing.
+and payload. Numbers are written with full round-trippable precision, as
+JSON numbers or, for the arrays of tree and k-NN models, packed: the base64
+of their little-endian int32 or float64 bytes. Documents are pure data;
+loading never executes anything beyond parsing.
 
-Format 3 stores each tree model's nodes as flat parallel lists (see
-``TreeBlock``), which ``load_model`` checks before any row is scored; an
-inner node's right child is its left child plus one, and AdaBoost's stumps
-carry their weights in their leaves. Format 1 documents, with nested tree
-nodes, and format 2 documents, with a stored right-child list and a
-separate AdaBoost weight list, are rejected.
+Format 4 packs each tree model's nodes (see ``TreeBlock``): ``left`` for
+every node, a feature and threshold per inner node, a value per leaf, and
+``roots``; ``load_model`` checks them before any row is scored. Formats 1
+to 3, which hold every array as a JSON list, are rejected: train again.
 
-The ``created`` stamp honours SOURCE_DATE_EPOCH and otherwise falls back to
-a fixed epoch so that repeated pipeline runs stay byte-identical.
+The ``created`` stamp honours SOURCE_DATE_EPOCH, in whole seconds, and
+otherwise falls back to a fixed epoch so that repeated pipeline runs stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -23,19 +24,23 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import FitError, ModelFormatError, SchemaMismatchError
+from .errors import ConfigError, FitError, ModelFormatError, SchemaMismatchError
 from .learners import LEARNERS, LearnerSpec, TrainedModel
 from .model_selection import FoldPlan
 from .schema import CANONICAL_SCHEMA, TARGET_ALIASES, schema_fingerprint
 from .stacking import BaseSelectionReport, StackedModel
 from .standardize import Standardizer
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _created_stamp() -> str:
-    epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    env = os.environ.get("SOURCE_DATE_EPOCH", "0")
+    try:
+        return datetime.fromtimestamp(int(env), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(f"SOURCE_DATE_EPOCH must be whole seconds in years 1 to 9999, "
+                          f"got {env!r}") from None
 
 
 def _schema_block() -> dict:

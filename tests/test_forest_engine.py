@@ -93,16 +93,16 @@ FOLD_CASES = {
 }
 FOLDS = (0, 7)
 FOLD_DOC_SHA256 = {
-    "adaboost-0": "146255264f33b3d75b14f37f221ae72d7a2070dca530ee030c3666899af633d4",
-    "adaboost-7": "f0ece6aa0e2ad03166ad877d6e8a4aea5189a57ebf8be2b523671518d12dc554",
-    "cart-0": "825478835de17f39c178b9277586354c8092825754f364ab42fe6b2367bafee1",
-    "cart-7": "2aaf70ade36239570ac3e3e361c63b38795df51795f00b5f7ee66d235de3b738",
-    "cart-sqrt_features-0": "5500e4e1bba72d0604ac5a2279cfb96272393b7af3c2bb7e5f741cf42718966b",
-    "cart-sqrt_features-7": "61f664a366b719143d90140abfd1f73dc507886b663faa2f3b8b1fde2e2c00b5",
-    "gbm-0": "67e0a0c7f6057bf4381e0359d6f6b106f0f77b8a56c48f110ef55ed1f1e0554d",
-    "gbm-7": "c3bccace68c2284d511dd622b7b07caac8e2f0646ffd34942d04db112ec73b22",
-    "xgb_style-0": "5c1295caee6760744b6eee3c2adc969d06240ba8ff8f8891ac2870399526c157",
-    "xgb_style-7": "d4f2035616a914f638e1a2ac19a85ccbcaa5978cfdeaee5b5ebe0beb3419935b",
+    "adaboost-0": "cb1ac21ec9a8f7ade5c56612517c2df797b220cf27e6c9cfc0800895e67724c9",
+    "adaboost-7": "f3f3697608aa7b82b061538b4073f25e01b0b34f7a348be0b8bcf8c43f96f085",
+    "cart-0": "dab6a11c896267a5d40dc2d09bf8110d7f7d5c242556df93e754ce9934b6842b",
+    "cart-7": "29f000a44a26523977d4e32ca8cbfc1a6b077d01dea1772d51f20ab7cb889fa7",
+    "cart-sqrt_features-0": "8f72fb313b058c5fc57e9d3571a2a2e573190357d1bf47a64084aec69fd530a3",
+    "cart-sqrt_features-7": "e9a63c3add69dc7d6ed346441acd5b87028275b6a4789d5870d439239795e429",
+    "gbm-0": "686601c5540654c33bc6698115fc1205073799b36de3b911926c58aa3f1eed34",
+    "gbm-7": "da59d0ccb201443af2f9017ba0b117f61f3490c987f088e8139894357478fda6",
+    "xgb_style-0": "d7a3c516f6e0b68220b4ef5f25b8953a4a2aef292bb12c86c18d908c535d058b",
+    "xgb_style-7": "141eb07132df5eeacec252dbf9edd7c8d197940bbe1e39c4dc2b2c8884c41a99",
 }
 
 # 25-tree forests on the same OOF folds.
@@ -111,10 +111,10 @@ FOREST_FOLD_CASES = {
     "extra_trees": ("extra_trees", {"n_estimators": 25}),
 }
 FOREST_FOLD_DOC_SHA256 = {
-    "extra_trees-0": "1022cb4a7a7ccb23b7117df638b24621abe98b516ed3e6ed68c8cdcac94cc8df",
-    "extra_trees-7": "2f2e8a36c17ac06ca4d30e5c282cf52e94864e2664235b119cd441d7bec8baef",
-    "random_forest-0": "8092c4493765192f804fc63fe34fdd317bc1b0dc73590261a786fbc0c1449a9e",
-    "random_forest-7": "83d923857a30d4d6e9345738ce92aac33b2d5a9e6db68b30aabe296d351b7c69",
+    "extra_trees-0": "ce665fc0aab097c67b8a5f909ab33c9c49a4d5e67ec4e933ddbaf794bd9a46f1",
+    "extra_trees-7": "cbc294166c38418d48b564000701c770562a01908b7b970ac5e0561b8fa42705",
+    "random_forest-0": "3bdbe3cb06c73dee18a611d6c45bb194a24699b547817440acb1a8fd61faabd4",
+    "random_forest-7": "ddc0dad3995f0bab53c97abd3caa9cd909d95e48575ab8cdba339ef36d411e18",
 }
 FOLD_PROBA_SHA256 = {
     "adaboost-0": "50b8bb2de5d6a59716f90c8033ee76515aef5abd3a8be744221310bc6094f7d1",

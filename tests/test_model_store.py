@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import random_classification
 from heartstack.cli import main
 from heartstack.errors import ModelFormatError, SchemaMismatchError
 from heartstack.learners import ALGORITHMS, LearnerSpec, fit
+from heartstack.learners.base import pack, unpack
 from heartstack.model_store import load_model, require_matching_schema, save_model
 from heartstack.stacking import StackingConfig, fit_stack
 
@@ -54,7 +56,7 @@ def test_forest_document_counts_trees(train_data):
                 X, y)
     doc = json.loads(save_model(model))
     assert doc["kind"] == "single"
-    assert len(doc["payload"]["params"]["trees"]["roots"]) == 500
+    assert len(unpack(doc["payload"]["params"]["trees"]["roots"], "<i4")) == 500
 
 
 def test_stacked_document_sections(train_data):
@@ -131,6 +133,45 @@ def test_deep_tree_round_trips(tmp_path):
     assert depth.max() == 999
 
 
+TREE_LEARNERS = ("cart", "random_forest", "extra_trees", "gbm", "xgb_style", "adaboost")
+
+
+@pytest.mark.parametrize("algorithm", TREE_LEARNERS)
+def test_tree_block_round_trips_field_for_field(algorithm, train_data):
+    model = fit(LearnerSpec(algorithm, SMALL.get(algorithm, {}), seed=4), *train_data)
+    trees = model.trees
+    # Compaction drops what every grower writes the same way: leaves have
+    # feature -1 and threshold +0.0, inner nodes value +0.0.
+    leaf = trees.left == -1
+    assert leaf.any() and (~leaf).any()
+    assert (trees.feature[leaf] == -1).all()
+    zero = np.zeros(1).tobytes()
+    assert trees.threshold[leaf].tobytes() == zero * leaf.sum()
+    assert trees.value[~leaf].tobytes() == zero * (~leaf).sum()
+    loaded = load_model(save_model(model)).trees
+    for name in ("feature", "threshold", "left", "value", "roots"):
+        a, b = getattr(trees, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_pack_round_trips_and_rejects():
+    assert unpack(pack([3, -1, 2**31 - 1], "<i4"), "<i4").tolist() == [3, -1, 2**31 - 1]
+    a = unpack(pack([0.1, -0.0, 1e-300], "<f8"), "<f8")
+    assert a.dtype == np.float64 and a.flags.writeable
+    assert a.tobytes() == np.array([0.1, -0.0, 1e-300]).tobytes()
+    assert unpack(pack([], "<i4"), "<i4").dtype == np.intp
+    with pytest.raises(ValueError):
+        pack([2**31], "<i4")
+    with pytest.raises(ValueError):
+        pack([-2**31 - 1], "<i4")
+    # Invalid base64 (a character outside ASCII, bad padding), or bytes
+    # that are not whole entries.
+    for text, dtype in (("é", "<f8"), (pack([1], "<i4")[:-1], "<i4"),
+                        (base64.b64encode(bytes(12)).decode(), "<f8")):
+        with pytest.raises(ValueError):
+            unpack(text, dtype)
+
+
 def _first_grandchild_parent(t):
     """An inner node whose parent is inner too: (node, parent)."""
     for parent in range(len(t["left"])):
@@ -142,8 +183,7 @@ def _first_grandchild_parent(t):
 
 def _set(field, at, value):
     def mutate(t):
-        index = at(t) if callable(at) else at
-        t[field][index] = value
+        t[field][at] = value
     return mutate
 
 
@@ -152,27 +192,68 @@ def _child_to_parent(t):
     t["left"][node] = parent
 
 
-def _first_leaf(t):
-    return t["left"].index(-1)
+# The dtype of each packed field of tree and k-NN documents.
+PACKED = {"left": "<i4", "feature": "<i4", "threshold": "<f8", "value": "<f8", "roots": "<i4",
+          "X_train": "<f8", "y_train": "<i4"}
+
+
+def _repacked(mutate):
+    """``mutate`` applied to a block whose packed fields are unpacked into
+    lists (k-NN rows nested one list per row), with the fields packed
+    again afterwards."""
+    def apply(block):
+        fields = {name: unpack(block[name], PACKED[name]) for name in block if name in PACKED}
+        if "X_train" in fields:
+            fields["X_train"] = fields["X_train"].reshape(len(fields["y_train"]), -1)
+        block.update({name: a.tolist() for name, a in fields.items()})
+        mutate(block)
+        block.update({name: pack(block[name], PACKED[name]) for name in fields})
+    return apply
+
+
+def _set_packed(field, text):
+    """Replace a packed field by ``text``, or by what ``text`` makes of the
+    field's current string when it is callable."""
+    def mutate(block):
+        block[field] = text(block[field]) if callable(text) else text
+    return mutate
+
+
+def _cut_bytes(n):
+    return lambda text: base64.b64encode(base64.b64decode(text)[:-n]).decode("ascii")
+
+
+def _as_list(field):
+    return lambda text: unpack(text, PACKED[field]).tolist()
 
 
 TREE_MUTATIONS = {
-    "ragged_arrays": lambda t: t["threshold"].pop(),
-    "child_out_of_range": lambda t: t["left"].__setitem__(0, len(t["left"])),
-    "child_is_itself": _set("left", 0, 0),
-    "child_points_back_at_parent": _child_to_parent,
+    # Packed content: one feature, threshold or value per inner node or leaf.
+    "ragged_arrays": _repacked(lambda t: t["threshold"].pop()),
+    "feature_per_node": _repacked(lambda t: t.__setitem__("feature", [-1] * len(t["left"]))),
+    "value_missing": _repacked(lambda t: t["value"].pop()),
+    "value_per_node": _repacked(lambda t: t.__setitem__("value", [0.0] * len(t["left"]))),
+    "child_out_of_range": _repacked(lambda t: t["left"].__setitem__(0, len(t["left"]))),
+    "child_is_itself": _repacked(_set("left", 0, 0)),
+    "child_points_back_at_parent": _repacked(_child_to_parent),
     # The last node as a left child: its sibling, left + 1, is past the end.
-    "sibling_out_of_range": lambda t: t["left"].__setitem__(0, len(t["left"]) - 1),
-    # left + 1 would wrap around to a negative index.
-    "child_at_int64_max": _set("left", 0, 2**63 - 1),
-    "feature_negative": _set("feature", 0, -1),
-    "feature_out_of_range": _set("feature", 0, 11),
-    "fractional_index": _set("feature", 0, 0.5),
-    "threshold_nan": _set("threshold", 0, float("nan")),
-    "value_infinite": _set("value", _first_leaf, float("inf")),
-    "value_huge": _set("value", _first_leaf, 1e308),
-    "root_out_of_range": lambda t: t["roots"].__setitem__(0, len(t["left"])),
-    "no_roots": lambda t: t["roots"].clear(),
+    "sibling_out_of_range": _repacked(lambda t: t["left"].__setitem__(0, len(t["left"]) - 1)),
+    # The largest child index a packed int32 can hold.
+    "child_at_int32_max": _repacked(_set("left", 0, 2**31 - 1)),
+    "feature_negative": _repacked(_set("feature", 0, -1)),
+    "feature_out_of_range": _repacked(_set("feature", 0, 11)),
+    "threshold_nan": _repacked(_set("threshold", 0, float("nan"))),
+    "value_infinite": _repacked(_set("value", 0, float("inf"))),
+    "value_huge": _repacked(_set("value", 0, 1e308)),
+    "root_out_of_range": _repacked(lambda t: t["roots"].__setitem__(0, len(t["left"]))),
+    "no_roots": _repacked(lambda t: t["roots"].clear()),
+    # The packing itself.
+    "left_not_base64": _set_packed("left", "!!"),
+    "roots_not_string": _set_packed("roots", 0),
+    "left_as_list": _set_packed("left", _as_list("left")),
+    "threshold_as_list": _set_packed("threshold", _as_list("threshold")),
+    "left_bytes_not_whole_int32": _set_packed("left", _cut_bytes(1)),
+    "value_bytes_not_whole_float64": _set_packed("value", _cut_bytes(4)),
 }
 
 
@@ -210,16 +291,22 @@ def test_non_finite_boosting_parameters_rejected(field, value, tree_document, tm
 
 KNN_MUTATIONS = {
     "k_zero": lambda p: p.__setitem__("k", 0),
-    "k_above_rows": lambda p: p.__setitem__("k", len(p["y_train"]) + 1),
+    "k_above_rows": _repacked(lambda p: p.__setitem__("k", len(p["y_train"]) + 1)),
     "k_fractional": lambda p: p.__setitem__("k", 2.5),
     "k_boolean": lambda p: p.__setitem__("k", True),
-    "row_missing": lambda p: p["X_train"].pop(),
-    "column_missing": lambda p: [row.pop() for row in p["X_train"]],
-    "value_nan": lambda p: p["X_train"][0].__setitem__(0, float("nan")),
+    "row_missing": _repacked(lambda p: p["X_train"].pop()),
+    "column_missing": _repacked(lambda p: [row.pop() for row in p["X_train"]]),
+    "value_nan": _repacked(lambda p: p["X_train"][0].__setitem__(0, float("nan"))),
     # Finite but huge: scoring would overflow and label rows wrongly.
-    "value_huge": lambda p: p["X_train"][0].__setitem__(0, 1e308),
-    "label_out_of_range": lambda p: p["y_train"].__setitem__(0, 7),
-    "label_fractional": lambda p: p["y_train"].__setitem__(0, 0.5),
+    "value_huge": _repacked(lambda p: p["X_train"][0].__setitem__(0, 1e308)),
+    "label_out_of_range": _repacked(lambda p: p["y_train"].__setitem__(0, 7)),
+    "label_missing": _repacked(lambda p: p["y_train"].pop()),
+    "rows_not_base64": _set_packed("X_train", "!!"),
+    "rows_as_lists": lambda p: p.__setitem__(
+        "X_train", unpack(p["X_train"], "<f8").reshape(-1, 11).tolist()),
+    "labels_as_list": _set_packed("y_train", _as_list("y_train")),
+    "rows_bytes_not_whole_float64": _set_packed("X_train", _cut_bytes(4)),
+    "labels_bytes_not_whole_int32": _set_packed("y_train", _cut_bytes(2)),
 }
 
 
@@ -233,14 +320,14 @@ def test_hostile_knn_document_rejected(mutation, train_data, tmp_path, dataset_c
 
 def test_deeply_nested_document_rejected(tmp_path, dataset_csv):
     depth = 100_000
-    data = b'{"format_version": 3, "payload": ' + b"[" * depth + b"]" * depth + b"}"
+    data = b'{"format_version": 4, "payload": ' + b"[" * depth + b"]" * depth + b"}"
     _assert_rejected(data, tmp_path, dataset_csv)
 
 
 def test_format_1_document_rejected(tree_document, tmp_path, dataset_csv):
-    # Formats 1 (nested tree nodes) and 2 (a stored right-child array) are
-    # no longer read.
-    for version in (1, 2):
+    # Formats 1 (nested tree nodes), 2 (a stored right-child array) and 3
+    # (arrays as JSON lists) are no longer read.
+    for version in (1, 2, 3):
         doc = json.loads(json.dumps(tree_document))
         doc["format_version"] = version
         _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
@@ -465,20 +552,40 @@ def _replace(doc, path, new):
 ODD_NUMBERS = (float("nan"), float("inf"), -float("inf"), 1e308, -1e308, -1, -0.5, 0, 2**63)
 
 
+def _odd_packed(data, text, dtype) -> str:
+    """A packed array with one entry made odd or its bytes cut short. An
+    index or label takes only the odd numbers an int32 can hold."""
+    raw = base64.b64decode(text)
+    if not raw or data.draw(st.booleans()):
+        raw = raw[:data.draw(st.integers(0, max(len(raw) - 1, 0)))]
+    else:
+        a = unpack(text, dtype)
+        at = data.draw(st.integers(0, len(a) - 1))
+        odd = [v for v in ODD_NUMBERS + (-a[at], a[at] + 1)
+               if dtype == "<f8" or (np.isfinite(v) and v == int(v) and -2**31 <= v < 2**31)]
+        a[at] = data.draw(st.sampled_from(odd))
+        raw = a.astype(dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
 def hostile_document(data, doc) -> bytes:
     """One to three mutations of a parsed document, drawn from ``data``: a
-    list cut short, a number made odd, a value nested deeper in lists, or a
-    value of another type. Deep nesting is spliced into the text, so the
-    document itself stays shallow."""
+    list cut short, a number made odd, an entry of a packed array made odd
+    or its bytes cut short, a value nested deeper in lists, or a value of
+    another type. Deep nesting is spliced into the text, so the document
+    itself stays shallow."""
     deep = {}
     for _ in range(data.draw(st.integers(1, 3))):
         nodes = list(_nodes(doc))
-        kind = data.draw(st.sampled_from(["truncate", "number", "deepen", "retype"]))
+        kind = data.draw(st.sampled_from(["truncate", "number", "packed", "deepen", "retype"]))
         if kind == "truncate":
             nodes = [(p, v) for p, v in nodes if isinstance(v, list) and v]
         elif kind == "number":
             nodes = [(p, v) for p, v in nodes
                      if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        elif kind == "packed":
+            nodes = [(p, v) for p, v in nodes
+                     if isinstance(v, str) and p and p[-1] in PACKED]
         if not nodes:
             continue
         path, value = nodes[data.draw(st.integers(0, len(nodes) - 1))]
@@ -486,6 +593,8 @@ def hostile_document(data, doc) -> bytes:
             new = value[:data.draw(st.integers(0, len(value) - 1))]
         elif kind == "number":
             new = data.draw(st.sampled_from(ODD_NUMBERS + (-value, value + 1)))
+        elif kind == "packed":
+            new = _odd_packed(data, value, PACKED[path[-1]])
         elif kind == "deepen":
             new = f"deep-{len(deep)}"
             deep[new] = (value, data.draw(st.sampled_from([1, 2, 50, 3000])))

@@ -140,6 +140,18 @@ def test_non_integer_jobs_is_config_error(workspace, tmp_path, monkeypatch):
     assert run(["train", "--config", workspace["config"], "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999", "-99999999999999"])
+def test_bad_source_date_epoch_is_config_error(epoch, dataset_csv, tmp_path, monkeypatch):
+    # The stamp is read when the stack is saved, after every fit.
+    config = {**fast_config(dataset_csv, tmp_path), "folds": 2,
+              "candidates": [{"algorithm": "cart"}, {"algorithm": "naive_bayes"}],
+              "stacking": {"top_n": 2, "meta_algorithm": "sgd_logistic",
+                           "meta_hyperparameters": {"epochs": 5}, "oof_folds": 2}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert run(["train", "--config", tmp_path / "config.json"]) == 2
+
+
 @pytest.mark.parametrize("fragment", [
     '"seed": "abc"',
     '"folds": "ten"',
