@@ -3,8 +3,9 @@
 
     python3 scripts/record_digests.py [--against OTHER.json] > digests.json
 
-The sets are ``TREES_SHA256``, ``DFS_TREES_SHA256``, ``FOLD_DOC_SHA256``,
-``FOREST_FOLD_DOC_SHA256`` and ``FOLD_PROBA_SHA256`` of
+The sets are ``TREES_SHA256``, ``DFS_TREES_SHA256``,
+``BOOTSTRAP_TREES_SHA256``, ``FOLD_DOC_SHA256``, ``FOREST_FOLD_DOC_SHA256``
+and ``FOLD_PROBA_SHA256`` of
 ``tests/test_forest_engine.py``, and ``PROBA_SHA256`` and ``STAGED_SHA256``
 of ``tests/test_golden_predictions.py``. Each is computed with the tests'
 own data and hash helpers, so the output can be pasted over the literals.
@@ -38,6 +39,7 @@ def digests() -> dict[str, dict[str, str]]:
                          for case in sorted(engine.CASES)},
         "DFS_TREES_SHA256": {case: engine.dfs_trees_digest(case, forest_data)
                              for case in sorted(engine.DFS_CASES)},
+        "BOOTSTRAP_TREES_SHA256": engine.bootstrap_trees_digests(),
         "FOLD_DOC_SHA256": {}, "FOREST_FOLD_DOC_SHA256": {}, "FOLD_PROBA_SHA256": {},
     }
     folds = engine.make_study_folds()

@@ -23,7 +23,7 @@ from heartstack.analysis import correlation_with_target
 from heartstack.learners import ALGORITHMS, LearnerSpec, fit, best_split
 from heartstack.learners.linear import logistic_loss_and_grad
 from heartstack.learners.mlp import init_params, loss_and_grad
-from heartstack.learners.tree import grow_tree, GrowParams, tree_apply
+from heartstack.learners.tree import grow_forest, GrowParams, tree_apply
 from heartstack.metrics import (
     ConfusionMatrix,
     metric_report,
@@ -33,6 +33,7 @@ from heartstack.metrics import (
 from heartstack.model_store import load_model, save_model
 from heartstack.pipeline import cmd_analyze, cmd_baseline, cmd_evaluate, cmd_train, stacking_config
 from heartstack.reporting import read_csv
+from heartstack.rng import stream
 from heartstack.splitting import stratified_split
 from heartstack.stacking import fit_stack
 from heartstack.synthetic import REFERENCE_CORRELATIONS
@@ -227,7 +228,7 @@ def test_criterion_7_oracle_equivalences():
     for _ in range(50):
         n = int(rng.integers(5, 80))
         X, y = random_classification(rng, n, int(rng.integers(1, 5)))
-        tree = grow_tree(X, y, GrowParams())
+        tree = grow_forest(X, y, GrowParams(), [stream(DEFAULT_SEED, "cart")])
         assert ((tree_apply(tree, X) >= 0.5).astype(int) == y).all()
         memorized += 1
 

@@ -11,6 +11,13 @@ recorded while second-order trees still had a grower of their own;
 grow_tree must reproduce them bit for bit. AdaBoost's was recorded again
 when its stumps' leaves became +-alpha.
 
+The CART digests, and the bootstrap class trees of
+``BOOTSTRAP_TREES_SHA256``, were recorded with the depth-first grower. A
+tree's digest is taken with its nodes numbered depth first
+(``depth_first``), so a class tree grown level by level must match the
+depth-first tree node for node: class sums are whole-number counts, so the
+order of tied rows cannot change a split.
+
 The fold digests are sha256 hashes of whole ``save_model`` documents of the
 depth-first learners, fitted at their default sizes on two folds of the
 study's synthetic train split, and of 25-tree forests (default
@@ -70,17 +77,45 @@ DFS_CASES = {
     "gbm-default": ("gbm", {"n_estimators": 10}),
     "adaboost-stumps": ("adaboost", {"n_estimators": 10}),
     "cart-default": ("cart", {}),
+    "cart-entropy": ("cart", {"criterion": "entropy"}),
+    "cart-shallow": ("cart", {"max_depth": 5, "min_samples_split": 20}),
+    "cart-entropy_shallow": ("cart", {"criterion": "entropy", "max_depth": 5,
+                                      "min_samples_split": 20}),
     "cart-entropy_subsample": ("cart", {"criterion": "entropy", "max_features": 3}),
 }
 DFS_TREES_SHA256 = {
     "adaboost-stumps": "3c043b5b79ead8a959a39359edde6d6ba1216fa78936da0f2cec6744683720fb",
     "cart-default": "877aa1b72f73b041e2ea9535e7b436cfd726dea4e846909ae38c9a93b66babcf",
+    "cart-entropy": "a0edf51853ff2fb1dea4f6a4b5ea9adceaca15305dd5b0854838e816d1a90fbf",
+    "cart-entropy_shallow": "9ce2e02779b808db0b2713d605c5072a1bb66c330de4fbdb6346b77b2ba18541",
     "cart-entropy_subsample": "6da871cfb2068b24876f389a6e9c2fa3f32676b0553a7c4a3a92d04ef9529849",
+    "cart-shallow": "e921643dcaf03d0db10666c19a47854e01ab411dd4c50d0c0fc9226d1f809658",
     "gbm-default": "06688c59d2559cfff98b2d23b86dd88c2454fbacb1a378724e999c261728bfa2",
     "xgb_style-default": "3af2f22669cdf0043804e321ea1b5a73ba18e7b99e1d6f45f0181c15fa24eb35",
     "xgb_style-gamma": "0ed2348c976fc630665f3c86290e7e105b822beedcf39ea6b1c1001b941b7d45",
     "xgb_style-no_lambda": "a2923f92439698781bfd62a044fb16e6662cf1ef07e0b29d2162221bc92fd30c",
     "xgb_style-unbounded": "a7aa39eeefd3089f36a5e31b4ea7997ebecc50cb6a68e6375a6737f9abe29e1a",
+}
+
+# Three bootstrap class trees per small tie-heavy instance, each recorded
+# with the depth-first grower on the tree's resampled rows, its duplicates
+# as row weights.
+BOOTSTRAP_TREES_SHA256 = {
+    "gini-0": "b86a30124fab30f1e2186623f736b66a4ebb78855aa5a43634fb13d993edb037",
+    "entropy-1": "eaa9c5cf6500f59211446971e35884c4b908cfeff5e9db56863ef0d3f18ab15e",
+    "gini-2": "82e65c53ce6ff78d09a687f5e292184e5f3bd9db9af4d2a34a4d047804a77749",
+    "entropy-3": "004f9a5d6c3ad477e742449748c35e0831c9e1b60c868fb9d2624cdcf2df85b4",
+    "gini-4": "21d12b2a6ff48f0465bffa72c1efaa801f419f3cab5b81848a796d1850be67f2",
+    "entropy-5": "82a62bcc6355f55de8ebdaab7d59fb88ac86e12bcefa6515667bf041e2bc56a9",
+    "gini-6": "bd977c9ca9764886433268f006dc624ef61440ec6538ac46f77caae9a8025c2a",
+    "entropy-7": "2b7a48ead93026d82d06e3703b77fd067cf700f3c6023d2e232792143deb222e",
+    "gini-8": "b9fdccffcd3fda86ae2be84c2cc18a0a59e19ede3ced83e054092d3bd3e9fe4f",
+    "entropy-9": "03aab94114d3a04859cc285a3cccc79aa2bec56a4b926e367fe7487ddc313bf5",
+    "gini-10": "24301f10d8aaef82047feff91cbac6574a87c9aa2748f9a52814610ddbc65e3c",
+    "entropy-11": "59fcb376537374937b8b3aa87656cdb1329477cdda8eaf3bc5cff318c5958c28",
+    "gini-12": "a2dee80ff388517d9d565fdc916689a6b2b9c1babd489534eee500c5712f1652",
+    "entropy-13": "9b76b440b51a9c6b8a96b0612e9348c5c0c87e523b37970e143983a145ed926a",
+    "gini-14": "9dafddd1a1a935a74e60b62dd1a598fd82d8d2e7325ca7d2b80fb1a3103c085d",
 }
 
 # Default-size fits of the depth-first learners on OOF folds of the study.
@@ -164,10 +199,53 @@ def forest_trees_digest(case, data) -> str:
                             *data).trees)
 
 
+def depth_first(trees):
+    """The block with each tree's nodes numbered as a depth-first grower
+    numbers them: nodes split in depth-first order, left subtree first, and
+    a node's children take the next two ids when it splits. Node values
+    and links are unchanged, so a tree grown level by level digests as the
+    same tree grown depth first."""
+    parts = []
+    for root in trees.roots:
+        order, stack = [root], [root]  # old ids in their new order
+        while stack:
+            left = trees.left[stack.pop()]
+            if left != -1:
+                order += [left, left + 1]
+                stack += [left + 1, left]
+        order = np.array(order)
+        new_id = np.zeros(trees.n_nodes, dtype=np.intp)
+        new_id[order] = np.arange(len(order))
+        left = trees.left[order]
+        parts.append({"feature": trees.feature[order], "threshold": trees.threshold[order],
+                      "left": np.where(left == -1, -1, new_id[left]),
+                      "value": trees.value[order], "roots": np.zeros(1, dtype=np.intp)})
+    return tree_module._join(parts)
+
+
 def dfs_trees_digest(case, data) -> str:
     algorithm, hyper = DFS_CASES[case]
     model = fit(LearnerSpec(algorithm, hyper, seed=5), *data)
-    return trees_digest(model.trees)
+    return trees_digest(depth_first(model.trees) if algorithm == "cart" else model.trees)
+
+
+def bootstrap_trees_digests() -> dict[str, str]:
+    """The BOOTSTRAP_TREES_SHA256 cases as grow_forest grows them, each
+    tree numbered depth first."""
+    rng = np.random.default_rng(7)
+    out = {}
+    for case in range(15):
+        n = int(rng.integers(4, 50))
+        d = int(rng.integers(1, 5))
+        X = np.round(rng.normal(size=(n, d)), 1)
+        y = rng.integers(0, 2, n)
+        criterion = ("gini", "entropy")[case % 2]
+        rngs = [stream(case, "tree", t) for t in range(3)]
+        forest = tree_module.grow_forest(X, y, tree_module.GrowParams(criterion=criterion),
+                                         rngs, bootstrap=True)
+        rng.normal(size=(40, d))  # query rows, drawn as when the cases were recorded
+        out[f"{criterion}-{case}"] = trees_digest(depth_first(forest))
+    return out
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -178,6 +256,10 @@ def test_forest_trees_digest(case, forest_data):
 @pytest.mark.parametrize("case", sorted(DFS_CASES))
 def test_dfs_trees_digest(case, forest_data):
     assert dfs_trees_digest(case, forest_data) == DFS_TREES_SHA256[case]
+
+
+def test_bootstrap_trees_digest():
+    assert bootstrap_trees_digests() == BOOTSTRAP_TREES_SHA256
 
 
 @pytest.mark.parametrize("algorithm", ["random_forest", "extra_trees"])

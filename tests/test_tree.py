@@ -68,6 +68,11 @@ def brute_force_split(X, y, w, features, criterion):
     return best
 
 
+def grow_cart(X, y, params):
+    """One class tree on every row, as CART grows it."""
+    return grow_forest(X, y, params, [stream(0, "cart")])
+
+
 def test_perfectly_separable_entropy_split():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
@@ -142,7 +147,7 @@ def test_variance_criterion_prefers_mean_separating_cut():
 
 def test_pure_input_grows_single_leaf():
     X = np.array([[1.0], [2.0]])
-    tree = grow_tree(X, np.array([1, 1]), GrowParams())
+    tree = grow_cart(X, np.array([1, 1]), GrowParams())
     assert tree.n_nodes == 1 and tree.left[0] == -1
     assert tree.value[0] == 1.0
 
@@ -150,7 +155,7 @@ def test_pure_input_grows_single_leaf():
 def test_xor_pattern_needs_depth_two():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
-    tree = grow_tree(X, y, GrowParams(criterion="entropy"))
+    tree = grow_cart(X, y, GrowParams(criterion="entropy"))
     assert (tree_apply(tree, X)[0] >= 0.5).astype(int).tolist() == y.tolist()
 
 
@@ -160,7 +165,7 @@ def test_unlimited_depth_memorizes_consistent_data():
         n = int(rng.integers(5, 60))
         X = rng.normal(size=(n, 3))
         y = rng.integers(0, 2, n)
-        tree = grow_tree(X, y, GrowParams())
+        tree = grow_cart(X, y, GrowParams())
         assert ((tree_apply(tree, X)[0] >= 0.5).astype(int) == y).all()
 
 
@@ -169,7 +174,7 @@ def test_max_depth_zero_like_stump():
     X = rng.normal(size=(20, 2))
     y = rng.integers(0, 2, 20)
     y[:2] = (0, 1)
-    stump = grow_tree(X, y, GrowParams(max_depth=1))
+    stump = grow_cart(X, y, GrowParams(max_depth=1))
     assert (stump.left[1:] == -1).all()  # every node below the root is a leaf
 
 
@@ -194,26 +199,6 @@ def test_fitted_values_are_the_training_rows_leaves():
         assert np.array_equal(fitted, tree_apply(tree, X)[0])
 
 
-def test_forest_engine_matches_dfs_grower():
-    # Each bootstrap tree of the engine against grow_tree on the same
-    # resampled rows, with the duplicates as row weights.
-    rng = np.random.default_rng(7)
-    for case in range(15):
-        n = int(rng.integers(4, 50))
-        d = int(rng.integers(1, 5))
-        X = np.round(rng.normal(size=(n, d)), 1)
-        y = rng.integers(0, 2, n)
-        params = GrowParams(criterion=("gini", "entropy")[case % 2])
-        forest = grow_forest(X, y, params, [stream(case, "tree", t) for t in range(3)],
-                             bootstrap=True)
-        q = rng.normal(size=(40, d))
-        for t, leaves in enumerate(tree_apply(forest, q)):
-            counts = np.bincount(stream(case, "tree", t).integers(0, n, size=n), minlength=n)
-            rows = np.flatnonzero(counts)
-            dfs = grow_tree(X[rows], y[rows], params, w=counts[rows].astype(float))
-            assert np.array_equal(tree_apply(dfs, q)[0], leaves)
-
-
 def test_forest_engine_random_trees_memorize():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(80, 4))
@@ -233,7 +218,7 @@ def test_blocks_number_children_after_parents_and_concatenate():
     params = GrowParams(criterion="entropy")
     random_params = GrowParams(criterion="entropy", feature_subsample=2,
                                candidate_mode="random_threshold")
-    trees = [grow_tree(X, y, params),
+    trees = [grow_cart(X, y, params),
              grow_tree(X, y - 0.5, GrowParams(criterion="variance", max_depth=3)),
              grow_forest(X, y, params, [stream(4, "tree", t) for t in range(2)], bootstrap=True),
              grow_forest(X, y, random_params, [stream(5, "tree", t) for t in range(2)])]
