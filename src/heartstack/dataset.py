@@ -93,19 +93,23 @@ class ValidationReport:
 
 
 def _open_source(source):
+    """The source's text as a stream, and its name for messages."""
     if isinstance(source, (str, Path)):
         try:
-            return open(source, "r", newline=""), str(source)
+            data, name = Path(source).read_bytes(), str(source)
         except OSError as exc:
             raise DataError(f"cannot read dataset: {exc}") from None
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf8")), "<bytes>"
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf8")
-        return io.StringIO(data), getattr(source, "name", "<stream>")
-    raise DataError(f"unsupported CSV source {type(source).__name__}")
+    elif isinstance(source, (bytes, bytearray)):
+        data, name = source, "<bytes>"
+    elif hasattr(source, "read"):
+        data, name = source.read(), getattr(source, "name", "<stream>")
+    else:
+        raise DataError(f"unsupported CSV source {type(source).__name__}")
+    try:
+        text = data if isinstance(data, str) else data.decode("utf8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name}: not UTF-8 text: {exc}") from None
+    return io.StringIO(text, newline=""), name
 
 
 def parse_csv(source) -> Dataset:

@@ -10,8 +10,7 @@ import numpy as np
 from ..errors import FitError
 from .base import LearnerSpec, sigmoid
 from .forest import TreeEnsembleModel
-from .tree import GrowParams, SortedColumns, TreeBlock, grow_tree
-from .tree import leaf_weight  # noqa: F401  (xgb_style's leaf formula, importable from here too)
+from .tree import GrowParams, SortedColumns, TreeBlock, TreeBuilder, _split_exhaustive, grow_tree
 from .tree import tree_apply  # noqa: F401  (perfbench's tracer times boosting.tree_apply)
 
 # Stumps with weighted error at or above chance end AdaBoost; a perfect
@@ -76,13 +75,11 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     p = spec.resolved()
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
-    params = GrowParams(criterion="gini", max_depth=1)
-    fitted = np.empty(n)
     columns = SortedColumns(X)  # a stump splits only its root
     stumps: list[TreeBlock] = []
     for _ in range(p["n_estimators"]):
-        stump = grow_tree(columns, y, params, w=w, fitted=fitted)
-        pred = (fitted >= 0.5).astype(np.int64)
+        stump, vote = _stump(columns, y, w)
+        pred = vote.astype(np.int64)
         err = float(w[pred != y].sum())
         if err >= 0.5:
             if not stumps:
@@ -90,10 +87,37 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
             break
         err = max(err, _ADA_EPS)
         alpha = math.log((1.0 - err) / err)
-        vote = np.where(stump.value >= 0.5, alpha, -alpha)
-        stumps.append(dataclasses.replace(stump, value=np.where(stump.left == -1, vote, 0.0)))
+        signed = np.where(stump.value >= 0.5, alpha, -alpha)
+        stumps.append(dataclasses.replace(stump, value=np.where(stump.left == -1, signed, 0.0)))
         if err <= _ADA_EPS:
             break  # perfect stump; further rounds cannot change the vote
         w *= np.exp(alpha * (pred != y))
         w /= w.sum()
     return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(stumps))
+
+
+def _stump(columns: SortedColumns, y, w) -> tuple[TreeBlock, np.ndarray]:
+    """The weighted-gini stump on the rows of ``columns``, with leaves
+    holding their weighted class-1 share, and each row's vote: whether its
+    leaf's share is at least 0.5. A pure root, or one without a cut, is the
+    only leaf; otherwise the root splits on its best cut, even at zero
+    impurity decrease."""
+    def share(w1, wt):
+        return min(max(w1, 0.0), wt) / wt
+
+    n = len(y)
+    w1, wt = float(w[y == 1].sum()), float(w.sum())
+    found = None
+    if 0.0 < w1 < wt:
+        feats = np.arange(len(columns.XT), dtype=np.intp)
+        found = _split_exhaustive(columns.node((), np.arange(n)), feats, w * (y == 1), None, w,
+                                  "gini", require_positive=False)
+    tree = TreeBuilder()
+    if found is None:
+        tree.leaf(0, share(w1, wt))
+        return tree.block(), np.full(n, share(w1, wt) >= 0.5)
+    feature, threshold, _, left_w1, left_wt = found
+    shares = share(left_w1, left_wt), share(w1 - left_w1, wt - left_wt)
+    for node, value in zip(tree.split(0, feature, threshold), shares):
+        tree.leaf(node, value)
+    return tree.block(), np.where(columns.XT[feature] <= threshold, *shares) >= 0.5

@@ -7,7 +7,7 @@ import numpy as np
 
 from ..rng import stream
 from .base import LearnerSpec, TrainedModel, finite_array, resolve_max_features, sigmoid
-from .tree import GrowParams, TreeBlock, grow_forest, grow_tree, tree_apply
+from .tree import GrowParams, TreeBlock, grow_forest, tree_apply
 
 BOOSTED = frozenset({"gbm", "xgb_style"})
 
@@ -95,16 +95,8 @@ class TreeEnsembleModel(TrainedModel):
 
 
 def fit_cart(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
-    p = spec.resolved()
-    max_features = resolve_max_features(p["max_features"], X.shape[1])
-    params = GrowParams(
-        criterion=p["criterion"],
-        max_depth=p["max_depth"],
-        min_samples_split=p["min_samples_split"],
-        feature_subsample=max_features,
-    )
-    rng = stream(spec.seed, "cart") if max_features is not None else None
-    return TreeEnsembleModel(spec, X.shape[1], grow_tree(X, y, params, rng))
+    """One full-sample tree that scores every midpoint of its candidates."""
+    return _fit_trees(spec, X, y, [stream(spec.seed, "cart")], False, "exhaustive")
 
 
 def fit_random_forest(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
@@ -118,6 +110,13 @@ def fit_extra_trees(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
 
 
 def _fit_forest(spec, X, y, bootstrap: bool, candidate_mode: str) -> TreeEnsembleModel:
+    # One stream per tree: tree t depends only on (seed, t), so the first c
+    # trees of a forest are the forest of c trees (staged_proba needs this).
+    rngs = [stream(spec.seed, "tree", t) for t in range(spec.resolved()["n_estimators"])]
+    return _fit_trees(spec, X, y, rngs, bootstrap, candidate_mode)
+
+
+def _fit_trees(spec, X, y, rngs, bootstrap: bool, candidate_mode: str) -> TreeEnsembleModel:
     p = spec.resolved()
     d = X.shape[1]
     params = GrowParams(
@@ -127,7 +126,4 @@ def _fit_forest(spec, X, y, bootstrap: bool, candidate_mode: str) -> TreeEnsembl
         feature_subsample=resolve_max_features(p["max_features"], d),
         candidate_mode=candidate_mode,
     )
-    # One stream per tree: tree t depends only on (seed, t), so the first c
-    # trees of a forest are the forest of c trees (staged_proba needs this).
-    rngs = [stream(spec.seed, "tree", t) for t in range(p["n_estimators"])]
     return TreeEnsembleModel(spec, d, grow_forest(X, y, params, rngs, bootstrap))

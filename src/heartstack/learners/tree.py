@@ -1,28 +1,30 @@
 """Decision-tree core shared by CART, the forests and the boosting stages.
 
-``grow_tree`` grows one tree depth first, a node at a time, for CART, gbm,
-xgb_style and AdaBoost. Its split search is exhaustive and vectorized over
-all candidate features of a node at once. The node's candidate columns form
-a feature-major block, one contiguous row per feature; each row is sorted,
-the node's sums are accumulated with prefix sums along it, and every
-midpoint between consecutive distinct values is scored in one pass. The
-score is the impurity decrease (gini, entropy, or variance for gbm's
-residuals) or, for xgb_style, the second-order gain of Chen & Guestrin
-(arXiv:1603.02754, eq. 7). X is fixed within a fit, so a node's split path
-fixes its rows; ``SortedColumns`` sorts each node once and keeps it, as
-XGBoost's column blocks do for the root (ibid., section 4.1), and boosting
-shares it across all stages of a fit. The cache is interim, until a
-presorted level-wise engine keeps every node in order without it.
+``grow_forest`` grows every classification tree: a CART tree, the trees of
+a forest. It grows them as one stream of level steps. A step splits every
+active node, over all trees and whatever their depths, as segments of one
+pooled array of (tree, row) pairs, so it costs the same few dozen numpy
+calls whether it holds one tree or many. At the top of each step the next
+trees join while the pairs stay within a fixed cap, which keeps the steps
+full and the working arrays bounded. A step scores the cuts between
+distinct values of each candidate feature (CART, random forest) or one
+uniform threshold per candidate (extremely randomized trees), by impurity
+decrease (gini or entropy).
 
-``grow_forest`` grows all classification trees of a forest as one stream of
-level steps. A step splits every active node, over all trees and whatever
-their depths, as segments of one pooled array of (tree, row) pairs, so it
-costs the same few dozen numpy calls whether it holds one tree or many. At
-the top of each step the next trees join while the pairs stay within a
-fixed cap, which keeps the steps full and the working arrays bounded. A
-step scores the cuts between distinct values of each candidate feature
-(random forest) or one uniform threshold per candidate (extremely
-randomized trees).
+``grow_tree`` grows one boosting tree depth first, a node at a time, for
+gbm and xgb_style. Its split search, ``_split_exhaustive``, is exhaustive
+and vectorized over all features of a node at once; AdaBoost's stump is
+one such search on the root. The node's columns form a feature-major
+block, one contiguous row per feature; each row is sorted, the node's sums
+are accumulated with prefix sums along it, and every midpoint between
+consecutive distinct values is scored in one pass. The score is the
+variance decrease of gbm's residuals or, for xgb_style, the second-order
+gain of Chen & Guestrin (arXiv:1603.02754, eq. 7). X is fixed within a
+fit, so a node's split path fixes its rows; ``SortedColumns`` sorts each
+node once and keeps it, as XGBoost's column blocks do for the root (ibid.,
+section 4.1), and boosting shares it across all stages of a fit. The cache
+is interim, until a presorted level-wise engine keeps every node in order
+without it.
 
 Tie-breaking is fully deterministic: among equal scores the split with the
 lowest feature index wins, then the lowest threshold.
@@ -41,8 +43,7 @@ import numpy as np
 
 from .base import finite_array, pack, unpack
 
-CLASS_CRITERIA = ("gini", "entropy")
-CRITERIA = CLASS_CRITERIA + ("variance",)
+CRITERIA = ("gini", "entropy", "variance")  # best_split's
 
 _FIELDS = ("feature", "threshold", "left", "value", "roots")  # TreeBlock's, in order
 
@@ -166,14 +167,16 @@ class TreeBuilder:
 
 @dataclass(frozen=True)
 class GrowParams:
-    # gini/entropy: class targets; variance: real targets (gbm's residuals)
-    # with mean leaves; second_order: gradients as y and hessians as w
-    # (grow_tree only)
+    # gini/entropy: class targets (grow_forest only); variance: real targets
+    # (gbm's residuals) with mean leaves; second_order: gradients as y and
+    # hessians as w (both grow_tree only)
     criterion: str = "gini"
     max_depth: int | None = None
     min_samples_split: int = 2
-    feature_subsample: int | None = None  # per-node candidate count; None = all
-    candidate_mode: str = "exhaustive"  # grow_forest also takes "random_threshold"
+    # grow_forest only: the per-node candidate count (None = all) and how
+    # candidates are cut, "exhaustive" or "random_threshold"
+    feature_subsample: int | None = None
+    candidate_mode: str = "exhaustive"
     reg_lambda: float = 1.0  # second_order: L2 penalty on leaf weights
     gamma: float = 0.0  # second_order: gain a split must exceed
 
@@ -255,11 +258,11 @@ def _sort_block(V) -> _SortedBlock:
 
 class SortedColumns:
     """X made ready for grow_tree: its transpose ``XT`` (one contiguous row
-    per feature) and its nodes' sorted blocks, whose ``order`` holds row
-    indices of X. Boosting grows every stage of a fit on one. A node's split
-    path, a tuple of (feature, threshold, side) from the root ``()``, fixes
-    its rows, so a node that searches every feature is sorted when first
-    asked for and kept under its path; one on a feature subset is not kept."""
+    per feature) and its nodes' sorted blocks on every feature, whose
+    ``order`` holds row indices of X. Boosting grows every stage of a fit
+    on one. A node's split path, a tuple of (feature, threshold, side) from
+    the root ``()``, fixes its rows, so a node is sorted when first asked
+    for and kept under its path."""
 
     def __init__(self, X):
         self.XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
@@ -269,12 +272,8 @@ class SortedColumns:
     def root(self) -> _SortedBlock:
         return _sort_block(self.XT)
 
-    def node(self, path: tuple, rows, feats=None) -> _SortedBlock:
-        """The block of the node at ``path`` holding ``rows``, on every
-        feature or, uncached, on the feature subset ``feats``."""
-        if feats is not None:
-            block = _sort_block(self.XT[np.ix_(feats, rows)])
-            return _SortedBlock(self.XT[feats], rows.take(block.order), block.cuts)
+    def node(self, path: tuple, rows) -> _SortedBlock:
+        """The block of the node at ``path``, which holds ``rows``."""
         if not path:
             return self.root
         if path not in self._nodes:
@@ -334,19 +333,24 @@ def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_po
     return int(feats[row]), float(threshold), float(best), float(la[i]), float(lw[i])
 
 
-def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBlock:
-    """Recursively split until depth / min-samples / purity stops.
+def grow_tree(X, y, params: GrowParams, w=None, fitted=None) -> TreeBlock:
+    """One boosting tree, split depth first until depth / min-samples /
+    purity stops.
 
-    Class leaves hold the weighted class-1 share, variance leaves the
-    weighted mean of y, and second-order leaves leaf_weight(G, H, lambda)
-    with y the gradients and w the hessians; second-order nodes have no
-    purity stop. Per-node feature subsets are drawn without replacement
-    from ``rng``. If given, ``fitted[i]`` receives the value of the leaf
-    that training row i reaches, which is what tree_apply would return.
+    Variance leaves hold the weighted mean of y, and second-order leaves
+    leaf_weight(G, H, lambda) with y the gradients and w the hessians. A
+    variance node whose targets are all equal is pure; second-order nodes
+    have no purity stop. A node splits only on a strictly positive score.
+    If given, ``fitted[i]`` receives the value of the leaf that training
+    row i reaches, which is what tree_apply would return.
 
-    X is a matrix or, to sort the root once for many trees, its
-    SortedColumns.
+    X is a matrix or, to share sorted nodes between the stages of a fit,
+    its SortedColumns.
     """
+    criterion = params.criterion
+    if criterion not in ("variance", "second_order"):
+        raise ValueError(f"grow_tree grows boosting trees, not {criterion!r} ones; "
+                         "class trees are grow_forest's")
     columns = X if isinstance(X, SortedColumns) else SortedColumns(X)
     XT = columns.XT
     y = np.asarray(y, dtype=np.float64)
@@ -354,70 +358,35 @@ def grow_tree(X, y, params: GrowParams, rng=None, w=None, fitted=None) -> TreeBl
     if n == 0:
         raise ValueError("cannot grow a tree on zero rows")
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
-    criterion = params.criterion
-    if params.feature_subsample is not None and rng is None:
-        raise ValueError("feature subsampling needs an rng")
-    if params.candidate_mode != "exhaustive":
-        raise ValueError("grow_tree searches every midpoint; random thresholds are grow_forest's")
-    classes = criterion in CLASS_CRITERIA
-
-    all_feats = np.arange(d, dtype=np.intp)
-    tree = TreeBuilder()
-
-    def leaf(node, rows, w1, wt):
-        if criterion == "second_order":
-            value = leaf_weight(y[rows].sum(), w[rows].sum(), params.reg_lambda)
-        elif criterion == "variance":
-            wr = w[rows]
-            value = float((wr * y[rows]).sum() / wr.sum())
-        else:
-            value = min(max(w1, 0.0), wt) / wt
-        tree.leaf(node, value)
-        if fitted is not None:
-            fitted[rows] = value
-
-    wt_root = float(w.sum()) if classes else 0.0
-    w1_root = float(w[y == 1.0].sum()) if classes else 0.0
+    feats = np.arange(d, dtype=np.intp)
     a, b = _target_sums(y, w, criterion)
-    # Class sums ride along with each node so purity checks and leaf stats
-    # need no extra passes over the rows; the path keys the node's block.
-    stack = [(0, np.arange(n), 0, w1_root, wt_root, ())]
+    tree = TreeBuilder()
+    # The path keys the node's sorted block.
+    stack = [(0, np.arange(n), 0, ())]
     while stack:
-        node, rows, depth, w1, wt, path = stack.pop()
-        if classes:
-            pure = w1 <= 0.0 or w1 >= wt
-        else:
-            pure = criterion == "variance" and (y[rows] == y[rows[0]]).all()
-        if (
-            pure
-            or (params.max_depth is not None and depth >= params.max_depth)
-            or len(rows) < params.min_samples_split
-        ):
-            leaf(node, rows, w1, wt)
-            continue
-
-        subset = params.feature_subsample is not None and params.feature_subsample < d
-        feats = (np.sort(rng.choice(d, size=params.feature_subsample, replace=False))
-                 if subset else all_feats)
-        block = columns.node(path, rows, feats if subset else None)
-        # An impure class node keeps splitting even at zero impurity decrease
-        # (parity patterns need the lookahead), so only depth, node size and
-        # purity stop its growth; other nodes need a strictly positive score.
-        found = _split_exhaustive(block, feats, a, b, w, criterion,
-                                  require_positive=not classes,
-                                  reg_lambda=params.reg_lambda, gamma=params.gamma)
+        node, rows, depth, path = stack.pop()
+        found = None
+        if not ((criterion == "variance" and (y[rows] == y[rows[0]]).all())
+                or (params.max_depth is not None and depth >= params.max_depth)
+                or len(rows) < params.min_samples_split):
+            found = _split_exhaustive(columns.node(path, rows), feats, a, b, w, criterion,
+                                      reg_lambda=params.reg_lambda, gamma=params.gamma)
         if found is None:
-            leaf(node, rows, w1, wt)
+            if criterion == "second_order":
+                value = leaf_weight(y[rows].sum(), w[rows].sum(), params.reg_lambda)
+            else:
+                wr = w[rows]
+                value = float((wr * y[rows]).sum() / wr.sum())
+            tree.leaf(node, value)
+            if fitted is not None:
+                fitted[rows] = value
             continue
 
-        feature, threshold, _, left_w1, left_wt = found
+        feature, threshold = found[:2]
         left, right = tree.split(node, feature, threshold)
         go_left = XT[feature, rows] <= threshold
-        # Push right first so the left child is grown first (stable rng order).
-        stack.append((right, rows[~go_left], depth + 1, w1 - left_w1, wt - left_wt,
-                      (*path, (feature, threshold, 1))))
-        stack.append((left, rows[go_left], depth + 1, left_w1, left_wt,
-                      (*path, (feature, threshold, 0))))
+        stack.append((right, rows[~go_left], depth + 1, (*path, (feature, threshold, 1))))
+        stack.append((left, rows[go_left], depth + 1, (*path, (feature, threshold, 0))))
     return tree.block()
 
 
@@ -433,14 +402,17 @@ _PAIRS_PER_STEP = 1 << 13
 
 
 def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> TreeBlock:
-    """The classification trees of a forest, one per generator in ``rngs``,
-    grown together level by level.
+    """Classification trees, one per generator in ``rngs``, grown together
+    level by level.
 
-    Each node splits as in grow_tree, with class targets and a candidate
-    feature subset per node: exhaustive mode scores every midpoint between
-    consecutive distinct values of each candidate, random_threshold mode one
-    uniform threshold per candidate; the largest impurity decrease wins,
-    ties to the lowest feature index, then the lowest threshold.
+    A node is a leaf, valued at its weighted class-1 share, when it is
+    pure, at ``max_depth``, below ``min_samples_split`` rows or without a
+    cut. Otherwise it splits on its best cut over a candidate feature
+    subset, even at zero impurity decrease (parity patterns need the
+    lookahead): exhaustive mode scores every midpoint between consecutive
+    distinct values of each candidate, random_threshold mode one uniform
+    threshold per candidate; the largest impurity decrease wins, ties to
+    the lowest feature index, then the lowest threshold.
 
     The trees run as one stream of level steps. Each step splits every
     active node, over all trees, and at its top admits the next trees, in

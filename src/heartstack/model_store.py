@@ -118,7 +118,10 @@ def load_model(source):
     """Parse a model document back into a predictor with bit-identical
     behaviour. Unknown versions and malformed documents raise."""
     if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
+        try:
+            data = Path(source).read_bytes()
+        except OSError as exc:
+            raise ModelFormatError(f"cannot read model: {exc}") from None
     elif isinstance(source, (bytes, bytearray)):
         data = bytes(source)
     else:

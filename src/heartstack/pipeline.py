@@ -17,7 +17,7 @@ from .analysis import correlation_matrix, correlation_with_target, summarize
 from .cleaning import clean
 from .config import PipelineConfig
 from .dataset import Dataset, parse_csv, parse_feature_csv, validate_schema
-from .errors import DataError
+from .errors import ConfigError, DataError
 # fit, cross_validate and grid_search are not called here any more: every fit
 # of a command runs in the model_selection and stacking task pools. They
 # stay importable from this module, where perfbench/tracer.py wraps them.
@@ -52,7 +52,10 @@ def prepare(config: PipelineConfig) -> PreparedData:
 
 def _outdir(config: PipelineConfig, sub: str) -> Path:
     path = Path(config.out_dir) / sub
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from None
     return path
 
 
@@ -271,6 +274,9 @@ def cmd_predict(model_path, input_csv, out_path) -> dict:
                  for name, value in report.to_dict().items() if name != "undefined"]
         text += "\n".join(lines) + "\n"
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(text, encoding="utf8")
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(text, encoding="utf8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write predictions to {out_path}: {exc}") from None
     return {"out": str(out_path), "probabilities": proba, "labels": labels, "report": report}

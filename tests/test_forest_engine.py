@@ -88,7 +88,7 @@ DFS_TREES_SHA256 = {
     "cart-default": "877aa1b72f73b041e2ea9535e7b436cfd726dea4e846909ae38c9a93b66babcf",
     "cart-entropy": "a0edf51853ff2fb1dea4f6a4b5ea9adceaca15305dd5b0854838e816d1a90fbf",
     "cart-entropy_shallow": "9ce2e02779b808db0b2713d605c5072a1bb66c330de4fbdb6346b77b2ba18541",
-    "cart-entropy_subsample": "6da871cfb2068b24876f389a6e9c2fa3f32676b0553a7c4a3a92d04ef9529849",
+    "cart-entropy_subsample": "ff68e5f05bd739ecab962941bf7cd264d2a561a49f4b1de514718b47befcf119",
     "cart-shallow": "e921643dcaf03d0db10666c19a47854e01ab411dd4c50d0c0fc9226d1f809658",
     "gbm-default": "06688c59d2559cfff98b2d23b86dd88c2454fbacb1a378724e999c261728bfa2",
     "xgb_style-default": "3af2f22669cdf0043804e321ea1b5a73ba18e7b99e1d6f45f0181c15fa24eb35",
@@ -130,10 +130,10 @@ FOLDS = (0, 7)
 FOLD_DOC_SHA256 = {
     "adaboost-0": "cb1ac21ec9a8f7ade5c56612517c2df797b220cf27e6c9cfc0800895e67724c9",
     "adaboost-7": "f3f3697608aa7b82b061538b4073f25e01b0b34f7a348be0b8bcf8c43f96f085",
-    "cart-0": "dab6a11c896267a5d40dc2d09bf8110d7f7d5c242556df93e754ce9934b6842b",
-    "cart-7": "29f000a44a26523977d4e32ca8cbfc1a6b077d01dea1772d51f20ab7cb889fa7",
-    "cart-sqrt_features-0": "8f72fb313b058c5fc57e9d3571a2a2e573190357d1bf47a64084aec69fd530a3",
-    "cart-sqrt_features-7": "e9a63c3add69dc7d6ed346441acd5b87028275b6a4789d5870d439239795e429",
+    "cart-0": "3c9f9799d8bd6de3dd538cda2e6972502430df6a88ffe0381a020c6966f808d4",
+    "cart-7": "2ebce57a4b60c784a8d104cccc4c0d05a1b9dad0e8a5294ee6771d5fc88c6534",
+    "cart-sqrt_features-0": "86b80c1ba2c51614df603fa4f6b436d3efd06795cc8afeed54d2bb11dd04ab16",
+    "cart-sqrt_features-7": "88fb4607c2ff634b2b8be2dd9fcc4adc76571cba1348aca6a52d3be095cabbb5",
     "gbm-0": "686601c5540654c33bc6698115fc1205073799b36de3b911926c58aa3f1eed34",
     "gbm-7": "da59d0ccb201443af2f9017ba0b117f61f3490c987f088e8139894357478fda6",
     "xgb_style-0": "d7a3c516f6e0b68220b4ef5f25b8953a4a2aef292bb12c86c18d908c535d058b",
@@ -156,8 +156,8 @@ FOLD_PROBA_SHA256 = {
     "adaboost-7": "238be725b3f0250cba5762f9a31b7257fff70303b597f41c7b650e0306134da2",
     "cart-0": "a7f1c84cd3adf7ae5b8eb8499aabc98a475047d7a7e49eb019b2e81db3fa1b27",
     "cart-7": "f15813171eacff6a7723b0ea34a7365bdc7b16f2213a42a9568a1e68ff8021f9",
-    "cart-sqrt_features-0": "47885cc4dd66a8157178d839f707671d7e0cfd8d17ed11b4e27797688d5a6996",
-    "cart-sqrt_features-7": "6a14a9154dc9d7506e3e0a95d0434bb131b50cdd0d8cf092e0fffae05b5d875c",
+    "cart-sqrt_features-0": "36cc505db1263f1e66deb073dfeebc0d49360eddb3c98a31adb84aac906d6f2e",
+    "cart-sqrt_features-7": "67ad2d7bb88007ecc3173b0321d14b087074a91a14fa938dd5d4189df3ea1adf",
     "extra_trees-0": "de65defecba93f8b67e9c41cb3e217b42b0354e3e939528f55c20685396e20d9",
     "extra_trees-7": "1e67046378abbdea55376fc1af313e5c488aaf31022fc7350e5e153d6913ac32",
     "gbm-0": "b8fae523dbe43b6f1f1c726883a01bc182f6474299e6186309bce722ad32122d",

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_classification
 from heartstack.errors import FitError
 from heartstack.learners import ALGORITHMS, LearnerSpec, fit
-from heartstack.learners.boosting import leaf_weight
+from heartstack.learners.tree import leaf_weight
 from heartstack.learners.linear import _sgd, logistic_loss_and_grad
 from heartstack.learners.mlp import init_params, loss_and_grad
 from heartstack.learners.tree import tree_apply

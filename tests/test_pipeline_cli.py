@@ -7,8 +7,8 @@ import pytest
 from heartstack import config as config_module
 from heartstack.cli import main
 from heartstack.config import config_from_dict, load_config, paper_default_config
-from heartstack.learners import LearnerSpec
-from heartstack.model_store import load_model
+from heartstack.learners import LearnerSpec, fit
+from heartstack.model_store import load_model, save_model
 from heartstack.pipeline import MODEL_FILE
 from heartstack.errors import ConfigError
 from heartstack.reporting import read_csv, read_json
@@ -182,6 +182,48 @@ def test_unreadable_dataset_is_data_error(tmp_path):
     config.write_text(json.dumps({"dataset": str(tmp_path / "missing.csv")}))
     code = run(["analyze", "--config", config])
     assert code != 0
+
+
+@pytest.mark.parametrize("case, code", [
+    ("train_on_non_utf8_csv", 3),
+    ("analyze_non_utf8_csv", 3),
+    ("predict_non_utf8_csv", 3),
+    ("non_utf8_config", 2),
+    ("predict_missing_model", 5),
+    ("predict_model_is_a_directory", 5),
+    ("evaluate_before_train", 5),
+    ("out_is_a_file", 2),
+    ("predict_output_is_a_directory", 2),
+])
+def test_unreadable_input_or_blocked_output_exits_with_its_category(case, code, dataset,
+                                                                    dataset_csv, tmp_path):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"age,sex\n60,1\n\xe9,0\n")
+    model = tmp_path / "nb.model"
+    save_model(fit(LearnerSpec("naive_bayes", {}), dataset.X, dataset.y), model)
+    (tmp_path / "a_file").write_text("")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"dataset": str(latin1), "out_dir": str(tmp_path / "out")}))
+    if case == "non_utf8_config":
+        config.write_bytes(b'{"dataset": "caf\xe9.csv"}')
+    elif case in ("evaluate_before_train", "out_is_a_file"):
+        config.write_text(json.dumps({"dataset": str(dataset_csv)}))
+
+    def predict(model, input, output):
+        return ["predict", "--model", model, "--input", input, "--output", output]
+
+    argv = {
+        "train_on_non_utf8_csv": ["train", "--config", config],
+        "analyze_non_utf8_csv": ["analyze", "--config", config],
+        "predict_non_utf8_csv": predict(model, latin1, tmp_path / "p.csv"),
+        "non_utf8_config": ["analyze", "--config", config],
+        "predict_missing_model": predict(tmp_path / "none.model", dataset_csv, tmp_path / "p.csv"),
+        "predict_model_is_a_directory": predict(tmp_path, dataset_csv, tmp_path / "p.csv"),
+        "evaluate_before_train": ["evaluate", "--config", config, "--out", tmp_path / "out"],
+        "out_is_a_file": ["analyze", "--config", config, "--out", tmp_path / "a_file"],
+        "predict_output_is_a_directory": predict(model, dataset_csv, tmp_path),
+    }[case]
+    assert run(argv) == code
 
 
 def test_seed_flag_overrides_config(workspace, tmp_path):

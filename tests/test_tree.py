@@ -189,14 +189,38 @@ def test_regression_leaves_hold_means():
 def test_fitted_values_are_the_training_rows_leaves():
     rng = np.random.default_rng(21)
     X = np.round(rng.normal(size=(70, 3)), 1)
-    y = rng.integers(0, 2, 70)
-    cases = [(y, GrowParams(criterion="entropy"), None),
-             (y, GrowParams(max_depth=1), rng.random(70)),
-             (y - rng.random(70), GrowParams(criterion="variance", max_depth=3), None)]
+    p = rng.random(70)
+    cases = [(p - rng.integers(0, 2, 70), GrowParams(criterion="second_order", max_depth=3),
+              p * (1.0 - p)),
+             (p - rng.random(70), GrowParams(criterion="variance", max_depth=3), None)]
     for target, params, w in cases:
         fitted = np.full(70, np.nan)
         tree = grow_tree(X, target, params, w=w, fitted=fitted)
         assert np.array_equal(fitted, tree_apply(tree, X)[0])
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_grow_tree_grows_no_class_trees(criterion):
+    X = np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="grow_forest"):
+        grow_tree(X, np.array([0, 1]), GrowParams(criterion=criterion))
+
+
+def test_adaboost_votes_are_its_stumps_leaves():
+    rng = np.random.default_rng(22)
+    shapes = set()
+    for case in range(30):
+        X = np.round(rng.normal(size=(40, 3)), 1)
+        if case % 10 == 9:
+            X[:] = 0.5  # no cut
+        y = rng.integers(0, 2, 40)
+        if case % 10 == 8:
+            y[:] = 1  # pure
+        w = rng.random(40)
+        stump, vote = boosting._stump(SortedColumns(X), y, w / w.sum())
+        assert np.array_equal(vote, tree_apply(stump, X)[0] >= 0.5)
+        shapes.add(stump.n_nodes)
+    assert shapes == {1, 3}
 
 
 def test_forest_engine_random_trees_memorize():
@@ -337,28 +361,17 @@ def test_grow_tree_on_sorted_columns_equals_grow_tree_on_x():
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_root_block_is_sorted_only_when_the_root_searches_every_feature():
-    rng = np.random.default_rng(32)
-    X = np.round(rng.normal(size=(60, 6)), 1)
-    y = rng.integers(0, 2, 60)
-    columns = SortedColumns(X)
-    grow_tree(columns, y, GrowParams(feature_subsample=2, max_depth=2), rng=rng)
-    assert "root" not in vars(columns)
-    grow_tree(columns, y, GrowParams(max_depth=2))
-    assert "root" in vars(columns)
-
-
 class UncachedColumns(SortedColumns):
     """SortedColumns that forgets every sorted block before each lookup, so
     each node of each tree is sorted anew, as before the node cache."""
 
     lookups = 0
 
-    def node(self, path, rows, feats=None):
+    def node(self, path, rows):
         UncachedColumns.lookups += 1
         self._nodes.clear()
         vars(self).pop("root", None)
-        return super().node(path, rows, feats)
+        return super().node(path, rows)
 
 
 def tie_heavy_data(seed, n=300, d=6):
@@ -374,8 +387,6 @@ NODE_CACHE_CASES = [
     ("xgb_style", {"n_estimators": 60}),
     ("gbm", {"n_estimators": 60}),
     ("adaboost", {"n_estimators": 20}),
-    ("cart", {}),
-    ("cart", {"max_features": "sqrt"}),  # nodes on a feature subset are not cached
 ]
 
 
@@ -384,7 +395,6 @@ def test_node_cache_leaves_model_documents_unchanged(algorithm, hyper, monkeypat
     X, y = tie_heavy_data(33)
     spec = LearnerSpec(algorithm, hyper, seed=5)
     cached = save_model(fit(spec, X, y))
-    monkeypatch.setattr(tree_module, "SortedColumns", UncachedColumns)
     monkeypatch.setattr(boosting, "SortedColumns", UncachedColumns)
     monkeypatch.setattr(UncachedColumns, "lookups", 0)
     assert save_model(fit(spec, X, y)) == cached
@@ -401,9 +411,9 @@ def test_each_node_path_is_sorted_once_per_fit(algorithm, monkeypatch):
         sorts.append(V.shape)
         return sort_block(V)
 
-    def recorded_node(self, path, rows, feats=None):
+    def recorded_node(self, path, rows):
         paths.append(path)
-        return node(self, path, rows, feats)
+        return node(self, path, rows)
 
     monkeypatch.setattr(tree_module, "_sort_block", counted_sort)
     monkeypatch.setattr(SortedColumns, "node", recorded_node)
