@@ -182,10 +182,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raw = json.loads(Path(path).read_text(encoding="utf8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from None
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
     return config_from_dict(raw)

@@ -78,8 +78,7 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     columns = SortedColumns(X)  # a stump splits only its root
     stumps: list[TreeBlock] = []
     for _ in range(p["n_estimators"]):
-        stump, vote = _stump(columns, y, w)
-        pred = vote.astype(np.int64)
+        stump, pred = _stump(columns, y, w)
         err = float(w[pred != y].sum())
         if err >= 0.5:
             if not stumps:
@@ -97,11 +96,10 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
 
 
 def _stump(columns: SortedColumns, y, w) -> tuple[TreeBlock, np.ndarray]:
-    """The weighted-gini stump on the rows of ``columns``, with leaves
-    holding their weighted class-1 share, and each row's vote: whether its
-    leaf's share is at least 0.5. A pure root, or one without a cut, is the
-    only leaf; otherwise the root splits on its best cut, even at zero
-    impurity decrease."""
+    """The weighted-gini stump on the rows of ``columns``, its leaves
+    holding their weighted class-1 share, and each row's label: 1 where its
+    leaf's share is at least 0.5. A pure root, or one with no cut, is a
+    leaf; any other splits on its best cut, even at zero gain."""
     def share(w1, wt):
         return min(max(w1, 0.0), wt) / wt
 
@@ -115,9 +113,10 @@ def _stump(columns: SortedColumns, y, w) -> tuple[TreeBlock, np.ndarray]:
     tree = TreeBuilder()
     if found is None:
         tree.leaf(0, share(w1, wt))
-        return tree.block(), np.full(n, share(w1, wt) >= 0.5)
+        return tree.block(), np.full(n, int(share(w1, wt) >= 0.5))
     feature, threshold, _, left_w1, left_wt = found
     shares = share(left_w1, left_wt), share(w1 - left_w1, wt - left_wt)
     for node, value in zip(tree.split(0, feature, threshold), shares):
         tree.leaf(node, value)
-    return tree.block(), np.where(columns.XT[feature] <= threshold, *shares) >= 0.5
+    labels = np.where(columns.XT[feature] <= threshold, *shares) >= 0.5
+    return tree.block(), labels.astype(np.int64)

@@ -96,27 +96,21 @@ class TreeEnsembleModel(TrainedModel):
 
 def fit_cart(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     """One full-sample tree that scores every midpoint of its candidates."""
-    return _fit_trees(spec, X, y, [stream(spec.seed, "cart")], False, "exhaustive")
+    return _fit_trees(spec, X, y, bootstrap=False, candidate_mode="exhaustive",
+                      rngs=[stream(spec.seed, "cart")])
 
 
 def fit_random_forest(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     """Bootstrap-resampled trees with per-node feature subsampling."""
-    return _fit_forest(spec, X, y, bootstrap=True, candidate_mode="exhaustive")
+    return _fit_trees(spec, X, y, bootstrap=True, candidate_mode="exhaustive")
 
 
 def fit_extra_trees(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     """Full-sample trees with one random threshold per candidate feature."""
-    return _fit_forest(spec, X, y, bootstrap=False, candidate_mode="random_threshold")
+    return _fit_trees(spec, X, y, bootstrap=False, candidate_mode="random_threshold")
 
 
-def _fit_forest(spec, X, y, bootstrap: bool, candidate_mode: str) -> TreeEnsembleModel:
-    # One stream per tree: tree t depends only on (seed, t), so the first c
-    # trees of a forest are the forest of c trees (staged_proba needs this).
-    rngs = [stream(spec.seed, "tree", t) for t in range(spec.resolved()["n_estimators"])]
-    return _fit_trees(spec, X, y, rngs, bootstrap, candidate_mode)
-
-
-def _fit_trees(spec, X, y, rngs, bootstrap: bool, candidate_mode: str) -> TreeEnsembleModel:
+def _fit_trees(spec, X, y, bootstrap: bool, candidate_mode: str, rngs=None) -> TreeEnsembleModel:
     p = spec.resolved()
     d = X.shape[1]
     params = GrowParams(
@@ -126,4 +120,9 @@ def _fit_trees(spec, X, y, rngs, bootstrap: bool, candidate_mode: str) -> TreeEn
         feature_subsample=resolve_max_features(p["max_features"], d),
         candidate_mode=candidate_mode,
     )
+    if rngs is None:
+        # One stream per tree: tree t depends only on (seed, t), so the first
+        # c trees of a forest are the forest of c trees (staged_proba needs
+        # this).
+        rngs = [stream(spec.seed, "tree", t) for t in range(p["n_estimators"])]
     return TreeEnsembleModel(spec, d, grow_forest(X, y, params, rngs, bootstrap))

@@ -1,22 +1,21 @@
 """Decision-tree core shared by CART, the forests and the boosting stages.
 
-``grow_forest`` grows every classification tree: a CART tree, the trees of
-a forest. It grows them as one stream of level steps. A step splits every
-active node, over all trees and whatever their depths, as segments of one
-pooled array of (tree, row) pairs, so it costs the same few dozen numpy
-calls whether it holds one tree or many. At the top of each step the next
-trees join while the pairs stay within a fixed cap, which keeps the steps
-full and the working arrays bounded. A step scores the cuts between
+``grow_forest`` grows every classification tree (CART's and the forests')
+as one stream of level steps. A step splits every active node, over all
+trees and whatever their depths, as segments of one pooled array of (tree,
+row) pairs, so it costs the same few dozen numpy calls whether it holds one
+tree or many. At the top of each step the next trees join while the pairs
+stay within a fixed cap, which keeps the steps full and the working arrays
+bounded. A step scores by gini or entropy decrease the cuts between
 distinct values of each candidate feature (CART, random forest) or one
-uniform threshold per candidate (extremely randomized trees), by impurity
-decrease (gini or entropy).
+uniform threshold per candidate (extremely randomized trees).
 
 ``grow_tree`` grows one boosting tree depth first, a node at a time, for
-gbm and xgb_style. Its split search, ``_split_exhaustive``, is exhaustive
-and vectorized over all features of a node at once; AdaBoost's stump is
-one such search on the root. The node's columns form a feature-major
-block, one contiguous row per feature; each row is sorted, the node's sums
-are accumulated with prefix sums along it, and every midpoint between
+gbm and xgb_style; AdaBoost's stump is one search of its kernel,
+``_split_exhaustive``, on the root. The kernel scores all features of a
+node at once: the node's columns form a feature-major block, one
+contiguous row per feature; each row is sorted, the node's sums are
+accumulated with prefix sums along it, and every midpoint between
 consecutive distinct values is scored in one pass. The score is the
 variance decrease of gbm's residuals or, for xgb_style, the second-order
 gain of Chen & Guestrin (arXiv:1603.02754, eq. 7). X is fixed within a
@@ -167,16 +166,14 @@ class TreeBuilder:
 
 @dataclass(frozen=True)
 class GrowParams:
-    # gini/entropy: class targets (grow_forest only); variance: real targets
-    # (gbm's residuals) with mean leaves; second_order: gradients as y and
-    # hessians as w (both grow_tree only)
+    # grow_forest's gini/entropy: class targets; grow_tree's variance: real
+    # targets (gbm's residuals) with mean leaves, and second_order:
+    # gradients as y and hessians as w
     criterion: str = "gini"
     max_depth: int | None = None
     min_samples_split: int = 2
-    # grow_forest only: the per-node candidate count (None = all) and how
-    # candidates are cut, "exhaustive" or "random_threshold"
-    feature_subsample: int | None = None
-    candidate_mode: str = "exhaustive"
+    feature_subsample: int | None = None  # grow_forest: per-node candidates; None = all
+    candidate_mode: str = "exhaustive"  # grow_forest: or "random_threshold"
     reg_lambda: float = 1.0  # second_order: L2 penalty on leaf weights
     gamma: float = 0.0  # second_order: gain a split must exceed
 
@@ -334,15 +331,14 @@ def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_po
 
 
 def grow_tree(X, y, params: GrowParams, w=None, fitted=None) -> TreeBlock:
-    """One boosting tree, split depth first until depth / min-samples /
-    purity stops.
+    """One boosting tree, split depth first, on strictly positive scores
+    only, until depth / min-samples / purity stops.
 
     Variance leaves hold the weighted mean of y, and second-order leaves
-    leaf_weight(G, H, lambda) with y the gradients and w the hessians. A
-    variance node whose targets are all equal is pure; second-order nodes
-    have no purity stop. A node splits only on a strictly positive score.
-    If given, ``fitted[i]`` receives the value of the leaf that training
-    row i reaches, which is what tree_apply would return.
+    leaf_weight(G, H, lambda) with y the gradients and w the hessians;
+    second-order nodes have no purity stop. If given, ``fitted[i]``
+    receives the value of the leaf that training row i reaches, which is
+    what tree_apply would return.
 
     X is a matrix or, to share sorted nodes between the stages of a fit,
     its SortedColumns.

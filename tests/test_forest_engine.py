@@ -12,19 +12,23 @@ grow_tree must reproduce them bit for bit. AdaBoost's was recorded again
 when its stumps' leaves became +-alpha.
 
 The CART digests, and the bootstrap class trees of
-``BOOTSTRAP_TREES_SHA256``, were recorded with the depth-first grower. A
-tree's digest is taken with its nodes numbered depth first
-(``depth_first``), so a class tree grown level by level must match the
-depth-first tree node for node: class sums are whole-number counts, so the
-order of tied rows cannot change a split.
+``BOOTSTRAP_TREES_SHA256``, were recorded with the depth-first grower that
+grew class trees before grow_forest took them over. A tree's digest is
+taken with its nodes numbered depth first (``depth_first``), so a class
+tree grown level by level must match the depth-first tree node for node:
+class sums are whole-number counts, so the order of tied rows cannot
+change a split. Only CART with ``max_features`` set was recorded again, as
+grow_forest draws its candidate features level by level.
 
 The fold digests are sha256 hashes of whole ``save_model`` documents of the
 depth-first learners, fitted at their default sizes on two folds of the
 study's synthetic train split, and of 25-tree forests (default
 hyperparameters otherwise) on the same folds. Both sets were recorded
-again for format 3. The same fold fits' probabilities on the fold's
-held-out rows (``FOLD_PROBA_SHA256``) were recorded with format 2 and did
-not move: the format change left every prediction bit-identical.
+again for format 3, and CART's documents again when grow_forest began to
+grow them, since it numbers nodes level by level. The same fold fits'
+probabilities on the fold's held-out rows (``FOLD_PROBA_SHA256``) were
+recorded with format 2 and did not move, apart from those of CART with
+``max_features`` set, recorded again with grow_forest.
 
 ``scripts/record_digests.py`` prints every digest set for a checkout.
 """

@@ -217,8 +217,8 @@ def test_adaboost_votes_are_its_stumps_leaves():
         if case % 10 == 8:
             y[:] = 1  # pure
         w = rng.random(40)
-        stump, vote = boosting._stump(SortedColumns(X), y, w / w.sum())
-        assert np.array_equal(vote, tree_apply(stump, X)[0] >= 0.5)
+        stump, labels = boosting._stump(SortedColumns(X), y, w / w.sum())
+        assert np.array_equal(labels, tree_apply(stump, X)[0] >= 0.5)
         shapes.add(stump.n_nodes)
     assert shapes == {1, 3}
 
