@@ -122,7 +122,6 @@ def _fit_trees(spec, X, y, bootstrap: bool, candidate_mode: str, rngs=None) -> T
     )
     if rngs is None:
         # One stream per tree: tree t depends only on (seed, t), so the first
-        # c trees of a forest are the forest of c trees (staged_proba needs
-        # this).
+        # c trees of a forest are the forest of c trees (staged_proba needs it).
         rngs = [stream(spec.seed, "tree", t) for t in range(p["n_estimators"])]
     return TreeEnsembleModel(spec, d, grow_forest(X, y, params, rngs, bootstrap))

@@ -17,13 +17,13 @@ node at once: the node's columns form a feature-major block, one
 contiguous row per feature; each row is sorted, the node's sums are
 accumulated with prefix sums along it, and every midpoint between
 consecutive distinct values is scored in one pass. The score is the
-variance decrease of gbm's residuals or, for xgb_style, the second-order
-gain of Chen & Guestrin (arXiv:1603.02754, eq. 7). X is fixed within a
-fit, so a node's split path fixes its rows; ``SortedColumns`` sorts each
-node once and keeps it, as XGBoost's column blocks do for the root (ibid.,
-section 4.1), and boosting shares it across all stages of a fit. The cache
-is interim, until a presorted level-wise engine keeps every node in order
-without it.
+impurity decrease (variance for gbm's residuals, gini for AdaBoost) or, for
+xgb_style, the second-order gain of Chen & Guestrin (arXiv:1603.02754,
+eq. 7). X is fixed within a fit, so a node's split path fixes its rows;
+``SortedColumns`` sorts each node once and keeps it, as XGBoost's column
+blocks do for the root (ibid., section 4.1), and boosting shares it across
+all stages of a fit. The cache is interim, until a presorted level-wise
+engine keeps every node in order without it.
 
 Tie-breaking is fully deterministic: among equal scores the split with the
 lowest feature index wins, then the lowest threshold.
