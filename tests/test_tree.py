@@ -14,6 +14,7 @@ from heartstack.learners.tree import (
     _class_impurity,
     _exhaustive_cuts,
     _impurity,
+    _random_cuts,
     _sort_block,
     _split_exhaustive,
     _target_sums,
@@ -514,6 +515,64 @@ def test_distinct_value_cuts_match_all_positions_reference(criterion, seed):
         cells = (row[:, None], feats[seg])
         want = all_positions_cuts(X[cells], seg[:, None] * len(X) + ranks[cells], *level[4:])
         got = _exhaustive_cuts(*level)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+        nodes += len(want[0])
+        cut_nodes += int(np.isfinite(want[0]).sum())
+    assert 0.5 * nodes < cut_nodes < nodes
+
+
+def dense_random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, draws):
+    """The forest engine's random-threshold kernel as it was before its
+    selection moved into _best_cuts: the gains of all (node, column) pairs
+    as one dense array, -inf where a threshold does not separate the node's
+    rows, and np.argmax per node. A node without a cut reports zeros next
+    to its -inf gain; grow_forest reads none of them."""
+    lo = np.minimum.reduceat(V, starts, axis=0)
+    hi = np.maximum.reduceat(V, starts, axis=0)
+    u = np.concatenate([rng.random((e - b, V.shape[1])) for rng, b, e in draws])
+    thr = lo + (hi - lo) * u
+    left = V <= np.take(thr, seg, axis=0)
+    lw = np.add.reduceat(left * w[:, None], starts, axis=0)
+    la = np.add.reduceat(left * a[:, None], starts, axis=0)
+    rw = wt[:, None] - lw
+    ra = a1[:, None] - la
+    child = (lw * _class_impurity(la, np.where(lw > 0, lw, 1.0), criterion)
+             + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt[:, None]
+    gain = np.where((hi > lo) & (lw > 0) & (rw > 0), parent[:, None] - child, -np.inf)
+    col = np.argmax(gain, axis=1)
+    at = np.arange(len(col))
+    found = gain[at, col] > -np.inf
+    return (gain[at, col], np.where(found, col, 0),
+            *(np.where(found, x[at, col], 0.0) for x in (thr, la, lw)))
+
+
+def random_threshold_level(rng, criterion):
+    """A random_level's candidate values, one pair per row, and its class
+    sums, with a function giving the level's trees afresh: each its
+    generator, seeded alike on every call, and the range of its nodes."""
+    X, _, row, feats, seg, starts, w, a, a1, wt, parent, _ = random_level(rng, criterion)
+    m = len(starts)
+    bounds = np.unique(np.concatenate(([0, m], rng.integers(0, m + 1, size=3))))
+    seeds = rng.integers(0, 2**32, size=len(bounds) - 1)
+
+    def trees():
+        return [(np.random.default_rng(s), lo, hi)
+                for s, lo, hi in zip(seeds, bounds[:-1], bounds[1:])]
+
+    return X[row[:, None], feats[seg]], seg, starts, w, a, a1, wt, parent, trees
+
+
+@pytest.mark.parametrize("criterion, seed", [("gini", 7), ("entropy", 8)])
+def test_random_cuts_match_dense_argmax_reference(criterion, seed):
+    rng = np.random.default_rng(seed)
+    nodes = cut_nodes = 0
+    for _ in range(200):
+        V, seg, starts, w, a, a1, wt, parent, trees = random_threshold_level(rng, criterion)
+        want = dense_random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, trees())
+        got = _random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, trees())
+        found = got[0] > -np.inf
+        got = (got[0], *(np.where(found, x, 0) for x in got[1:]))
         for g, r in zip(got, want):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
         nodes += len(want[0])
