@@ -6,9 +6,10 @@ trees and whatever their depths, as segments of one pooled array of (tree,
 row) pairs, so it costs the same few dozen numpy calls whether it holds one
 tree or many. At the top of each step the next trees join while the pairs
 stay within a fixed cap, which keeps the steps full and the working arrays
-bounded. A step scores by gini or entropy decrease the cuts between
-distinct values of each candidate feature (CART, random forest) or one
-uniform threshold per candidate (extremely randomized trees).
+bounded. A step lists the cuts between distinct values of each candidate
+feature (CART, random forest) or one uniform threshold per candidate
+(extremely randomized trees), and one rule, ``_best_cuts``, picks each
+node's cut of largest gini or entropy decrease.
 
 ``grow_tree`` grows one boosting tree depth first, a node at a time, for
 gbm and xgb_style; AdaBoost's stump is one search of its kernel,
@@ -405,10 +406,11 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
     pure, at ``max_depth``, below ``min_samples_split`` rows or without a
     cut. Otherwise it splits on its best cut over a candidate feature
     subset, even at zero impurity decrease (parity patterns need the
-    lookahead): exhaustive mode scores every midpoint between consecutive
+    lookahead). Exhaustive mode offers every midpoint between consecutive
     distinct values of each candidate, random_threshold mode one uniform
-    threshold per candidate; the largest impurity decrease wins, ties to
-    the lowest feature index, then the lowest threshold.
+    threshold per candidate; for both, ``_best_cuts`` takes the largest
+    impurity decrease, ties to the lowest feature index, then the lowest
+    threshold.
 
     The trees run as one stream of level steps. Each step splits every
     active node, over all trees, and at its top admits the next trees, in
@@ -505,18 +507,17 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
         else:
             noise = np.concatenate([rng.random((hi - lo, d)) for rng, lo, hi in draws])
             feats = np.sort(np.argsort(noise, axis=1)[:, :k], axis=1)
-        parent = _class_impurity(a1, wt, params.criterion)
         if params.candidate_mode == "exhaustive":
-            gain, col, thr, la, lw = _exhaustive_cuts(X, ranks, row, feats, seg, starts, w, a,
-                                                      a1, wt, parent, params.criterion)
+            candidates = _exhaustive_cuts(X, ranks, row, feats, seg, starts, w, a)
         else:
             # Each pair's candidate cells as flat indices into X. np.take of
             # whole rows is several times faster than indexing with seg.
             cells = np.take(feats, seg, axis=0)
             cells += row[:, None] * d
-            gain, col, thr, la, lw = _random_cuts(np.take(X, cells), seg, starts, w, a, a1, wt,
-                                                  parent, params.criterion, draws)
+            candidates = _random_cuts(np.take(X, cells), seg, starts, w, a, wt, draws)
             del cells
+        parent = _class_impurity(a1, wt, params.criterion)
+        gain, col, thr, la, lw = _best_cuts(*candidates, a1, wt, parent, params.criterion)
 
         best = feats[np.arange(m), col]  # each node's best feature
         go_left = np.take(X, row * d + np.take(best, seg)) <= np.take(thr, seg)
@@ -600,11 +601,11 @@ def _siblings(left, right) -> np.ndarray:
     return np.stack((left, right), axis=1).ravel()
 
 
-def _random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, draws):
-    """Per node: the best of one uniform threshold per candidate column, as
-    (gain, column, threshold, left class-1 weight, left weight); the gain
-    is -inf when no threshold separates the node's rows. ``draws`` holds
-    each tree's generator with the range of its nodes."""
+def _random_cuts(V, seg, starts, w, a, wt, draws):
+    """One uniform threshold per node and candidate column, kept where it
+    separates the node's rows, as candidate cuts (node, column, threshold,
+    left class-1 weight, left weight) in node, then column order.
+    ``draws`` holds each tree's generator with the range of its nodes."""
     lo = np.minimum.reduceat(V, starts, axis=0)
     hi = np.maximum.reduceat(V, starts, axis=0)
     # Generator.uniform(lo, hi) computes lo + (hi - lo) * u from the same u,
@@ -614,35 +615,27 @@ def _random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, draws):
     left = V <= np.take(thr, seg, axis=0)
     lw = np.add.reduceat(left * w[:, None], starts, axis=0)
     la = np.add.reduceat(left * a[:, None], starts, axis=0)
-    rw = wt[:, None] - lw
-    ra = a1[:, None] - la
-    child = (lw * _class_impurity(la, np.where(lw > 0, lw, 1.0), criterion)
-             + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt[:, None]
-    gain = np.where((hi > lo) & (lw > 0) & (rw > 0), parent[:, None] - child, -np.inf)
-    col = np.argmax(gain, axis=1)
-    at = np.arange(len(col))
-    return gain[at, col], col, thr[at, col], la[at, col], lw[at, col]
+    node, col = np.nonzero((hi > lo) & (lw > 0) & (lw < wt[:, None]))
+    return node, col, thr[node, col], la[node, col], lw[node, col]
 
 
-def _exhaustive_cuts(X, ranks, row, feats, seg, starts, w, a, a1, wt, parent, criterion):
-    """Per node: the best midpoint cut over its candidate columns, as
-    (gain, column, threshold, left class-1 weight, left weight); the gain
-    is -inf when every candidate column is constant on the node. Pair i is
-    row ``row[i]`` of node ``seg[i]``, whose candidate features are
-    ``feats[seg[i]]``; ``ranks`` holds each value's rank in its column of X.
+def _exhaustive_cuts(X, ranks, row, feats, seg, starts, w, a):
+    """Every midpoint between consecutive distinct values of each node's
+    candidate columns, as candidate cuts (node, column, threshold, left
+    class-1 weight, left weight) in column order, each node's in threshold
+    order. Pair i is row ``row[i]`` of node ``seg[i]``, whose candidate
+    features are ``feats[seg[i]]``; ``ranks`` holds each value's rank in
+    its column of X.
 
     One candidate column at a time, the pairs are sorted by (node, value
     rank). Pairs with equal keys may come out in any order: the
     integer-valued prefix sums agree after the last of them, the only place
-    a cut can sit. Only those cuts are scored."""
+    a cut can sit."""
     n, d = X.shape
-    m, total = len(starts), len(seg)
-    ends = np.append(starts[1:], total) - 1  # each segment's last position
+    ends = np.append(starts[1:], len(seg)) - 1  # each segment's last position
     same_node = seg[1:] == seg[:-1]
     node_key = seg * n
-    best_gain = np.full(m, -np.inf)
-    best_col = np.zeros(m, dtype=np.intp)
-    best_thr, best_la, best_lw = np.zeros(m), np.zeros(m), np.zeros(m)
+    parts = []
     for j in range(feats.shape[1]):
         cells = row * d + np.take(feats[:, j], seg)  # flat indices into X
         order = np.argsort(node_key + np.take(ranks, cells))
@@ -650,36 +643,34 @@ def _exhaustive_cuts(X, ranks, row, feats, seg, starts, w, a, a1, wt, parent, cr
         # A cut sits after position i when i+1 is in the same segment and
         # the sorted value strictly increases.
         cut = np.flatnonzero(same_node & (Vs[1:] > Vs[:-1]))
-        if not len(cut):
-            continue
         at = seg[cut]
         # Prefix sums over the whole level, less the sum before each segment.
         cw = np.cumsum(w[order])
         ca = np.cumsum(a[order])
-        lw = cw[cut] - np.concatenate(([0.0], cw[ends[:-1]]))[at]
-        la = ca[cut] - np.concatenate(([0.0], ca[ends[:-1]]))[at]
-        rw = wt[at] - lw
-        ra = a1[at] - la
-        child = (lw * _class_impurity(la, np.where(lw > 0, lw, 1.0), criterion)
-                 + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt[at]
-        gain = parent[at] - child
-        # Group the cuts by segment; per group, the best gain and the first
-        # cut that reaches it.
-        opens = np.append(True, at[1:] != at[:-1])
-        lo = np.flatnonzero(opens)
-        nodes = at[lo]
-        seg_max = np.maximum.reduceat(gain, lo)
-        is_max = gain == seg_max[np.cumsum(opens) - 1]
-        first = np.minimum.reduceat(np.where(is_max, np.arange(len(cut)), len(cut)), lo)
-        better = seg_max > best_gain[nodes]  # strict: earlier columns win ties
-        nodes, i = nodes[better], first[better]
-        pos = cut[i]
-        best_gain[nodes] = seg_max[better]
-        best_col[nodes] = j
-        best_thr[nodes] = (Vs[pos] + Vs[pos + 1]) / 2.0
-        best_la[nodes] = la[i]
-        best_lw[nodes] = lw[i]
-    return best_gain, best_col, best_thr, best_la, best_lw
+        parts.append((at, np.full(len(cut), j), (Vs[cut] + Vs[cut + 1]) / 2.0,
+                      ca[cut] - np.concatenate(([0.0], ca[ends[:-1]]))[at],
+                      cw[cut] - np.concatenate(([0.0], cw[ends[:-1]]))[at]))
+    return tuple(np.concatenate(field) for field in zip(*parts))
+
+
+def _best_cuts(node, col, thr, la, lw, a1, wt, parent, criterion):
+    """Per node, the candidate cut of largest impurity decrease, as (gain,
+    column, threshold, left class-1 weight, left weight); a node without a
+    candidate has gain -inf and zeros. Candidate i is cut ``thr[i]`` of
+    column ``col[i]`` of node ``node[i]``; each node's candidates are in
+    column, then threshold order, so taking the first that reaches the best
+    gain breaks ties to the lowest feature, then the lowest threshold."""
+    rw = wt[node] - lw
+    ra = a1[node] - la
+    child = (lw * _class_impurity(la, np.where(lw > 0, lw, 1.0), criterion)
+             + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt[node]
+    gain = parent[node] - child
+    best = np.full(len(wt), -np.inf)
+    np.maximum.at(best, node, gain)
+    hit = np.flatnonzero(gain == best[node])
+    first = np.full(len(wt), len(node))  # past the end: no candidate
+    np.minimum.at(first, node[hit], hit)
+    return best, *(np.append(x, 0)[first] for x in (col, thr, la, lw))
 
 
 # Rows are scored in chunks of at most this many (tree, row) pairs, which

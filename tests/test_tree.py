@@ -11,6 +11,7 @@ from heartstack.learners.tree import (
     GrowParams,
     SortedColumns,
     TreeBlock,
+    _best_cuts,
     _class_impurity,
     _exhaustive_cuts,
     _impurity,
@@ -514,7 +515,7 @@ def test_distinct_value_cuts_match_all_positions_reference(criterion, seed):
         X, ranks, row, feats, seg = level[:5]
         cells = (row[:, None], feats[seg])
         want = all_positions_cuts(X[cells], seg[:, None] * len(X) + ranks[cells], *level[4:])
-        got = _exhaustive_cuts(*level)
+        got = _best_cuts(*_exhaustive_cuts(*level[:8]), *level[8:])
         for g, r in zip(got, want):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
         nodes += len(want[0])
@@ -570,9 +571,8 @@ def test_random_cuts_match_dense_argmax_reference(criterion, seed):
     for _ in range(200):
         V, seg, starts, w, a, a1, wt, parent, trees = random_threshold_level(rng, criterion)
         want = dense_random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, trees())
-        got = _random_cuts(V, seg, starts, w, a, a1, wt, parent, criterion, trees())
-        found = got[0] > -np.inf
-        got = (got[0], *(np.where(found, x, 0) for x in got[1:]))
+        got = _best_cuts(*_random_cuts(V, seg, starts, w, a, wt, trees()), a1, wt, parent,
+                         criterion)
         for g, r in zip(got, want):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
         nodes += len(want[0])
