@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import HeartstackError
+from .errors import ConfigError, HeartstackError
 from .pipeline import (
     MODEL_FILE,
     cmd_analyze,
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     if not args.config:
-        raise HeartstackError("--config is required for this command")
+        raise ConfigError("--config is required for this command")
     overrides = {"seed": args.seed, "out_dir": args.out}
     return load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
 

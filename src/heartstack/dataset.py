@@ -177,7 +177,24 @@ def _parse_table(source, require_target: bool):
     if not rows:
         raise DataError(f"{source_name}: empty dataset (header only)")
     X = np.array(rows, dtype=np.float64)
-    y = np.array(targets, dtype=np.int64) if target_pos is not None else None
+    # Learned parameters are bounded by PARAMETER_BOUND for the same reason:
+    # products of features summed over a row or a training set must not
+    # overflow (at 1e160, naive_bayes squares a deviation to inf and scores
+    # inf - inf).
+    from .learners.base import PARAMETER_BOUND  # here, so importing dataset loads no learner
+    huge = np.abs(X) > PARAMETER_BOUND
+    if huge.any():
+        row, col = np.argwhere(huge)[0]
+        raise DataError(f"{source_name}: row {row + 1}, column {FEATURE_SPECS[col].name!r}: "
+                        f"value {float(X[row, col])!r} is beyond +-{PARAMETER_BOUND:g}")
+    if target_pos is None:
+        return X, None, source_name
+    try:
+        y = np.array(targets, dtype=np.int64)
+    except OverflowError:
+        row = next(i for i, t in enumerate(targets) if not -2**63 <= t < 2**63)
+        raise DataError(f"{source_name}: row {row + 1}, column 'target': "
+                        "code out of the integer range") from None
     return X, y, source_name
 
 

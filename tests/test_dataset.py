@@ -123,6 +123,24 @@ def test_target_out_of_range_is_violation():
     assert report.violations[0].column == "target"
 
 
+@pytest.mark.parametrize("value, accepted", [("1e100", True), ("-1e100", True),
+                                             ("1.0000000001e100", False), ("-1e160", False)])
+def test_feature_values_beyond_the_parameter_bound_name_their_cell(value, accepted):
+    rows = (ROW, ROW0.replace("220", value))
+    if accepted:
+        assert parse_feature_csv(make_csv(*rows))[0][1, 4] == float(value)
+    else:
+        with pytest.raises(DataError, match=r"row 2, column 'cholesterol'"):
+            parse_feature_csv(make_csv(*rows))
+
+
+@pytest.mark.parametrize("code", ["1e19", "-1e19", "1e160"])
+def test_target_code_beyond_int64_is_data_error(code):
+    bad = ROW0[:-1] + code
+    with pytest.raises(DataError, match=r"row 2, column 'target'"):
+        parse_csv(make_csv(ROW, bad))
+
+
 def test_dataset_arrays_immutable(dataset):
     with pytest.raises(ValueError):
         dataset.X[0, 0] = 99.0

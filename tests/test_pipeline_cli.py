@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from heartstack import config as config_module
 from heartstack.cli import main
@@ -13,6 +15,7 @@ from heartstack.pipeline import MODEL_FILE
 from heartstack.errors import ConfigError
 from heartstack.reporting import read_csv, read_json
 from heartstack.schema import FEATURE_NAMES
+from heartstack.stacking import StackingConfig, fit_stack
 
 # Scaled-down settings keep pipeline tests quick; the acceptance suite runs
 # the full defaults.
@@ -194,6 +197,7 @@ def test_unreadable_dataset_is_data_error(tmp_path):
     ("evaluate_before_train", 5),
     ("out_is_a_file", 2),
     ("predict_output_is_a_directory", 2),
+    ("train_without_config", 2),
 ])
 def test_unreadable_input_or_blocked_output_exits_with_its_category(case, code, dataset,
                                                                     dataset_csv, tmp_path):
@@ -222,6 +226,7 @@ def test_unreadable_input_or_blocked_output_exits_with_its_category(case, code, 
         "evaluate_before_train": ["evaluate", "--config", config, "--out", tmp_path / "out"],
         "out_is_a_file": ["analyze", "--config", config, "--out", tmp_path / "a_file"],
         "predict_output_is_a_directory": predict(model, dataset_csv, tmp_path),
+        "train_without_config": ["train"],
     }[case]
     assert run(argv) == code
 
@@ -277,3 +282,131 @@ def test_config_validation():
     assert [c.spec.algorithm for c in config.candidates][:3] == [
         "xgb_style", "extra_trees", "random_forest"]
     assert config.candidates[0].grid == {"n_estimators": [100, 500, 1000, 2000]}
+
+
+# One small base of every algorithm, so that a scored input reaches every
+# kind of model.
+MICRO_BASES = (LearnerSpec("cart", {"max_depth": 3}),
+               LearnerSpec("random_forest", {"n_estimators": 3}),
+               LearnerSpec("extra_trees", {"n_estimators": 3}),
+               LearnerSpec("gbm", {"n_estimators": 3}), LearnerSpec("xgb_style", {"n_estimators": 3}),
+               LearnerSpec("adaboost", {"n_estimators": 3}), LearnerSpec("knn", {"k": 3}),
+               LearnerSpec("naive_bayes"), LearnerSpec("sgd_logistic", {"epochs": 5}),
+               LearnerSpec("linear_svc", {"epochs": 5}), LearnerSpec("mlp", {"epochs": 5}))
+
+
+@pytest.fixture(scope="module")
+def micro_stack(dataset, dataset_csv, tmp_path_factory):
+    """A directory with a saved stack over MICRO_BASES, fitted on 300 rows,
+    and a predict input of eight rows with their targets."""
+    root = tmp_path_factory.mktemp("micro_stack")
+    config = StackingConfig(candidates=MICRO_BASES, top_n=len(MICRO_BASES),
+                            meta=LearnerSpec("sgd_logistic", {"epochs": 5}), oof_folds=2, seed=3)
+    model = fit_stack(config, dataset.X[:300], dataset.y[:300])
+    (root / "stack.model").write_bytes(save_model(model))
+    (root / "input.csv").write_text("\n".join(dataset_csv.read_text().splitlines()[:9]) + "\n")
+    return root
+
+
+def predict_bytes(root, data: bytes) -> tuple[int, list[float]]:
+    """heartstack predict's exit code on a CSV of these bytes, and the
+    probabilities it wrote."""
+    (root / "hostile.csv").write_bytes(data)
+    out = root / "p.csv"
+    out.unlink(missing_ok=True)
+    code = run(["predict", "--model", root / "stack.model", "--input", root / "hostile.csv",
+                "--output", out])
+    return code, [float(r[1]) for r in read_csv(out)[2]] if code == 0 else []
+
+
+def with_cells(text: str, values: dict[str, str], rows=None) -> str:
+    """The CSV text with the named columns set to the given cells, in every
+    data row or in the listed ones (0-based)."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    for i in range(len(lines) - 1) if rows is None else rows:
+        cells = lines[i + 1].split(",")
+        for name, value in values.items():
+            cells[header.index(name)] = value
+        lines[i + 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value, code", [("1e160", 3), ("-1e160", 3), ("1e308", 3),
+                                         ("1e100", 0), ("-1e100", 0)])
+def test_predict_takes_feature_values_up_to_the_parameter_bound(value, code, micro_stack):
+    text = with_cells((micro_stack / "input.csv").read_text(),
+                      {"cholesterol": value, "age": value})
+    got, proba = predict_bytes(micro_stack, text.encode("utf8"))
+    assert got == code
+    assert len(proba) == (8 if code == 0 else 0) and np.isfinite(proba).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value, code", [("1e160", 3), ("1e100", 0)])
+def test_train_takes_feature_values_up_to_the_parameter_bound(value, code, dataset_csv, tmp_path):
+    data = tmp_path / "heart.csv"
+    data.write_text(with_cells(dataset_csv.read_text(), {"cholesterol": value, "age": value},
+                               rows=[0]))
+    config = dict(fast_config(data, tmp_path / "out"), folds=2,
+                  candidates=[{"algorithm": "cart", "hyperparameters": {"max_depth": 3}},
+                              {"algorithm": "naive_bayes", "hyperparameters": {}}])
+    config["stacking"] = dict(config["stacking"], top_n=2, oof_folds=2)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert run(["train", "--config", tmp_path / "c.json"]) == code
+
+
+# Feature cells that parse in every column, up to the parameter bound, and
+# cells that do not parse, are not finite or lie beyond the bound or, as a
+# target, beyond the integer range.
+BIG_CELLS = ("1e100", "-1e100", "1e99", "1e19", "-9223372036854775809", "-0", " 7 ", "1_0")
+ODD_CELLS = ("", "x", "nan", "inf", "-inf", "1e400", "1e308", "-1e160", "0.5", '"1', "\x00")
+NON_UTF8 = (b"\xff", b"\xe9", b"\xc3", b"\x80", b"\xed\xa0\x80")
+
+
+def hostile_csv(data, text: str) -> bytes:
+    """One to three mutations of a CSV's text, drawn from ``data``: a
+    feature cell set to a big value (BIG_CELLS), any cell set to an odd one
+    (ODD_CELLS or BIG_CELLS), dropped or added, the text cut short after
+    some cell, or a non-UTF-8 sequence spliced into its bytes."""
+    rows = [line.split(",") for line in text.splitlines()]
+    features = [i for i, name in enumerate(rows[0]) if name in FEATURE_NAMES]
+    splice = False
+    kinds = data.draw(st.lists(st.sampled_from(["big", "big", "big", "odd", "drop", "extra",
+                                                "cut", "bytes"]), min_size=1, max_size=3))
+    for kind in sorted(kinds, key=lambda k: k != "big"):  # big cells go into intact rows
+        if kind == "big":
+            cells = rows[data.draw(st.integers(1, len(rows) - 1))]
+            cells[data.draw(st.sampled_from(features))] = data.draw(st.sampled_from(BIG_CELLS))
+            continue
+        cells = rows[data.draw(st.integers(0, len(rows) - 1))]
+        at = data.draw(st.integers(0, len(cells) - 1)) if cells else 0
+        if kind == "odd" and cells:
+            cells[at] = data.draw(st.sampled_from(ODD_CELLS + BIG_CELLS))
+        elif kind == "drop" and cells:
+            del cells[at]
+        elif kind == "extra":
+            cells.insert(at, data.draw(st.sampled_from(ODD_CELLS + ("1",))))
+        elif kind == "cut":
+            rows = rows[:rows.index(cells) + 1]
+            del cells[at + 1:]
+        splice |= kind == "bytes"
+    raw = ("\n".join(",".join(r) for r in rows) + "\n").encode("utf8")
+    if splice:
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.sampled_from(NON_UTF8)) + raw[at:]
+    return raw
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_csvs_never_escape_predict(data, micro_stack):
+    # Only a HeartstackError may leave main, and the model and output are
+    # sound, so a hostile input is a data error; a scored one is finite.
+    code, proba = predict_bytes(micro_stack, hostile_csv(data, (micro_stack / "input.csv")
+                                                         .read_text()))
+    assert code in (0, 3)
+    assert np.isfinite(proba).all() and all(0.0 <= p <= 1.0 for p in proba)
