@@ -615,7 +615,9 @@ def _random_cuts(V, seg, starts, w, a, wt, draws):
     left = V <= np.take(thr, seg, axis=0)
     lw = np.add.reduceat(left * w[:, None], starts, axis=0)
     la = np.add.reduceat(left * a[:, None], starts, axis=0)
-    node, col = np.nonzero((hi > lo) & (lw > 0) & (lw < wt[:, None]))
+    # The lowest value always goes left (thr >= lo), so a threshold separates
+    # the rows exactly when some weight stays right.
+    node, col = np.nonzero(lw < wt[:, None])
     return node, col, thr[node, col], la[node, col], lw[node, col]
 
 

@@ -343,18 +343,26 @@ def test_predict_takes_feature_values_up_to_the_parameter_bound(value, code, mic
     assert len(proba) == (8 if code == 0 else 0) and np.isfinite(proba).all()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("value, code", [("1e160", 3), ("1e100", 0)])
-def test_train_takes_feature_values_up_to_the_parameter_bound(value, code, dataset_csv, tmp_path):
-    data = tmp_path / "heart.csv"
-    data.write_text(with_cells(dataset_csv.read_text(), {"cholesterol": value, "age": value},
-                               rows=[0]))
-    config = dict(fast_config(data, tmp_path / "out"), folds=2,
+@pytest.fixture(scope="module")
+def micro_train(dataset_csv, tmp_path_factory):
+    """A directory with a train config of two quick candidates and two
+    folds that reads hostile.csv there."""
+    root = tmp_path_factory.mktemp("micro_train")
+    config = dict(fast_config(root / "hostile.csv", root / "out"), folds=2,
                   candidates=[{"algorithm": "cart", "hyperparameters": {"max_depth": 3}},
                               {"algorithm": "naive_bayes", "hyperparameters": {}}])
     config["stacking"] = dict(config["stacking"], top_n=2, oof_folds=2)
-    (tmp_path / "c.json").write_text(json.dumps(config))
-    assert run(["train", "--config", tmp_path / "c.json"]) == code
+    (root / "c.json").write_text(json.dumps(config))
+    return root
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value, code", [("1e160", 3), ("1e100", 0)])
+def test_train_takes_feature_values_up_to_the_parameter_bound(value, code, dataset_csv,
+                                                              micro_train):
+    (micro_train / "hostile.csv").write_text(
+        with_cells(dataset_csv.read_text(), {"cholesterol": value, "age": value}, rows=[0]))
+    assert run(["train", "--config", micro_train / "c.json"]) == code
 
 
 # Feature cells that parse in every column, up to the parameter bound, and
@@ -410,3 +418,12 @@ def test_hostile_csvs_never_escape_predict(data, micro_stack):
                                                          .read_text()))
     assert code in (0, 3)
     assert np.isfinite(proba).all() and all(0.0 <= p <= 1.0 for p in proba)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_csvs_never_escape_train(data, micro_train, dataset_csv):
+    (micro_train / "hostile.csv").write_bytes(hostile_csv(data, dataset_csv.read_text()))
+    assert run(["train", "--config", micro_train / "c.json"]) in (0, 3)
