@@ -659,13 +659,14 @@ def _best_cuts(node, col, thr, la, lw, a1, wt, parent, criterion):
     """Per node, the candidate cut of largest impurity decrease, as (gain,
     column, threshold, left class-1 weight, left weight); a node without a
     candidate has gain -inf and zeros. Candidate i is cut ``thr[i]`` of
-    column ``col[i]`` of node ``node[i]``; each node's candidates are in
-    column, then threshold order, so taking the first that reaches the best
-    gain breaks ties to the lowest feature, then the lowest threshold."""
+    column ``col[i]`` of node ``node[i]`` and leaves weight on both sides.
+    Each node's candidates are in column, then threshold order, so taking
+    the first that reaches the best gain breaks ties to the lowest feature,
+    then the lowest threshold."""
     rw = wt[node] - lw
     ra = a1[node] - la
-    child = (lw * _class_impurity(la, np.where(lw > 0, lw, 1.0), criterion)
-             + rw * _class_impurity(ra, np.where(rw > 0, rw, 1.0), criterion)) / wt[node]
+    child = (lw * _class_impurity(la, lw, criterion)
+             + rw * _class_impurity(ra, rw, criterion)) / wt[node]
     gain = parent[node] - child
     best = np.full(len(wt), -np.inf)
     np.maximum.at(best, node, gain)
