@@ -388,7 +388,8 @@ def hostile_csv(data, text: str) -> bytes:
             cells = rows[data.draw(st.integers(1, len(rows) - 1))]
             cells[data.draw(st.sampled_from(features))] = data.draw(st.sampled_from(BIG_CELLS))
             continue
-        cells = rows[data.draw(st.integers(0, len(rows) - 1))]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        cells = rows[i]
         at = data.draw(st.integers(0, len(cells) - 1)) if cells else 0
         if kind == "odd" and cells:
             cells[at] = data.draw(st.sampled_from(ODD_CELLS + BIG_CELLS))
@@ -397,7 +398,7 @@ def hostile_csv(data, text: str) -> bytes:
         elif kind == "extra":
             cells.insert(at, data.draw(st.sampled_from(ODD_CELLS + ("1",))))
         elif kind == "cut":
-            rows = rows[:rows.index(cells) + 1]
+            rows = rows[:i + 1]
             del cells[at + 1:]
         splice |= kind == "bytes"
     raw = ("\n".join(",".join(r) for r in rows) + "\n").encode("utf8")
@@ -409,7 +410,7 @@ def hostile_csv(data, text: str) -> bytes:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_hostile_csvs_never_escape_predict(data, micro_stack):
     # Only a HeartstackError may leave main, and the model and output are
@@ -422,7 +423,7 @@ def test_hostile_csvs_never_escape_predict(data, micro_stack):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_hostile_csvs_never_escape_train(data, micro_train, dataset_csv):
     (micro_train / "hostile.csv").write_bytes(hostile_csv(data, dataset_csv.read_text()))
