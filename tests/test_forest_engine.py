@@ -13,12 +13,14 @@ when its stumps' leaves became +-alpha.
 
 The CART digests, and the bootstrap class trees of
 ``BOOTSTRAP_TREES_SHA256``, were recorded with the depth-first grower that
-grew class trees before grow_forest took them over. A tree's digest is
-taken with its nodes numbered depth first (``depth_first``), so a class
-tree grown level by level must match the depth-first tree node for node:
-class sums are whole-number counts, so the order of tied rows cannot
-change a split. Only CART with ``max_features`` set was recorded again, as
-grow_forest draws its candidate features level by level.
+grew class trees before grow_forest took them over. Every tree of these
+sets is digested with its nodes numbered depth first (``depth_first``), so
+a tree that grows in another order must match the depth-first tree node
+for node: a class tree grown level by level (class sums are whole-number
+counts, so the order of tied rows cannot change a split), and a boosting
+tree whatever order grow_tree splits its nodes in. Only CART with
+``max_features`` set was recorded again, as grow_forest draws its
+candidate features level by level.
 
 The fold digests are sha256 hashes of whole ``save_model`` documents of the
 depth-first learners, fitted at their default sizes on two folds of the
@@ -230,7 +232,7 @@ def depth_first(trees):
 def dfs_trees_digest(case, data) -> str:
     algorithm, hyper = DFS_CASES[case]
     model = fit(LearnerSpec(algorithm, hyper, seed=5), *data)
-    return trees_digest(depth_first(model.trees) if algorithm == "cart" else model.trees)
+    return trees_digest(depth_first(model.trees))
 
 
 def bootstrap_trees_digests() -> dict[str, str]:

@@ -29,6 +29,7 @@ from heartstack.model_store import save_model
 from heartstack.rng import stream
 from heartstack.splitting import stratified_split
 from heartstack.synthetic import generate_dataset
+from test_forest_engine import depth_first
 
 
 def scalar_impurity(labels, weights, criterion):
@@ -357,8 +358,8 @@ def test_grow_tree_on_sorted_columns_equals_grow_tree_on_x():
     for _ in range(3):
         target = y - rng.random(120)
         params = GrowParams(criterion="variance", max_depth=3)
-        a = grow_tree(columns, target, params)
-        b = grow_tree(X, target, params)
+        a = depth_first(grow_tree(columns, target, params))
+        b = depth_first(grow_tree(X, target, params))
         for name in ("feature", "threshold", "left", "value", "roots"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
