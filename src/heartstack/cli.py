@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .config import load_config
@@ -18,6 +19,7 @@ from .pipeline import (
 )
 
 
+@cache  # built on the first main() call of a process, not at import
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="pipeline config file (JSON)")

@@ -18,6 +18,7 @@ from .schema import (
     NOMINAL,
     ST_SLOPE_WARNING_CODE,
     TARGET_ALIASES,
+    TARGET_SPEC,
     AttributeSpec,
 )
 
@@ -159,24 +160,17 @@ def _parse_table(source, require_target: bool):
         if missing:
             raise DataError(f"{source_name}: missing column(s) {', '.join(missing)}")
 
-        columns = [(positions[s.name], s) for s in FEATURE_SPECS]
-        rows: list[list[float]] = []
-        targets: list[int] = []
-        for row_idx, cells in enumerate(reader):
-            if len(cells) != len(header):
-                raise DataError(
-                    f"{source_name}: row {row_idx + 1} has {len(cells)} cells, expected {len(header)}"
-                )
-            parsed = [_parse_cell(cells[pos].strip(), spec, row_idx, source_name)
-                      for pos, spec in columns]
-            if target_pos is not None:
-                target_cell = cells[target_pos].strip()
-                targets.append(int(_parse_cell(target_cell, _TARGET_CELL_SPEC, row_idx, source_name)))
-            rows.append(parsed)
-
+        rows = list(reader)
     if not rows:
         raise DataError(f"{source_name}: empty dataset (header only)")
-    X = np.array(rows, dtype=np.float64)
+    columns = [(positions[s.name], s) for s in FEATURE_SPECS]
+    if target_pos is not None:
+        columns.append((target_pos, _TARGET_CELL_SPEC))
+    try:
+        table = _parse_columns(rows, len(header), columns)
+    except ValueError:  # a row or cell breaks a rule: raise its error
+        table = _parse_rows(rows, len(header), columns, source_name)
+    X = np.ascontiguousarray(table[:, :N_FEATURES])
     # Learned parameters are bounded by PARAMETER_BOUND for the same reason:
     # products of features summed over a row or a training set must not
     # overflow (at 1e160, naive_bayes squares a deviation to inf and scores
@@ -189,13 +183,49 @@ def _parse_table(source, require_target: bool):
                         f"value {float(X[row, col])!r} is beyond +-{PARAMETER_BOUND:g}")
     if target_pos is None:
         return X, None, source_name
-    try:
-        y = np.array(targets, dtype=np.int64)
-    except OverflowError:
-        row = next(i for i, t in enumerate(targets) if not -2**63 <= t < 2**63)
-        raise DataError(f"{source_name}: row {row + 1}, column 'target': "
-                        "code out of the integer range") from None
-    return X, y, source_name
+    targets = table[:, N_FEATURES]
+    outside = ~((targets >= -2.0**63) & (targets < 2.0**63))
+    if outside.any():
+        raise DataError(f"{source_name}: row {np.argmax(outside) + 1}, column 'target': "
+                        "code out of the integer range")
+    return X, targets.astype(np.int64), source_name
+
+
+def _parse_columns(rows, width: int, columns) -> np.ndarray:
+    """The cells of ``columns``, a list of (position, spec), as an (n rows,
+    len(columns)) float array, parsed a column at a time. ValueError if a
+    row is not ``width`` cells long or a cell breaks a rule of _parse_cell;
+    otherwise the values equal _parse_cell's."""
+    if set(map(len, rows)) != {width}:
+        raise ValueError("a row has the wrong number of cells")
+    cells = list(zip(*rows))
+    table = np.empty((len(rows), len(columns)))
+    for j, (pos, _) in enumerate(columns):
+        # float() ignores the whitespace that _parse_cell strips.
+        table[:, j] = np.fromiter(map(float, cells[pos]), np.float64, len(rows))
+    if not np.isfinite(table).all():
+        raise ValueError("a cell is not finite")
+    nominal = [j for j, (_, spec) in enumerate(columns) if spec.kind == NOMINAL]
+    codes = table[:, nominal]
+    if (codes != np.trunc(codes)).any():
+        raise ValueError("a code is not an integer")
+    table[:, nominal] = codes + 0.0  # -0 is code 0
+    return table
+
+
+def _parse_rows(rows, width: int, columns, source_name: str) -> np.ndarray:
+    """The same table parsed row after row, each cell through _parse_cell,
+    so that the first row of the wrong length or bad cell, in row order,
+    raises its DataError."""
+    table = []
+    for row_idx, cells in enumerate(rows):
+        if len(cells) != width:
+            raise DataError(
+                f"{source_name}: row {row_idx + 1} has {len(cells)} cells, expected {width}"
+            )
+        table.append([_parse_cell(cells[pos].strip(), spec, row_idx, source_name)
+                      for pos, spec in columns])
+    return np.array(table, dtype=np.float64)
 
 
 # Target cells share nominal parsing rules but range checking is deferred
@@ -219,6 +249,24 @@ def _parse_cell(cell: str, spec: AttributeSpec, row_idx: int, source_name: str) 
             problem = f"expected an integer code, got {cell!r}"
     # The location is formatted only on failure, as this runs once per cell.
     raise DataError(f"{source_name}: row {row_idx + 1}, column {spec.name!r}: {problem}")
+
+
+def require_valid_codes(X, y, source_name: str) -> None:
+    """Raise DataError naming the first row, then column, of a scoring
+    input whose nominal code lies outside its allowed codes (st_slope's
+    code 0 is allowed), or, when there are targets, whose target is not 0
+    or 1."""
+    checked = [(X[:, col], spec) for col, spec in enumerate(FEATURE_SPECS)
+               if spec.kind == NOMINAL]
+    if y is not None:
+        checked.append((y, TARGET_SPEC))
+    bad = np.column_stack([~np.isin(values, list(spec.allowed_codes))
+                           for values, spec in checked])
+    if bad.any():
+        row, j = np.argwhere(bad)[0]
+        values, spec = checked[j]
+        raise DataError(f"{source_name}: row {row + 1}, column {spec.name!r}: code "
+                        f"{float(values[row]):g} is not one of {sorted(spec.allowed_codes)}")
 
 
 def validate_schema(ds: Dataset) -> ValidationReport:

@@ -79,7 +79,7 @@ class TreeEnsembleModel(TrainedModel):
                 for total, c in zip(self._sums(X, counts), counts)]
 
     def params_payload(self):
-        payload = {"trees": self.trees.to_dict()}
+        payload = {"trees": self.trees.to_dict(self.n_features_in)}
         if self.boosted:
             payload.update(init_score=self.init_score, learning_rate=self.learning_rate)
         return payload

@@ -11,7 +11,7 @@ feature (CART, random forest) or one uniform threshold per candidate
 (extremely randomized trees), and one rule, ``_best_cuts``, picks each
 node's cut of largest gini or entropy decrease.
 
-``grow_tree`` grows one boosting tree depth first, a node at a time, for
+``grow_tree`` grows one boosting tree breadth first, a node at a time, for
 gbm and xgb_style; AdaBoost's stump is one search of its kernel,
 ``_split_exhaustive``, on the root. The kernel scores all features of a
 node at once: the node's columns form a feature-major block, one
@@ -31,11 +31,15 @@ lowest feature index wins, then the lowest threshold.
 
 Trees are stored flat, as in scikit-learn's ``Tree``: a ``TreeBlock`` holds
 the nodes of all trees of a model in parallel arrays, and ``tree_apply``
-scores every (tree, row) pair of a block at once.
+scores every (tree, row) pair of a block at once. Every grower numbers a
+tree's nodes in the order it splits them and gives each split node the
+next two ids, and both grow breadth first, so a node's children follow
+from which nodes are inner and a document need not store them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,11 +60,17 @@ class TreeBlock:
     (class-1 probability, mean residual, boosting leaf weight, or AdaBoost's
     vote times its stump's weight). Otherwise rows with
     ``x[feature[i]] <= threshold[i]`` continue at ``left[i]`` and the others
-    at its sibling ``left[i] + 1``. Every child is numbered after its
-    parent, so each walk from a root ends. Tree t starts at node
-    ``roots[t]``. A leaf's feature is -1 and its threshold 0.0, and an inner
-    node's value is 0.0, so a document packs only ``left``, inner-node
-    features and thresholds, leaf values and ``roots`` (see ``base.pack``).
+    at its sibling ``left[i] + 1``. Tree t starts at node ``roots[t]``, and
+    its nodes run up to the next root. A leaf's feature is -1 and its
+    threshold 0.0, and an inner node's value is 0.0.
+
+    The numbering invariant: the j-th inner node of a tree, in node order,
+    has its children at ``root + 2j + 1`` and ``root + 2j + 2``. So every
+    child is numbered after its parent, each walk from a root ends, and a
+    tree of m inner nodes has 2m + 1 nodes. A document (``to_dict``) stores
+    one inner-node bit per node instead of ``left``, the features and
+    thresholds of inner nodes, a codebook of the distinct leaf values with
+    one index into it per leaf, and ``roots``.
     """
 
     feature: np.ndarray
@@ -82,47 +92,99 @@ class TreeBlock:
         """One block holding the trees of ``blocks``, in order."""
         return _join([dict(vars(b)) for b in blocks])
 
-    def to_dict(self) -> dict:
+    def to_dict(self, n_features: int) -> dict:
+        """The block as packed arrays, for a model reading ``n_features``
+        features. ValueError if its children break the numbering invariant.
+        The codebook is sorted by value and keeps -0.0 apart from 0.0."""
         inner = self.left != -1
-        return {"left": pack(self.left, "<i4"), "feature": pack(self.feature[inner], "<i4"),
+        if not np.array_equal(_derive_left(self.n_nodes, np.flatnonzero(inner), self.roots),
+                              self.left):
+            raise ValueError("the block's children break the numbering invariant")
+        bits, leaves = np.unique(np.ascontiguousarray(self.value[~inner]).view(np.uint64),
+                                 return_inverse=True)
+        codebook = bits.view(np.float64)
+        order = np.argsort(codebook, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return {"inner": pack(np.packbits(inner, bitorder="little"), "<u1"),
+                "feature": pack(self.feature[inner], _index_dtype(n_features)),
                 "threshold": pack(self.threshold[inner], "<f8"),
-                "value": pack(self.value[~inner], "<f8"), "roots": pack(self.roots, "<i4")}
+                "leaf_values": pack(codebook[order], "<f8"),
+                "leaves": pack(rank[leaves], _index_dtype(len(order))),
+                "roots": pack(self.roots, "<i4")}
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "TreeBlock":
         """Inverse of to_dict, bit for bit. Raises ValueError for any block a
-        traversal could not score: fields that are not packed arrays, other
-        than one feature and threshold per inner node and one value per
-        leaf, children that are out of range or not numbered after their
-        parent, split features outside [0, n_features), non-finite
-        thresholds, values that are not finite or beyond +-PARAMETER_BOUND,
-        or roots outside the node range."""
-        left = unpack(d["left"], "<i4")
-        n = len(left)
-        inner = left != -1
-        arrays = {"feature": np.full(n, -1, dtype=np.intp), "threshold": np.zeros(n),
-                  "left": left, "value": np.zeros(n)}
-        for name, dtype, nodes, kind in (("feature", "<i4", inner, "inner node"),
-                                         ("threshold", "<f8", inner, "inner node"),
-                                         ("value", "<f8", ~inner, "leaf")):
-            packed = unpack(d[name], dtype)
-            if len(packed) != np.count_nonzero(nodes):
-                raise ValueError(f"tree field {name!r} needs one entry per {kind}")
-            arrays[name][nodes] = packed
-        # The right child, left + 1, must be in range too (as left >= n - 1,
-        # which cannot overflow).
-        if ((left[inner] <= np.flatnonzero(inner)) | (left[inner] >= n - 1)).any():
-            raise ValueError("a child node is out of range or not after its parent")
-        feature = arrays["feature"][inner]
-        if ((feature < 0) | (feature >= n_features)).any():
-            raise ValueError("a split feature is out of range")
-        if not np.isfinite(arrays["threshold"]).all():
-            raise ValueError("a tree threshold is not finite")
-        finite_array("tree values", arrays["value"], None)
+        traversal could not score: fields that are not packed arrays; other
+        than one feature per threshold, or one inner-node bit per inner
+        node and leaf with zero pad bits and as many set bits as
+        thresholds; roots that do not start at node 0 and increase, or a
+        tree of other than 2m + 1 nodes for its m inner nodes; a derived
+        child not after its parent; split features outside [0, n_features);
+        non-finite thresholds; codebook values that are not finite or beyond
+        +-PARAMETER_BOUND; or a leaf index past the codebook."""
+        threshold = unpack(d["threshold"], "<f8")
+        feature = unpack(d["feature"], _index_dtype(n_features))
+        if len(feature) != len(threshold):
+            raise ValueError("tree field 'feature' needs one entry per threshold")
+        codebook = finite_array("tree leaf values", unpack(d["leaf_values"], "<f8"), None)
+        leaves = unpack(d["leaves"], _index_dtype(len(codebook)))
+        n = len(threshold) + len(leaves)
+        packed = unpack(d["inner"], "<u1")
+        if len(packed) != (n + 7) // 8:
+            raise ValueError("the inner-node bitmap needs one bit per node")
+        inner = np.unpackbits(packed.astype(np.uint8), bitorder="little").view(bool)
+        if inner[n:].any():
+            raise ValueError("the inner-node bitmap's pad bits must be 0")
+        inner_at = np.flatnonzero(inner[:n])
+        if len(inner_at) != len(threshold):
+            raise ValueError("the inner-node bitmap needs one set bit per threshold")
         roots = unpack(d["roots"], "<i4")
-        if len(roots) == 0 or ((roots < 0) | (roots >= n)).any():
-            raise ValueError("a tree root is missing or out of range")
-        return cls(**arrays, roots=roots)
+        left = _derive_left(n, inner_at, roots)
+        if (feature >= n_features).any():
+            raise ValueError("a split feature is out of range")
+        if not np.isfinite(threshold).all():
+            raise ValueError("a tree threshold is not finite")
+        if (leaves >= len(codebook)).any():
+            raise ValueError("a leaf index is past the codebook")
+        # Scattering through indices is about twice as fast as through masks.
+        arrays = {"feature": np.full(n, -1, dtype=np.intp), "threshold": np.zeros(n),
+                  "value": np.zeros(n)}
+        arrays["feature"][inner_at] = feature
+        arrays["threshold"][inner_at] = threshold
+        arrays["value"][np.flatnonzero(left == -1)] = codebook[leaves]
+        return cls(**arrays, left=left, roots=roots)
+
+
+def _index_dtype(n: int) -> str:
+    """The smallest of "<u1", "<u2" and "<u4" that holds the indices of n
+    items."""
+    return "<u1" if n <= 1 << 8 else "<u2" if n <= 1 << 16 else "<u4"
+
+
+def _derive_left(n: int, inner_at, roots) -> np.ndarray:
+    """Each of n nodes' left child under the numbering invariant, -1 for a
+    leaf, from the inner nodes' positions ``inner_at`` (ascending) and
+    where trees start. ValueError unless the roots start at node 0 and
+    increase, each tree has 2m + 1 nodes for its m inner nodes, and every
+    child comes after its parent.
+
+    Tree t's roots[t] nodes before it hold M inner nodes and t trees, so
+    roots[t] = 2M + t, and its j-th inner node, the (M + j)-th of the
+    block, has its left child at roots[t] + 2j + 1 = 2(M + j) + t + 1."""
+    if len(roots) == 0 or roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= n:
+        raise ValueError("a tree root is missing or out of range, or roots do not increase "
+                         "from node 0")
+    tree = np.searchsorted(roots, inner_at, side="right") - 1  # each inner node's
+    if (np.diff(np.append(roots, n)) != 2 * np.bincount(tree, minlength=len(roots)) + 1).any():
+        raise ValueError("a tree's node count is not twice its inner nodes plus one")
+    children = 2 * np.arange(len(inner_at)) + tree + 1
+    if (children <= inner_at).any():
+        raise ValueError("a child node is not after its parent")
+    left = np.full(n, -1, dtype=np.intp)
+    left[inner_at] = children
+    return left
 
 
 def _join(parts: list[dict]) -> TreeBlock:
@@ -144,7 +206,7 @@ class TreeBuilder:
     """One tree being grown, as [feature, threshold, left, value] node
     records. Node 0 is the root, and a split appends its two children, so
     each child is numbered after its parent and the right one follows the
-    left."""
+    left. Nodes split in node order keep TreeBlock's numbering invariant."""
 
     def __init__(self):
         self.nodes = [[-1, 0.0, -1, 0.0]]
@@ -332,7 +394,7 @@ def _split_exhaustive(block: _SortedBlock, feats, a, b, w, criterion, require_po
 
 
 def grow_tree(X, y, params: GrowParams, w=None, fitted=None) -> TreeBlock:
-    """One boosting tree, split depth first, on strictly positive scores
+    """One boosting tree, split breadth first, on strictly positive scores
     only, until depth / min-samples / purity stops.
 
     Variance leaves hold the weighted mean of y, and second-order leaves
@@ -358,10 +420,11 @@ def grow_tree(X, y, params: GrowParams, w=None, fitted=None) -> TreeBlock:
     feats = np.arange(d, dtype=np.intp)
     a, b = _target_sums(y, w, criterion)
     tree = TreeBuilder()
-    # The path keys the node's sorted block.
-    stack = [(0, np.arange(n), 0, ())]
-    while stack:
-        node, rows, depth, path = stack.pop()
+    # Nodes split in node order, as the numbering invariant needs; the path
+    # keys the node's sorted block.
+    queue = deque([(0, np.arange(n), 0, ())])
+    while queue:
+        node, rows, depth, path = queue.popleft()
         found = None
         if not ((criterion == "variance" and (y[rows] == y[rows[0]]).all())
                 or (params.max_depth is not None and depth >= params.max_depth)
@@ -382,8 +445,8 @@ def grow_tree(X, y, params: GrowParams, w=None, fitted=None) -> TreeBlock:
         feature, threshold = found[:2]
         left, right = tree.split(node, feature, threshold)
         go_left = XT[feature, rows] <= threshold
-        stack.append((right, rows[~go_left], depth + 1, (*path, (feature, threshold, 1))))
-        stack.append((left, rows[go_left], depth + 1, (*path, (feature, threshold, 0))))
+        queue.append((left, rows[go_left], depth + 1, (*path, (feature, threshold, 0))))
+        queue.append((right, rows[~go_left], depth + 1, (*path, (feature, threshold, 1))))
     return tree.block()
 
 

@@ -4,13 +4,21 @@ One self-describing JSON document (extension ``.model``) serves both single
 models and stacks: top-level keys are format_version, created, kind, schema
 and payload. Numbers are written with full round-trippable precision, as
 JSON numbers or, for the arrays of tree and k-NN models, packed: the base64
-of their little-endian int32 or float64 bytes. Documents are pure data;
-loading never executes anything beyond parsing.
+of their little-endian bytes (int32, unsigned 8, 16 or 32 bits, or
+float64). Documents are pure data; loading never executes anything beyond
+parsing.
 
-Format 4 packs each tree model's nodes (see ``TreeBlock``): ``left`` for
-every node, a feature and threshold per inner node, a value per leaf, and
-``roots``; ``load_model`` checks them before any row is scored. Formats 1
-to 3, which hold every array as a JSON list, are rejected: train again.
+Format 5 packs each tree model's nodes (see ``TreeBlock``): ``inner``, one
+bit per node (``np.packbits``, little bit order), from which each inner
+node's children follow; ``feature`` (one byte each up to 256 features,
+else two) and ``threshold`` per inner node; ``leaf_values``, the sorted
+codebook of distinct leaf values, and ``leaves``, one index into it per
+leaf in the fewest bytes that hold the codebook's length; and ``roots``.
+``load_model`` checks them before any row is scored: the bitmap's length,
+pad bits and count against the thresholds, roots that tile the nodes into
+trees of 2m + 1 nodes for m inner ones, children after their parents,
+feature range, finite thresholds, a finite and bounded codebook, and leaf
+indices inside it. Formats 1 to 4 are rejected: train again.
 
 The ``created`` stamp honours SOURCE_DATE_EPOCH, in whole seconds, and
 otherwise falls back to a fixed epoch so that repeated pipeline runs stay
@@ -31,7 +39,7 @@ from .schema import CANONICAL_SCHEMA, TARGET_ALIASES, schema_fingerprint
 from .stacking import BaseSelectionReport, StackedModel
 from .standardize import Standardizer
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _created_stamp() -> str:
@@ -136,9 +144,8 @@ def load_model(source):
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError("not a model document")
     if doc["format_version"] != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported format_version {doc['format_version']} (expected {FORMAT_VERSION})"
-        )
+        raise ModelFormatError(f"unsupported format_version {doc['format_version']} "
+                               f"(expected {FORMAT_VERSION}): train the model again")
     try:
         fingerprint = doc["schema"]["fingerprint"]
         n_columns = sum(c["name"] not in TARGET_ALIASES for c in doc["schema"]["columns"])

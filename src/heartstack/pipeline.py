@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import correlation_matrix, correlation_with_target, summarize
 from .cleaning import clean
 from .config import PipelineConfig
-from .dataset import Dataset, parse_csv, parse_feature_csv, validate_schema
+from .dataset import Dataset, parse_csv, parse_feature_csv, require_valid_codes, validate_schema
 from .errors import ConfigError, DataError
 # fit, cross_validate and grid_search are not called here any more: every fit
 # of a command runs in the model_selection and stacking task pools. They
@@ -25,7 +25,8 @@ from .learners import LearnerSpec, fit  # noqa: F401
 from .metrics import confusion_matrix, metric_report, pr_curve, roc_curve, truncate_percent
 from .model_selection import cross_validate, fit_rows, grid_search, k_fold_plan, tune  # noqa: F401
 from .model_store import load_model, require_matching_schema, save_model
-from .reporting import LITERATURE_RESULTS, format_csv, write_csv, write_json
+# format_csv, like the imports above, stays importable for perfbench/tracer.py.
+from .reporting import LITERATURE_RESULTS, format_csv, write_csv, write_json  # noqa: F401
 from .splitting import SplitPair, stratified_split
 from .stacking import StackedModel, StackingConfig, fit_stack
 
@@ -257,16 +258,19 @@ def cmd_evaluate(config: PipelineConfig, model_path) -> dict:
 
 
 def cmd_predict(model_path, input_csv, out_path) -> dict:
-    """Score an 11-feature CSV (target optional); write per-row class-1
-    probabilities and labels, appending a metric record when targets exist."""
+    """Score an 11-feature CSV (target optional) whose nominal codes and
+    targets the schema allows; write per-row class-1 probabilities and
+    labels, appending a metric record when targets exist."""
     model = load_model(model_path)
     require_matching_schema(model)
     X, y = parse_feature_csv(input_csv)
+    require_valid_codes(X, y, str(input_csv))
     proba = model.predict_proba(X)
     labels = (proba >= 0.5).astype(np.int64)
 
-    rows = [[i, repr(float(p)), int(label)] for i, (p, label) in enumerate(zip(proba, labels))]
-    text = format_csv(["row", "probability", "label"], rows)
+    text = "row,probability,label\n" + "".join(
+        f"{i},{p!r},{label}\n"
+        for i, (p, label) in enumerate(zip(proba.tolist(), labels.tolist())))
     report = None
     if y is not None:
         report = metric_report(confusion_matrix(y, labels))

@@ -26,8 +26,9 @@ The fold digests are sha256 hashes of whole ``save_model`` documents of the
 depth-first learners, fitted at their default sizes on two folds of the
 study's synthetic train split, and of 25-tree forests (default
 hyperparameters otherwise) on the same folds. Both sets were recorded
-again for format 3, and CART's documents again when grow_forest began to
-grow them, since it numbers nodes level by level. The same fold fits'
+again for format 3, CART's documents again when grow_forest began to
+grow them, since it numbers nodes level by level, and both sets again for
+format 5 (a leaf-value codebook and an inner-node bitmap). The same fold fits'
 probabilities on the fold's held-out rows (``FOLD_PROBA_SHA256``) were
 recorded with format 2 and did not move, apart from those of CART with
 ``max_features`` set, recorded again with grow_forest.
@@ -134,16 +135,16 @@ FOLD_CASES = {
 }
 FOLDS = (0, 7)
 FOLD_DOC_SHA256 = {
-    "adaboost-0": "cb1ac21ec9a8f7ade5c56612517c2df797b220cf27e6c9cfc0800895e67724c9",
-    "adaboost-7": "f3f3697608aa7b82b061538b4073f25e01b0b34f7a348be0b8bcf8c43f96f085",
-    "cart-0": "3c9f9799d8bd6de3dd538cda2e6972502430df6a88ffe0381a020c6966f808d4",
-    "cart-7": "2ebce57a4b60c784a8d104cccc4c0d05a1b9dad0e8a5294ee6771d5fc88c6534",
-    "cart-sqrt_features-0": "86b80c1ba2c51614df603fa4f6b436d3efd06795cc8afeed54d2bb11dd04ab16",
-    "cart-sqrt_features-7": "88fb4607c2ff634b2b8be2dd9fcc4adc76571cba1348aca6a52d3be095cabbb5",
-    "gbm-0": "686601c5540654c33bc6698115fc1205073799b36de3b911926c58aa3f1eed34",
-    "gbm-7": "da59d0ccb201443af2f9017ba0b117f61f3490c987f088e8139894357478fda6",
-    "xgb_style-0": "d7a3c516f6e0b68220b4ef5f25b8953a4a2aef292bb12c86c18d908c535d058b",
-    "xgb_style-7": "141eb07132df5eeacec252dbf9edd7c8d197940bbe1e39c4dc2b2c8884c41a99",
+    "adaboost-0": "ee3b3ba44739aa7cc839b1df2388fd9439d31ce8f3bbb5920ecb0566092d5d06",
+    "adaboost-7": "9b029abfc9a88112c5fc013141823ead3865d2a7aa5ca22abf56a1da16cb1bba",
+    "cart-0": "7bcea8ff3194ec4b61e3a543d68c29360d87a5ef2212e5d1511cd65b7296f926",
+    "cart-7": "842cb3f928f39f9d8d725716cdabf8cbea970359f8beadc24b4b20a8eb7acc09",
+    "cart-sqrt_features-0": "00947996ebc2448ee7d0c2a7df397ba36f4163bc4313bf3ba96fbc828ff712cf",
+    "cart-sqrt_features-7": "d66df6927f9a13a03cc3a505d72e6d2e8886637a0ddb7a7b7bd029d59704c47d",
+    "gbm-0": "07f1c0f648c8339fbb3217048294df03e338a78eafc6cf37f41594492c0d0a21",
+    "gbm-7": "70a7e6b01610c29a3783b9e0a4bb9c60069d9e2d9ee2b08b062357777e863b3f",
+    "xgb_style-0": "9222143c9461b8bf13ffc1ad35534fb25f65bb5a481c693b6ea6e7d6c46c18ba",
+    "xgb_style-7": "a13b1dc8c9a528fffa7e34145755d981e27121e2d240709bd2f139f48a0a8fd4",
 }
 
 # 25-tree forests on the same OOF folds.
@@ -152,10 +153,10 @@ FOREST_FOLD_CASES = {
     "extra_trees": ("extra_trees", {"n_estimators": 25}),
 }
 FOREST_FOLD_DOC_SHA256 = {
-    "extra_trees-0": "ce665fc0aab097c67b8a5f909ab33c9c49a4d5e67ec4e933ddbaf794bd9a46f1",
-    "extra_trees-7": "cbc294166c38418d48b564000701c770562a01908b7b970ac5e0561b8fa42705",
-    "random_forest-0": "3bdbe3cb06c73dee18a611d6c45bb194a24699b547817440acb1a8fd61faabd4",
-    "random_forest-7": "ddc0dad3995f0bab53c97abd3caa9cd909d95e48575ab8cdba339ef36d411e18",
+    "extra_trees-0": "938ea9216a99d874df41f13d2ba1e6de958969f88cb49b33883ec629edae574b",
+    "extra_trees-7": "5219a84a8730a3f9344779a5d6bea196edaa8cb5205fc94cb12bef98e4568872",
+    "random_forest-0": "ef7435d5cd96481816e734428489c8026a631c12e9a40742ac0e4a5f12dbc973",
+    "random_forest-7": "f5cbb16e2412909b1c7c2fc6fa6398f359c84ef976ec8be9141b07cf0bb0dfbb",
 }
 FOLD_PROBA_SHA256 = {
     "adaboost-0": "50b8bb2de5d6a59716f90c8033ee76515aef5abd3a8be744221310bc6094f7d1",

@@ -11,6 +11,7 @@ from heartstack.cli import main
 from heartstack.errors import ModelFormatError, SchemaMismatchError
 from heartstack.learners import ALGORITHMS, LearnerSpec, fit
 from heartstack.learners.base import pack, unpack
+from heartstack.learners.tree import TreeBlock
 from heartstack.model_store import load_model, require_matching_schema, save_model
 from heartstack.stacking import StackingConfig, fit_stack
 
@@ -148,10 +149,47 @@ def test_tree_block_round_trips_field_for_field(algorithm, train_data):
     zero = np.zeros(1).tobytes()
     assert trees.threshold[leaf].tobytes() == zero * leaf.sum()
     assert trees.value[~leaf].tobytes() == zero * (~leaf).sum()
-    loaded = load_model(save_model(model)).trees
+    for loaded in (load_model(save_model(model)).trees,
+                   TreeBlock.from_dict(trees.to_dict(11), 11)):
+        assert_same_block(trees, loaded)
+
+
+def assert_same_block(a, b):
     for name in ("feature", "threshold", "left", "value", "roots"):
-        a, b = getattr(trees, name), getattr(loaded, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def test_leaf_codebook_keeps_signed_zeros_and_sorts_by_value():
+    # Two trees: a stump and a lone leaf; leaves -0.0, 0.0 and -2.5.
+    block = TreeBlock(np.array([3, -1, -1, -1]), np.array([0.5, 0.0, 0.0, 0.0]),
+                      np.array([1, -1, -1, -1]), np.array([0.0, -0.0, 0.0, -2.5]),
+                      np.array([0, 3]))
+    d = block.to_dict(11)
+    assert unpack(d["leaf_values"], "<f8").tobytes() == np.array([-2.5, 0.0, -0.0]).tobytes()
+    assert unpack(d["leaves"], "<u1").tolist() == [2, 1, 0]
+    assert_same_block(block, TreeBlock.from_dict(d, 11))
+    # 300 features need two bytes per feature, 300 distinct leaves two per index.
+    wide = TreeBlock.concat([block] + [TreeBlock(np.array([-1]), np.zeros(1), np.array([-1]),
+                                                 np.array([float(v)]), np.zeros(1, np.intp))
+                                       for v in range(300)])
+    d = wide.to_dict(300)
+    assert len(base64.b64decode(d["feature"])) == 2
+    assert len(base64.b64decode(d["leaves"])) == 2 * (3 + 300)
+    assert_same_block(wide, TreeBlock.from_dict(d, 300))
+
+
+@pytest.mark.parametrize("left", [[2, -1, -1], [1, -1, -1, -1, -1],
+                                  [1, 3, 7, 5, -1, -1, -1, -1, -1]])
+def test_blocks_breaking_the_numbering_invariant_are_not_written(left):
+    # A root whose children are 2 and 3, a tree of five nodes with one
+    # inner node, and a tree numbered depth first: node 2 splits after
+    # node 3's subtree is numbered.
+    left = np.array(left)
+    block = TreeBlock(np.where(left == -1, -1, 0), np.zeros(len(left)), left,
+                      np.zeros(len(left)), np.zeros(1, dtype=np.intp))
+    with pytest.raises(ValueError, match="numbering invariant|twice its inner"):
+        block.to_dict(11)
 
 
 def test_pack_round_trips_and_rejects():
@@ -172,41 +210,36 @@ def test_pack_round_trips_and_rejects():
             unpack(text, dtype)
 
 
-def _first_grandchild_parent(t):
-    """An inner node whose parent is inner too: (node, parent)."""
-    for parent in range(len(t["left"])):
-        child = t["left"][parent]
-        if child != -1 and t["left"][child] != -1:
-            return child, parent
-    raise AssertionError("tree too shallow for this mutation")
-
-
 def _set(field, at, value):
     def mutate(t):
         t[field][at] = value
     return mutate
 
 
-def _child_to_parent(t):
-    node, parent = _first_grandchild_parent(t)
-    t["left"][node] = parent
-
-
-# The dtype of each packed field of tree and k-NN documents.
-PACKED = {"left": "<i4", "feature": "<i4", "threshold": "<f8", "value": "<f8", "roots": "<i4",
-          "X_train": "<f8", "y_train": "<i4"}
+# The dtype of each packed field of tree and k-NN documents. The tree
+# documents here have 11 features and fewer than 257 distinct leaf values,
+# so features and leaf indices take one byte; "inner" is a bitmap.
+PACKED = {"inner": "<u1", "feature": "<u1", "threshold": "<f8", "leaf_values": "<f8",
+          "leaves": "<u1", "roots": "<i4", "X_train": "<f8", "y_train": "<i4"}
 
 
 def _repacked(mutate):
     """``mutate`` applied to a block whose packed fields are unpacked into
-    lists (k-NN rows nested one list per row), with the fields packed
-    again afterwards."""
+    lists (a tree's inner-node bitmap one 0/1 entry per node, k-NN rows
+    nested one list per row), with the fields packed again afterwards."""
     def apply(block):
         fields = {name: unpack(block[name], PACKED[name]) for name in block if name in PACKED}
+        if "inner" in fields:
+            n = len(fields["threshold"]) + len(fields["leaves"])
+            fields["inner"] = np.unpackbits(fields["inner"].astype(np.uint8),
+                                            bitorder="little")[:n]
         if "X_train" in fields:
             fields["X_train"] = fields["X_train"].reshape(len(fields["y_train"]), -1)
         block.update({name: a.tolist() for name, a in fields.items()})
         mutate(block)
+        if "inner" in fields:
+            block["inner"] = np.packbits(np.array(block["inner"], dtype=np.uint8),
+                                         bitorder="little")
         block.update({name: pack(block[name], PACKED[name]) for name in fields})
     return apply
 
@@ -227,34 +260,93 @@ def _as_list(field):
     return lambda text: unpack(text, PACKED[field]).tolist()
 
 
+def _first_tree_end(t):
+    return t["roots"][1] if len(t["roots"]) > 1 else len(t["inner"])
+
+
+def _last_inner_to_last_node(t):
+    """The first tree's last inner node made its last node, a leaf: that
+    node's derived children are the one before it and itself."""
+    end = _first_tree_end(t)
+    last = max(i for i in range(end) if t["inner"][i])
+    t["inner"][last], t["inner"][end - 1] = 0, 1
+
+
+def _leaf_made_inner(t):
+    """A leaf of the first tree made inner, with a feature and threshold
+    and without its leaf index: its derived children run past its tree."""
+    end = _first_tree_end(t)
+    t["inner"][max(i for i in range(end) if not t["inner"][i])] = 1
+    t["feature"].append(0)
+    t["threshold"].append(0.0)
+    t["leaves"].pop()
+
+
+def one_tree(inner):
+    """A mutation replacing the block by one tree with these inner-node
+    bits, splits on feature 0 at 0.0 and every leaf 0.5."""
+    def mutate(t):
+        m = sum(inner)
+        t.update(inner=list(inner), feature=[0] * m, threshold=[0.0] * m, leaf_values=[0.5],
+                 leaves=[0] * (len(inner) - m), roots=[0])
+    return _repacked(mutate)
+
+
+def _set_pad_bit(t):
+    n = len(unpack(t["threshold"], "<f8")) + len(unpack(t["leaves"], "<u1"))
+    raw = bytearray(base64.b64decode(t["inner"]))
+    assert n % 8, "the block needs pad bits"
+    raw[n // 8] |= 1 << n % 8
+    t["inner"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+
 TREE_MUTATIONS = {
-    # Packed content: one feature, threshold or value per inner node or leaf.
+    # Packed content: one feature per threshold, one inner-node bit per node
+    # and one leaf index per leaf, into a finite codebook.
     "ragged_arrays": _repacked(lambda t: t["threshold"].pop()),
-    "feature_per_node": _repacked(lambda t: t.__setitem__("feature", [-1] * len(t["left"]))),
-    "value_missing": _repacked(lambda t: t["value"].pop()),
-    "value_per_node": _repacked(lambda t: t.__setitem__("value", [0.0] * len(t["left"]))),
-    "child_out_of_range": _repacked(lambda t: t["left"].__setitem__(0, len(t["left"]))),
-    "child_is_itself": _repacked(_set("left", 0, 0)),
-    "child_points_back_at_parent": _repacked(_child_to_parent),
-    # The last node as a left child: its sibling, left + 1, is past the end.
-    "sibling_out_of_range": _repacked(lambda t: t["left"].__setitem__(0, len(t["left"]) - 1)),
-    # The largest child index a packed int32 can hold.
-    "child_at_int32_max": _repacked(_set("left", 0, 2**31 - 1)),
-    "feature_negative": _repacked(_set("feature", 0, -1)),
+    "feature_per_node": _repacked(lambda t: t.__setitem__("feature", [0] * len(t["inner"]))),
+    "value_missing": _repacked(lambda t: t["leaves"].pop()),
+    "value_per_node": _repacked(lambda t: t.__setitem__("leaves", [0] * len(t["inner"]))),
+    "leaf_index_past_codebook": _repacked(lambda t: t["leaves"].__setitem__(
+        0, len(t["leaf_values"]))),
+    "bitmap_wrong_length": _set_packed("inner", lambda text: base64.b64encode(
+        base64.b64decode(text) + b"\0").decode("ascii")),
+    "bitmap_pad_bit_set": _set_pad_bit,
+    "inner_count_disagrees_with_threshold": _repacked(lambda t: t["inner"].__setitem__(-1, 1)),
+    "tree_size_not_twice_inner_plus_one": _repacked(lambda t: t["roots"].__setitem__(
+        1, t["roots"][1] + 2)),
+    # Derived children: past their tree, the node itself, before it.
+    "child_out_of_range": _repacked(_leaf_made_inner),
+    "child_is_itself": _repacked(_last_inner_to_last_node),
+    "child_points_back_at_parent": one_tree([1, 0, 0, 0, 0, 1, 1]),
+    "derived_child_not_after_parent": one_tree([1, 0, 0, 1, 0]),
+    # The last tree one node short.
+    "sibling_out_of_range": _repacked(lambda t: (t["inner"].pop(), t["leaves"].pop())),
+    "root_at_int32_max": _repacked(_set("roots", -1, 2**31 - 1)),
+    # -1's byte, 0xFF, reads as feature 255.
+    "feature_negative": _repacked(_set("feature", 0, 255)),
     "feature_out_of_range": _repacked(_set("feature", 0, 11)),
     "threshold_nan": _repacked(_set("threshold", 0, float("nan"))),
-    "value_infinite": _repacked(_set("value", 0, float("inf"))),
-    "value_huge": _repacked(_set("value", 0, 1e308)),
-    "root_out_of_range": _repacked(lambda t: t["roots"].__setitem__(0, len(t["left"]))),
+    "value_infinite": _repacked(_set("leaf_values", 0, float("inf"))),
+    "codebook_nan": _repacked(_set("leaf_values", 0, float("nan"))),
+    "value_huge": _repacked(_set("leaf_values", 0, 1e308)),
+    "codebook_beyond_bound": _repacked(_set("leaf_values", 0, 1.0000000001e100)),
+    "root_out_of_range": _repacked(lambda t: t["roots"].__setitem__(-1, len(t["inner"]))),
     "no_roots": _repacked(lambda t: t["roots"].clear()),
     # The packing itself.
-    "left_not_base64": _set_packed("left", "!!"),
+    "inner_not_base64": _set_packed("inner", "!!"),
     "roots_not_string": _set_packed("roots", 0),
-    "left_as_list": _set_packed("left", _as_list("left")),
+    "inner_as_list": _set_packed("inner", _as_list("inner")),
     "threshold_as_list": _set_packed("threshold", _as_list("threshold")),
-    "left_bytes_not_whole_int32": _set_packed("left", _cut_bytes(1)),
-    "value_bytes_not_whole_float64": _set_packed("value", _cut_bytes(4)),
+    "roots_bytes_not_whole_int32": _set_packed("roots", _cut_bytes(1)),
+    "value_bytes_not_whole_float64": _set_packed("leaf_values", _cut_bytes(4)),
 }
+
+
+def test_one_tree_mutation_builds_a_block_that_loads(tree_document):
+    doc = json.loads(json.dumps(tree_document))
+    one_tree([1, 1, 0, 0, 0])(doc["payload"]["params"]["trees"])
+    assert load_model(json.dumps(doc).encode("utf8")).trees.left.tolist() == [1, 3, -1, -1, -1]
 
 
 @pytest.fixture(scope="module")
@@ -320,16 +412,19 @@ def test_hostile_knn_document_rejected(mutation, train_data, tmp_path, dataset_c
 
 def test_deeply_nested_document_rejected(tmp_path, dataset_csv):
     depth = 100_000
-    data = b'{"format_version": 4, "payload": ' + b"[" * depth + b"]" * depth + b"}"
+    data = b'{"format_version": 5, "payload": ' + b"[" * depth + b"]" * depth + b"}"
     _assert_rejected(data, tmp_path, dataset_csv)
 
 
 def test_format_1_document_rejected(tree_document, tmp_path, dataset_csv):
-    # Formats 1 (nested tree nodes), 2 (a stored right-child array) and 3
-    # (arrays as JSON lists) are no longer read.
-    for version in (1, 2, 3):
+    # Formats 1 (nested tree nodes), 2 (a stored right-child array), 3
+    # (arrays as JSON lists) and 4 (a stored left-child array and one
+    # float64 per leaf) are no longer read.
+    for version in (1, 2, 3, 4):
         doc = json.loads(json.dumps(tree_document))
         doc["format_version"] = version
+        with pytest.raises(ModelFormatError, match="train the model again"):
+            load_model(json.dumps(doc).encode("utf8"))
         _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
 
 

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from heartstack import cli as cli_module
 from heartstack import config as config_module
 from heartstack.cli import main
 from heartstack.config import config_from_dict, load_config, paper_default_config
+from heartstack.dataset import parse_feature_csv
 from heartstack.learners import LearnerSpec, fit
+from heartstack.metrics import confusion_matrix, metric_report
 from heartstack.model_store import load_model, save_model
 from heartstack.pipeline import MODEL_FILE
 from heartstack.errors import ConfigError
-from heartstack.reporting import read_csv, read_json
+from heartstack.reporting import format_csv, read_csv, read_json
 from heartstack.schema import FEATURE_NAMES
 from heartstack.stacking import StackingConfig, fit_stack
 
@@ -341,6 +344,61 @@ def test_predict_takes_feature_values_up_to_the_parameter_bound(value, code, mic
     got, proba = predict_bytes(micro_stack, text.encode("utf8"))
     assert got == code
     assert len(proba) == (8 if code == 0 else 0) and np.isfinite(proba).all()
+
+
+@pytest.mark.parametrize("values, rows, where", [
+    ({"sex": "7", "chest_pain_type": "-3"}, [2], "row 3, column 'sex': code 7 "),
+    ({"chest_pain_type": "-3"}, [4, 1], "row 2, column 'chest_pain_type': code -3 "),
+    ({"rest_ecg": "1e19"}, [0], "row 1, column 'rest_ecg': code 1e+19 "),
+    ({"st_slope": "4", "target": "2"}, [5], "row 6, column 'st_slope'"),
+    ({"target": "2"}, [6], "row 7, column 'target': code 2 "),
+])
+def test_predict_rejects_codes_outside_the_schema(values, rows, where, micro_stack, capsys):
+    text = with_cells((micro_stack / "input.csv").read_text(), values, rows=rows)
+    assert predict_bytes(micro_stack, text.encode("utf8")) == (3, [])
+    assert where in capsys.readouterr().err
+
+
+def test_predict_takes_st_slope_code_zero(micro_stack):
+    text = with_cells((micro_stack / "input.csv").read_text(), {"st_slope": "0"}, rows=[0])
+    code, proba = predict_bytes(micro_stack, text.encode("utf8"))
+    assert code == 0 and len(proba) == 8
+
+
+def reference_predict_text(model_path, input_csv) -> str:
+    """The predictions file as written per row through format_csv, with
+    the metric lines appended when the input has targets."""
+    model = load_model(model_path)
+    X, y = parse_feature_csv(input_csv)
+    proba = model.predict_proba(X)
+    labels = (proba >= 0.5).astype(np.int64)
+    rows = [[i, repr(float(p)), int(label)] for i, (p, label) in enumerate(zip(proba, labels))]
+    text = format_csv(["row", "probability", "label"], rows)
+    if y is not None:
+        report = metric_report(confusion_matrix(y, labels))
+        text += "\n".join(f"# {name} {'-' if value is None else repr(value)}"
+                          for name, value in report.to_dict().items() if name != "undefined")
+        text += "\n"
+    return text
+
+
+@pytest.mark.parametrize("with_target", [True, False])
+def test_predictions_file_equals_per_row_csv_writer(with_target, micro_stack, dataset_csv):
+    lines = dataset_csv.read_text().splitlines()
+    if not with_target:
+        lines = [line[:line.rindex(",")] for line in lines]
+    path = micro_stack / "big.csv"
+    path.write_text("\n".join(lines[:1] + [lines[1 + i % (len(lines) - 1)]
+                                           for i in range(4096)]) + "\n")
+    out = micro_stack / "big_predictions.csv"
+    assert run(["predict", "--model", micro_stack / "stack.model", "--input", path,
+                "--output", out]) == 0
+    assert out.read_bytes() == reference_predict_text(micro_stack / "stack.model",
+                                                      path).encode("utf8")
+
+
+def test_parser_is_built_once_per_process():
+    assert cli_module._build_parser() is cli_module._build_parser()
 
 
 @pytest.fixture(scope="module")

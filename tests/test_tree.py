@@ -254,7 +254,7 @@ def test_blocks_number_children_after_parents_and_concatenate():
         assert (tree.left[inner] > inner).all() and (tree.left[inner] + 1 < tree.n_nodes).all()
     block = TreeBlock.concat(trees)
     assert block.n_trees == 6 and block.n_nodes == sum(t.n_nodes for t in trees)
-    loaded = TreeBlock.from_dict(block.to_dict(), 3)
+    loaded = TreeBlock.from_dict(block.to_dict(3), 3)
     for name in ("feature", "threshold", "left", "value", "roots"):
         assert np.array_equal(getattr(loaded, name), getattr(block, name))
     q = rng.normal(size=(30, 3))
