@@ -100,8 +100,7 @@ class TreeBlock:
         if not np.array_equal(_derive_left(self.n_nodes, np.flatnonzero(inner), self.roots),
                               self.left):
             raise ValueError("the block's children break the numbering invariant")
-        bits, leaves = np.unique(np.ascontiguousarray(self.value[~inner]).view(np.uint64),
-                                 return_inverse=True)
+        bits, leaves = np.unique(self.value[~inner].view(np.uint64), return_inverse=True)
         codebook = bits.view(np.float64)
         order = np.argsort(codebook, kind="stable")
         rank = np.empty_like(order)
