@@ -44,8 +44,8 @@ def clean(ds: Dataset, strategy: str = "iqr", iqr_k: float = 1.5) -> tuple[Datas
     """
     if strategy not in STRATEGIES:
         raise DataError(f"unknown cleaning strategy {strategy!r}")
-    if strategy == "iqr" and iqr_k <= 0:
-        raise DataError("iqr multiplier must be positive")
+    if strategy == "iqr" and not 0 < iqr_k < np.inf:
+        raise DataError("iqr multiplier must be positive and finite")
 
     reasons: dict[str, int] = {}
     keep = np.ones(ds.n_rows, dtype=bool)

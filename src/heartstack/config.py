@@ -35,8 +35,8 @@ class CleaningConfig:
     def __post_init__(self):
         if self.strategy not in ("none", "domain_validity", "iqr"):
             raise ConfigError(f"unknown cleaning strategy {self.strategy!r}")
-        if self.iqr_k <= 0:
-            raise ConfigError("iqr_k must be positive")
+        if not 0 < self.iqr_k < float("inf"):
+            raise ConfigError("iqr_k must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,10 @@ def _require(cond: bool, algo: str, message: str):
 
 
 def _validate_params(algo: str, p: dict):
+    for name in ("learning_rate", "reg_lambda", "gamma", "var_floor", "decay", "l2", "momentum"):
+        if name in p:  # a real hyperparameter
+            _require(isinstance(p[name], (int, float)) and abs(p[name]) <= PARAMETER_BOUND,
+                     algo, f"{name} must be a finite number within +-{PARAMETER_BOUND:g}")
     if "n_estimators" in p:
         _require(isinstance(p["n_estimators"], int) and p["n_estimators"] >= 1,
                  algo, "n_estimators must be a positive integer")

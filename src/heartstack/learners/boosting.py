@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import FitError
 from .base import LearnerSpec, sigmoid
 from .forest import TreeEnsembleModel
-from .tree import GrowParams, SortedColumns, TreeBlock, TreeBuilder, _split_exhaustive, grow_tree
+from .tree import GrowParams, SortedColumns, TreeBlock, _split_exhaustive, grow_tree, one_tree
 from .tree import tree_apply  # noqa: F401  (perfbench's tracer times boosting.tree_apply)
 
 # Stumps with weighted error at or above chance end AdaBoost; a perfect
@@ -25,47 +25,40 @@ def fit_gbm(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
     gradient (label minus predicted probability) and is added with
     shrinkage; the initial score is the log-odds of the training rate.
     """
-    p = spec.resolved()
     rate = float(y.mean())
-    init_score = math.log(rate / (1.0 - rate))
-    params = GrowParams(
-        criterion="variance",
-        max_depth=p["max_depth"],
-        min_samples_split=p["min_samples_split"],
-    )
+    return _stagewise(spec, X, "variance", math.log(rate / (1.0 - rate)),
+                      lambda margin: (y - sigmoid(margin), None))
+
+
+def fit_xgb(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
+    """Second-order boosting: leaf weight -G/(H + lambda), split gain from
+    the regularized score with a per-leaf penalty gamma."""
+    def stage(margin):
+        prob = sigmoid(margin)
+        return prob - y, prob * (1.0 - prob)
+
+    return _stagewise(spec, X, "second_order", 0.0, stage)
+
+
+def _stagewise(spec: LearnerSpec, X, criterion: str, init_score: float,
+               stage) -> TreeEnsembleModel:
+    """n_estimators trees of ``criterion``, each grown on the (targets, row
+    weights) that ``stage`` gives for the margin so far, which starts at
+    init_score, and added to it times learning_rate."""
+    p = spec.resolved()
+    params = GrowParams(criterion=criterion, max_depth=p["max_depth"],
+                        min_samples_split=p["min_samples_split"],
+                        **{k: p[k] for k in ("reg_lambda", "gamma") if k in p})
     lr = p["learning_rate"]
     margin = np.full(X.shape[0], init_score)
     fitted = np.empty(X.shape[0])  # each training row's leaf in the latest stage
     columns = SortedColumns(X)  # every stage's root sorts the same rows
     trees = []
     for _ in range(p["n_estimators"]):
-        residual = y - sigmoid(margin)
-        trees.append(grow_tree(columns, residual, params, fitted=fitted))
+        targets, w = stage(margin)
+        trees.append(grow_tree(columns, targets, params, w=w, fitted=fitted))
         margin += lr * fitted
     return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), init_score, lr)
-
-
-def fit_xgb(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
-    """Second-order boosting: leaf weight -G/(H + lambda), split gain from
-    the regularized score with a per-leaf penalty gamma."""
-    p = spec.resolved()
-    params = GrowParams(
-        criterion="second_order",
-        max_depth=p["max_depth"],
-        min_samples_split=p["min_samples_split"],
-        reg_lambda=p["reg_lambda"],
-        gamma=p["gamma"],
-    )
-    lr = p["learning_rate"]
-    margin = np.zeros(X.shape[0])
-    fitted = np.empty(X.shape[0])
-    columns = SortedColumns(X)
-    trees = []
-    for _ in range(p["n_estimators"]):
-        prob = sigmoid(margin)
-        trees.append(grow_tree(columns, prob - y, params, w=prob * (1.0 - prob), fitted=fitted))
-        margin += lr * fitted
-    return TreeEnsembleModel(spec, X.shape[1], TreeBlock.concat(trees), 0.0, lr)
 
 
 def fit_adaboost(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
@@ -87,7 +80,7 @@ def fit_adaboost(spec: LearnerSpec, X, y) -> TreeEnsembleModel:
         err = max(err, _ADA_EPS)
         alpha = math.log((1.0 - err) / err)
         signed = np.where(stump.value >= 0.5, alpha, -alpha)
-        stumps.append(dataclasses.replace(stump, value=np.where(stump.left == -1, signed, 0.0)))
+        stumps.append(dataclasses.replace(stump, value=np.where(stump.feature == -1, signed, 0.0)))
         if err <= _ADA_EPS:
             break  # perfect stump; further rounds cannot change the vote
         w *= np.exp(alpha * (pred != y))
@@ -110,13 +103,10 @@ def _stump(columns: SortedColumns, y, w) -> tuple[TreeBlock, np.ndarray]:
         feats = np.arange(len(columns.XT), dtype=np.intp)
         found = _split_exhaustive(columns.node((), np.arange(n)), feats, w * (y == 1), None, w,
                                   "gini", require_positive=False)
-    tree = TreeBuilder()
     if found is None:
-        tree.leaf(0, share(w1, wt))
-        return tree.block(), np.full(n, int(share(w1, wt) >= 0.5))
+        return one_tree([(-1, 0.0, share(w1, wt))]), np.full(n, int(share(w1, wt) >= 0.5))
     feature, threshold, _, left_w1, left_wt = found
     shares = share(left_w1, left_wt), share(w1 - left_w1, wt - left_wt)
-    for node, value in zip(tree.split(0, feature, threshold), shares):
-        tree.leaf(node, value)
     labels = np.where(columns.XT[feature] <= threshold, *shares) >= 0.5
-    return tree.block(), labels.astype(np.int64)
+    return (one_tree([(feature, threshold, 0.0)] + [(-1, 0.0, v) for v in shares]),
+            labels.astype(np.int64))

@@ -31,10 +31,10 @@ lowest feature index wins, then the lowest threshold.
 
 Trees are stored flat, as in scikit-learn's ``Tree``: a ``TreeBlock`` holds
 the nodes of all trees of a model in parallel arrays, and ``tree_apply``
-scores every (tree, row) pair of a block at once. Every grower numbers a
-tree's nodes in the order it splits them and gives each split node the
-next two ids, and both grow breadth first, so a node's children follow
-from which nodes are inner and a document need not store them.
+scores every (tree, row) pair of a block at once. Node order is the
+tree: both growers append a tree's nodes breadth first, so a node's
+children follow from which nodes are inner, and only ``_derive_left``
+works out where they are.
 """
 
 from __future__ import annotations
@@ -49,33 +49,31 @@ from .base import finite_array, pack, unpack
 
 CRITERIA = ("gini", "entropy", "variance")  # best_split's
 
-_FIELDS = ("feature", "threshold", "left", "value", "roots")  # TreeBlock's, in order
-
 
 @dataclass(frozen=True, eq=False)
 class TreeBlock:
     """The nodes of one or more trees as parallel arrays.
 
-    Node i is a leaf when ``left[i] == -1`` and then predicts ``value[i]``
-    (class-1 probability, mean residual, boosting leaf weight, or AdaBoost's
-    vote times its stump's weight). Otherwise rows with
-    ``x[feature[i]] <= threshold[i]`` continue at ``left[i]`` and the others
-    at its sibling ``left[i] + 1``. Tree t starts at node ``roots[t]``, and
-    its nodes run up to the next root. A leaf's feature is -1 and its
-    threshold 0.0, and an inner node's value is 0.0.
+    Node i is a leaf when ``feature[i] == -1`` and then predicts
+    ``value[i]`` (class-1 probability, mean residual, boosting leaf weight,
+    or AdaBoost's vote times its stump's weight). Otherwise rows with
+    ``x[feature[i]] <= threshold[i]`` continue at its left child
+    ``left[i]`` and the others at ``left[i] + 1``. Tree t starts at node
+    ``roots[t]``, and its nodes run up to the next root. A leaf's threshold
+    is 0.0, and an inner node's value is 0.0.
 
-    The numbering invariant: the j-th inner node of a tree, in node order,
-    has its children at ``root + 2j + 1`` and ``root + 2j + 2``. So every
-    child is numbered after its parent, each walk from a root ends, and a
-    tree of m inner nodes has 2m + 1 nodes. A document (``to_dict``) stores
-    one inner-node bit per node instead of ``left``, the features and
+    The numbering invariant: node order is the tree. The j-th inner node
+    of a tree, in node order, has its children at ``root + 2j + 1`` and
+    ``root + 2j + 2``. So every child is numbered after its parent, each
+    walk from a root ends, and a tree of m inner nodes has 2m + 1 nodes.
+    ``left`` is derived from the invariant when first read. A document
+    (``to_dict``) stores one inner-node bit per node, the features and
     thresholds of inner nodes, a codebook of the distinct leaf values with
     one index into it per leaf, and ``roots``.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     value: np.ndarray
     roots: np.ndarray
 
@@ -87,19 +85,25 @@ class TreeBlock:
     def n_nodes(self) -> int:
         return len(self.feature)
 
+    @cached_property
+    def left(self) -> np.ndarray:
+        """Each node's left child, -1 for a leaf. ValueError if the nodes
+        break the numbering invariant."""
+        return _derive_left(self.n_nodes, np.flatnonzero(self.feature != -1), self.roots)
+
     @classmethod
     def concat(cls, blocks: list["TreeBlock"]) -> "TreeBlock":
         """One block holding the trees of ``blocks``, in order."""
-        return _join([dict(vars(b)) for b in blocks])
+        offsets = np.cumsum([0] + [b.n_nodes for b in blocks[:-1]])
+        return cls(*(np.concatenate([getattr(b, name) for b in blocks])
+                     for name in ("feature", "threshold", "value")),
+                   np.concatenate([b.roots + off for b, off in zip(blocks, offsets)]))
 
     def to_dict(self, n_features: int) -> dict:
         """The block as packed arrays, for a model reading ``n_features``
-        features. ValueError if its children break the numbering invariant.
-        The codebook is sorted by value and keeps -0.0 apart from 0.0."""
-        inner = self.left != -1
-        if not np.array_equal(_derive_left(self.n_nodes, np.flatnonzero(inner), self.roots),
-                              self.left):
-            raise ValueError("the block's children break the numbering invariant")
+        features. The codebook is sorted by value and keeps -0.0 apart from
+        0.0."""
+        inner = self.feature != -1
         bits, leaves = np.unique(self.value[~inner].view(np.uint64), return_inverse=True)
         codebook = bits.view(np.float64)
         order = np.argsort(codebook, kind="stable")
@@ -153,7 +157,9 @@ class TreeBlock:
         arrays["feature"][inner_at] = feature
         arrays["threshold"][inner_at] = threshold
         arrays["value"][np.flatnonzero(left == -1)] = codebook[leaves]
-        return cls(**arrays, left=left, roots=roots)
+        block = cls(**arrays, roots=roots)
+        vars(block)["left"] = left  # derived once, here, so a bad document fails to load
+        return block
 
 
 def _index_dtype(n: int) -> str:
@@ -184,46 +190,6 @@ def _derive_left(n: int, inner_at, roots) -> np.ndarray:
     left = np.full(n, -1, dtype=np.intp)
     left[inner_at] = children
     return left
-
-
-def _join(parts: list[dict]) -> TreeBlock:
-    """One block from the field arrays of blocks, in order. It joins one
-    field at a time and takes each field's arrays out of ``parts`` as it
-    goes, so when nothing else holds them, no more than one field is held
-    twice."""
-    offsets = np.cumsum([0] + [len(p["feature"]) for p in parts[:-1]])
-    joined = {}
-    for name in _FIELDS:
-        arrays = [p.pop(name) for p in parts]
-        if name in ("left", "roots"):
-            arrays = [np.where(a == -1, a, a + off) for a, off in zip(arrays, offsets)]
-        joined[name] = np.concatenate(arrays)
-    return TreeBlock(**joined)
-
-
-class TreeBuilder:
-    """One tree being grown, as [feature, threshold, left, value] node
-    records. Node 0 is the root, and a split appends its two children, so
-    each child is numbered after its parent and the right one follows the
-    left. Nodes split in node order keep TreeBlock's numbering invariant."""
-
-    def __init__(self):
-        self.nodes = [[-1, 0.0, -1, 0.0]]
-
-    def split(self, node: int, feature: int, threshold: float) -> tuple[int, int]:
-        left = len(self.nodes)
-        self.nodes[node][:3] = feature, threshold, left
-        self.nodes += [[-1, 0.0, -1, 0.0], [-1, 0.0, -1, 0.0]]
-        return left, left + 1
-
-    def leaf(self, node: int, value: float) -> None:
-        self.nodes[node][3] = value
-
-    def block(self) -> TreeBlock:
-        feature, threshold, left, value = zip(*self.nodes)
-        return TreeBlock(np.array(feature, dtype=np.intp), np.array(threshold),
-                         np.array(left, dtype=np.intp), np.array(value),
-                         np.zeros(1, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -418,12 +384,10 @@ def grow_tree(X, y, params: GrowParams, w=None, fitted=None) -> TreeBlock:
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
     feats = np.arange(d, dtype=np.intp)
     a, b = _target_sums(y, w, criterion)
-    tree = TreeBuilder()
-    # Nodes split in node order, as the numbering invariant needs; the path
-    # keys the node's sorted block.
-    queue = deque([(0, np.arange(n), 0, ())])
+    nodes = []  # (feature, threshold, value) in node order: first in, first out
+    queue = deque([(np.arange(n), 0, ())])  # the path keys the node's sorted block
     while queue:
-        node, rows, depth, path = queue.popleft()
+        rows, depth, path = queue.popleft()
         found = None
         if not ((criterion == "variance" and (y[rows] == y[rows[0]]).all())
                 or (params.max_depth is not None and depth >= params.max_depth)
@@ -436,17 +400,25 @@ def grow_tree(X, y, params: GrowParams, w=None, fitted=None) -> TreeBlock:
             else:
                 wr = w[rows]
                 value = float((wr * y[rows]).sum() / wr.sum())
-            tree.leaf(node, value)
+            nodes.append((-1, 0.0, value))
             if fitted is not None:
                 fitted[rows] = value
             continue
 
         feature, threshold = found[:2]
-        left, right = tree.split(node, feature, threshold)
+        nodes.append((feature, threshold, 0.0))
         go_left = XT[feature, rows] <= threshold
-        queue.append((left, rows[go_left], depth + 1, (*path, (feature, threshold, 0))))
-        queue.append((right, rows[~go_left], depth + 1, (*path, (feature, threshold, 1))))
-    return tree.block()
+        queue.append((rows[go_left], depth + 1, (*path, (feature, threshold, 0))))
+        queue.append((rows[~go_left], depth + 1, (*path, (feature, threshold, 1))))
+    return one_tree(nodes)
+
+
+def one_tree(nodes) -> TreeBlock:
+    """The block of one tree from its (feature, threshold, value) nodes in
+    node order."""
+    feature, threshold, value = zip(*nodes)
+    return TreeBlock(np.array(feature, dtype=np.intp), np.array(threshold), np.array(value),
+                     np.zeros(1, dtype=np.intp))
 
 
 def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
@@ -507,14 +479,13 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
         rows = np.flatnonzero(weights)
         return rows, weights[rows].astype(np.float64)
 
-    # The active nodes, in (tree, node id) order; node i owns the next
+    # The active nodes, in (tree, node) order; node i owns the next
     # count[i] pairs of row, w and a. Admitted trees come after every
     # active one, so the order holds.
-    tree = local = depth = count = np.zeros(0, dtype=np.intp)
+    tree = depth = count = np.zeros(0, dtype=np.intp)
     a1 = wt = w = a = np.zeros(0)
     row = np.zeros(0, dtype=np.intp)
-    next_id = np.ones(n_trees, dtype=np.intp)  # per tree, the next free node id
-    records = _NodeRecords(n)
+    records = _NodeRecords(n, n_trees)
     admitted, waiting = 0, None  # trees admitted; the next tree's rows once drawn
     while True:
         new = []
@@ -531,7 +502,6 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
             rows, weights = zip(*new)
             targets = [wr * y1[r] for r, wr in new]
             tree = np.concatenate((tree, np.arange(admitted - len(new), admitted)))
-            local = np.concatenate((local, np.zeros(len(new), dtype=np.intp)))
             depth = np.concatenate((depth, np.zeros(len(new), dtype=np.intp)))
             count = np.concatenate((count, [len(r) for r in rows]))
             a1 = np.concatenate((a1, [t.sum() for t in targets]))
@@ -546,9 +516,8 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
             grow &= depth < params.max_depth
         feature = np.full(len(tree), -1, dtype=np.intp)
         threshold = np.zeros(len(tree))
-        left_id = np.full(len(tree), -1, dtype=np.intp)
         value = np.minimum(np.maximum(a1, 0.0), wt) / wt
-        step = (tree, local, feature, threshold, left_id, value)  # recorded once filled in
+        step = (tree, feature, threshold, value)  # recorded once filled in
 
         on = np.repeat(grow, count)
         row, w, a = row[on], w[on], a[on]
@@ -556,7 +525,6 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
         tree, depth, a1, wt, count = tree[node], depth[node], a1[node], wt[node], count[node]
         if not len(node):
             records.add(*step)
-            local = tree  # empty, as is every active array
             continue
         m = len(node)
         seg = np.repeat(np.arange(m), count)
@@ -589,47 +557,47 @@ def grow_forest(X, y, params: GrowParams, rngs, bootstrap: bool = False) -> Tree
         feature[at] = best[split]
         threshold[at] = thr[split]
         value[at] = 0.0
-        # A tree's split nodes take its next free ids in pairs, in order.
-        tree = tree[split]
-        per_split = np.bincount(tree, minlength=n_trees)
-        nth = np.arange(len(tree)) - (np.cumsum(per_split) - per_split)[tree]
-        left_id[at] = next_id[tree] + 2 * nth
-        next_id += 2 * per_split
 
         # Children in node order, each left child before its right sibling;
         # a stable sort keeps each child's pairs in their previous order.
-        local = _siblings(left_id[at], left_id[at] + 1)
         a1 = _siblings(la[split], a1[split] - la[split])
         wt = _siblings(lw[split], wt[split] - lw[split])
         count = _siblings(n_left[split], count[split] - n_left[split])
-        tree = np.repeat(tree, 2)
+        tree = np.repeat(tree[split], 2)
         depth = np.repeat(depth[split] + 1, 2)
         order = np.lexsort((~go_left, seg))
         order = order[split[seg[order]]]
         row, w, a = row[order], w[order], a[order]
         records.add(*step)
 
-    return records.block(next_id)
+    return records.block()
 
 
 class _NodeRecords:
     """A forest's nodes in the order they were grown: per node its key
-    (tree, node id) as one integer, since a tree on n rows has fewer than
-    2n nodes, then its feature, threshold, left child id and value. Each
+    (tree, node number in its tree) as one integer, since a tree on n rows
+    has fewer than 2n nodes, then its feature, threshold and value. Each
     field is one array that doubles when full. So the records are a few
     large blocks of memory, not a few small arrays per step, and each goes
     back to the system as soon as block() has moved it."""
 
-    _DTYPES = (np.intp, np.intp, np.float64, np.intp, np.float64)
+    _DTYPES = (np.intp, np.intp, np.float64, np.float64)
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, n_trees: int):
         self.n = n
         self.size = 0
         self.fields = [np.empty(1 << 12, dtype) for dtype in self._DTYPES]
+        self.per_tree = np.zeros(n_trees, dtype=np.intp)  # nodes recorded so far
 
-    def add(self, tree, local, feature, threshold, left_id, value) -> None:
+    def add(self, tree, feature, threshold, value) -> None:
+        """Record a step's nodes, given in (tree, node) order. A tree's
+        levels arrive in order, so its nodes are numbered on from its
+        count."""
+        count = np.bincount(tree, minlength=len(self.per_tree))
+        local = np.arange(len(tree)) + (self.per_tree - (np.cumsum(count) - count))[tree]
+        self.per_tree += count
         end = self.size + len(tree)
-        for i, array in enumerate((tree * 2 * self.n + local, feature, threshold, left_id, value)):
+        for i, array in enumerate((tree * 2 * self.n + local, feature, threshold, value)):
             if end > len(self.fields[i]):
                 grown = np.empty(max(end, 2 * len(self.fields[i])), self._DTYPES[i])
                 grown[:self.size] = self.fields[i][:self.size]
@@ -637,21 +605,19 @@ class _NodeRecords:
             self.fields[i][self.size:end] = array
         self.size = end
 
-    def block(self, next_id) -> TreeBlock:
+    def block(self) -> TreeBlock:
         """The trees as one block: tree t's node i goes to roots[t] + i. It
         moves one field at a time and frees it, so no more than one field is
         held twice."""
         size, fields = self.size, self.fields
         self.fields = None
-        roots = np.cumsum(next_id) - next_id
-        place, left = fields[0][:size], fields[3][:size]
+        roots = np.cumsum(self.per_tree) - self.per_tree
+        place = fields[0][:size]
         for lo in range(0, size, _PAIRS_PER_STEP):  # in slices, to keep temporaries small
             tree, local = np.divmod(place[lo:lo + _PAIRS_PER_STEP], 2 * self.n)
             place[lo:lo + _PAIRS_PER_STEP] = roots[tree] + local
-            ids = left[lo:lo + _PAIRS_PER_STEP]
-            np.add(ids, roots[tree], out=ids, where=ids != -1)
         moved = []
-        for i in range(1, 5):
+        for i in range(1, 4):
             field = np.empty(size, self._DTYPES[i])
             field[place] = fields[i][:size]
             fields[i] = None

@@ -87,7 +87,8 @@ def _single_from_payload(payload: dict) -> TrainedModel:
 
 def save_model(model, sink=None) -> bytes:
     """Serialize a TrainedModel or StackedModel; optionally write to a path
-    or binary file object. Returns the document bytes either way."""
+    or binary file object. Returns the document bytes either way. FitError,
+    and nothing written, if load_model would reject the document."""
     if isinstance(model, StackedModel):
         kind = "stacked"
         payload = {
@@ -114,6 +115,10 @@ def save_model(model, sink=None) -> bytes:
         "payload": payload,
     }
     data = (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf8")
+    try:
+        load_model(data)
+    except ModelFormatError as exc:
+        raise FitError(f"the fitted model cannot be saved: {exc}") from None
     if sink is not None:
         if isinstance(sink, (str, Path)):
             Path(sink).write_bytes(data)

@@ -58,6 +58,13 @@ def test_unknown_strategy_rejected(dataset):
         clean(dataset, "zap")
 
 
+@pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf")])
+def test_iqr_multiplier_must_be_positive_and_finite(k):
+    ds = toy_dataset([typical_row(), typical_row(bp=130.0)], [0, 1])
+    with pytest.raises(DataError, match="positive and finite"):
+        clean(ds, "iqr", k)
+
+
 def test_removing_all_rows_is_an_error():
     ds = toy_dataset([typical_row(bp=0.0), typical_row(bp=0.0)], [0, 1])
     with pytest.raises(DataError, match="every row"):

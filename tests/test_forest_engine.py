@@ -37,6 +37,7 @@ recorded with format 2 and did not move, apart from those of CART with
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,12 +208,13 @@ def forest_trees_digest(case, data) -> str:
 
 
 def depth_first(trees):
-    """The block with each tree's nodes numbered as a depth-first grower
-    numbers them: nodes split in depth-first order, left subtree first, and
-    a node's children take the next two ids when it splits. Node values
-    and links are unchanged, so a tree grown level by level digests as the
-    same tree grown depth first."""
-    parts = []
+    """The block's arrays with each tree's nodes numbered as a depth-first
+    grower numbers them: nodes split in depth-first order, left subtree
+    first, and a node's children take the next two ids when it splits. Node
+    values and links are unchanged, so a tree grown level by level digests
+    as the same tree grown depth first. A TreeBlock cannot hold that
+    numbering, so the arrays come back as attributes of a namespace."""
+    parts, roots = [], []
     for root in trees.roots:
         order, stack = [root], [root]  # old ids in their new order
         while stack:
@@ -221,13 +223,15 @@ def depth_first(trees):
                 order += [left, left + 1]
                 stack += [left + 1, left]
         order = np.array(order)
+        roots.append(sum(len(part[0]) for part in parts))
         new_id = np.zeros(trees.n_nodes, dtype=np.intp)
-        new_id[order] = np.arange(len(order))
+        new_id[order] = np.arange(len(order)) + roots[-1]
         left = trees.left[order]
-        parts.append({"feature": trees.feature[order], "threshold": trees.threshold[order],
-                      "left": np.where(left == -1, -1, new_id[left]),
-                      "value": trees.value[order], "roots": np.zeros(1, dtype=np.intp)})
-    return tree_module._join(parts)
+        parts.append((trees.feature[order], trees.threshold[order],
+                      np.where(left == -1, -1, new_id[left]), trees.value[order]))
+    fields = (np.concatenate(field) for field in zip(*parts))
+    return SimpleNamespace(**dict(zip(("feature", "threshold", "left", "value"), fields)),
+                           roots=np.array(roots, dtype=np.intp))
 
 
 def dfs_trees_digest(case, data) -> str:

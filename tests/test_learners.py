@@ -205,6 +205,18 @@ def test_invalid_hyperparameter_value_rejected(train_data):
     X, y = train_data
     with pytest.raises(FitError, match="positive integer"):
         fit(LearnerSpec("random_forest", {"n_estimators": 0}), X, y)
+    # Real hyperparameters must be finite numbers within +-PARAMETER_BOUND.
+    for algorithm, hyper in [("gbm", {"learning_rate": float("inf")}),
+                             ("gbm", {"learning_rate": "0.5"}),
+                             ("xgb_style", {"reg_lambda": float("nan")}),
+                             ("xgb_style", {"gamma": float("inf")}),
+                             ("naive_bayes", {"var_floor": float("inf")}),
+                             ("sgd_logistic", {"decay": float("inf")}),
+                             ("linear_svc", {"l2": float("inf")}),
+                             ("sgd_logistic", {"learning_rate": 1e200}),
+                             ("mlp", {"momentum": float("nan")})]:
+        with pytest.raises(FitError, match="finite number"):
+            fit(LearnerSpec(algorithm, hyper), X, y)
 
 
 def test_knn_k_larger_than_train_rejected():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import random_classification
 from heartstack.cli import main
-from heartstack.errors import ModelFormatError, SchemaMismatchError
+from heartstack.errors import FitError, ModelFormatError, SchemaMismatchError
 from heartstack.learners import ALGORITHMS, LearnerSpec, fit
 from heartstack.learners.base import pack, unpack
+from heartstack.learners.forest import TreeEnsembleModel
 from heartstack.learners.tree import TreeBlock
-from heartstack.model_store import load_model, require_matching_schema, save_model
+from heartstack.model_store import _single_payload, load_model, require_matching_schema, save_model
 from heartstack.stacking import StackingConfig, fit_stack
 
 SMALL = {"random_forest": {"n_estimators": 8}, "extra_trees": {"n_estimators": 8},
@@ -141,11 +142,10 @@ TREE_LEARNERS = ("cart", "random_forest", "extra_trees", "gbm", "xgb_style", "ad
 def test_tree_block_round_trips_field_for_field(algorithm, train_data):
     model = fit(LearnerSpec(algorithm, SMALL.get(algorithm, {}), seed=4), *train_data)
     trees = model.trees
-    # Compaction drops what every grower writes the same way: leaves have
-    # feature -1 and threshold +0.0, inner nodes value +0.0.
-    leaf = trees.left == -1
+    # Compaction drops what every grower writes the same way: leaves (feature
+    # -1) have threshold +0.0, inner nodes value +0.0.
+    leaf = trees.feature == -1
     assert leaf.any() and (~leaf).any()
-    assert (trees.feature[leaf] == -1).all()
     zero = np.zeros(1).tobytes()
     assert trees.threshold[leaf].tobytes() == zero * leaf.sum()
     assert trees.value[~leaf].tobytes() == zero * (~leaf).sum()
@@ -163,14 +163,13 @@ def assert_same_block(a, b):
 def test_leaf_codebook_keeps_signed_zeros_and_sorts_by_value():
     # Two trees: a stump and a lone leaf; leaves -0.0, 0.0 and -2.5.
     block = TreeBlock(np.array([3, -1, -1, -1]), np.array([0.5, 0.0, 0.0, 0.0]),
-                      np.array([1, -1, -1, -1]), np.array([0.0, -0.0, 0.0, -2.5]),
-                      np.array([0, 3]))
+                      np.array([0.0, -0.0, 0.0, -2.5]), np.array([0, 3]))
     d = block.to_dict(11)
     assert unpack(d["leaf_values"], "<f8").tobytes() == np.array([-2.5, 0.0, -0.0]).tobytes()
     assert unpack(d["leaves"], "<u1").tolist() == [2, 1, 0]
     assert_same_block(block, TreeBlock.from_dict(d, 11))
     # 300 features need two bytes per feature, 300 distinct leaves two per index.
-    wide = TreeBlock.concat([block] + [TreeBlock(np.array([-1]), np.zeros(1), np.array([-1]),
+    wide = TreeBlock.concat([block] + [TreeBlock(np.array([-1]), np.zeros(1),
                                                  np.array([float(v)]), np.zeros(1, np.intp))
                                        for v in range(300)])
     d = wide.to_dict(300)
@@ -179,17 +178,19 @@ def test_leaf_codebook_keeps_signed_zeros_and_sorts_by_value():
     assert_same_block(wide, TreeBlock.from_dict(d, 300))
 
 
-@pytest.mark.parametrize("left", [[2, -1, -1], [1, -1, -1, -1, -1],
-                                  [1, 3, 7, 5, -1, -1, -1, -1, -1]])
-def test_blocks_breaking_the_numbering_invariant_are_not_written(left):
-    # A root whose children are 2 and 3, a tree of five nodes with one
-    # inner node, and a tree numbered depth first: node 2 splits after
-    # node 3's subtree is numbered.
-    left = np.array(left)
-    block = TreeBlock(np.where(left == -1, -1, 0), np.zeros(len(left)), left,
-                      np.zeros(len(left)), np.zeros(1, dtype=np.intp))
-    with pytest.raises(ValueError, match="numbering invariant|twice its inner"):
-        block.to_dict(11)
+@pytest.mark.parametrize("feature", [[0, -1, -1, -1, -1], [0, -1], [-1, 0, -1]])
+def test_blocks_breaking_the_numbering_invariant_are_not_written(feature, tmp_path):
+    # A tree of five nodes with one inner node, a split without its right
+    # child, and a leaf root followed by an inner node.
+    feature = np.array(feature)
+    block = TreeBlock(feature, np.zeros(len(feature)), np.zeros(len(feature)),
+                      np.zeros(1, dtype=np.intp))
+    with pytest.raises(ValueError, match="twice its inner|not after its parent"):
+        block.left
+    model = TreeEnsembleModel(LearnerSpec("cart"), 11, block)
+    with pytest.raises(FitError, match="cannot be saved"):
+        save_model(model, tmp_path / "bad.model")
+    assert not (tmp_path / "bad.model").exists()
 
 
 def test_pack_round_trips_and_rejects():
@@ -576,7 +577,7 @@ def test_bad_spec_in_stack_selection_rejected(mutation, stack_document, tmp_path
 def ten_feature_payload(train_data):
     """A consistent naive_bayes model fitted on 10 of the schema's 11 columns."""
     X, y = train_data
-    return json.loads(save_model(fit(LearnerSpec("naive_bayes"), X[:, :10], y)))["payload"]
+    return json.loads(json.dumps(_single_payload(fit(LearnerSpec("naive_bayes"), X[:, :10], y))))
 
 
 def test_single_model_reading_other_than_schema_columns_rejected(

@@ -158,6 +158,18 @@ def test_bad_source_date_epoch_is_config_error(epoch, dataset_csv, tmp_path, mon
     assert run(["train", "--config", tmp_path / "config.json"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the meta's weights overflow
+def test_train_that_diverges_exits_as_a_fit_error_and_writes_no_model(dataset_csv, tmp_path):
+    config = {**fast_config(dataset_csv, tmp_path), "folds": 2,
+              "candidates": [{"algorithm": "cart"}, {"algorithm": "naive_bayes"}],
+              "stacking": {"top_n": 2, "meta_algorithm": "sgd_logistic",
+                           "meta_hyperparameters": {"epochs": 5, "learning_rate": 1e99},
+                           "oof_folds": 2}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert run(["train", "--config", tmp_path / "config.json"]) == 6
+    assert not (tmp_path / "models" / MODEL_FILE).exists()
+
+
 @pytest.mark.parametrize("fragment", [
     '"seed": "abc"',
     '"folds": "ten"',
@@ -174,6 +186,8 @@ def test_bad_source_date_epoch_is_config_error(epoch, dataset_csv, tmp_path, mon
     '"stacking": {"top_n": 2.5}',
     '"stacking": {"oof_folds": 2.5}',
     '"stacking": {"meta_hyperparameters": {"bogus": 1}}',
+    '"cleaning": {"iqr_k": NaN}',
+    '"cleaning": {"iqr_k": Infinity}',
 ])
 def test_malformed_config_value_is_config_error(fragment, tmp_path):
     config = tmp_path / "c.json"
