@@ -8,11 +8,14 @@ a four-base stack with a logistic meta learner.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, FitError
 from .learners import LearnerSpec
+from .learners.base import int_at_least, is_number
+from .model_selection import grid_specs
+from .stacking import StackingConfig
 
 DEFAULT_SEED = 20407
 
@@ -20,11 +23,6 @@ DEFAULT_SEED = 20407
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
-
-
-def _at_least(value, low: int) -> bool:
-    """True for an int (not a bool, nor a float such as 2.0) of at least low."""
-    return type(value) is int and value >= low
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class CleaningConfig:
     def __post_init__(self):
         if self.strategy not in ("none", "domain_validity", "iqr"):
             raise ConfigError(f"unknown cleaning strategy {self.strategy!r}")
-        if not 0 < self.iqr_k < float("inf"):
+        if not (is_number(self.iqr_k) and 0 < self.iqr_k < float("inf")):
             raise ConfigError("iqr_k must be positive and finite")
 
 
@@ -44,22 +42,16 @@ class CandidateConfig:
     spec: LearnerSpec
     grid: dict[str, list] | None = None
 
-
-@dataclass(frozen=True)
-class StackingPart:
-    top_n: int = 4
-    meta_algorithm: str = "sgd_logistic"
-    meta_hyperparameters: dict = field(default_factory=dict)
-    oof_folds: int = 10
-
     def __post_init__(self):
-        LearnerSpec(self.meta_algorithm, dict(self.meta_hyperparameters))  # FitError if unknown
-        _require(_at_least(self.top_n, 1), "top_n must be an integer of at least 1")
-        _require(_at_least(self.oof_folds, 2), "oof_folds must be an integer of at least 2")
+        grid_specs(self.spec, self.grid)  # raises for a bad grid or grid point
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of a run, each checked when the config is built.
+    ``stacking_options`` is the config file's stacking object (top_n,
+    meta_algorithm, meta_hyperparameters, oof_folds), from which the config
+    builds ``stacking`` over its candidates and seed."""
     dataset: str
     out_dir: str = "out"
     seed: int = DEFAULT_SEED
@@ -67,24 +59,24 @@ class PipelineConfig:
     folds: int = 10
     cleaning: CleaningConfig = field(default_factory=CleaningConfig)
     candidates: tuple[CandidateConfig, ...] = ()
-    stacking: StackingPart = field(default_factory=StackingPart)
+    stacking_options: InitVar[dict | None] = None
+    stacking: StackingConfig = field(init=False)
 
-    def __post_init__(self):
-        if not 0.0 < self.split_fraction < 1.0:
+    def __post_init__(self, stacking_options):
+        if not (is_number(self.split_fraction) and 0.0 < self.split_fraction < 1.0):
             raise ConfigError("split_fraction must lie in (0, 1)")
-        _require(_at_least(self.folds, 2), "folds must be an integer of at least 2")
-        _require(_at_least(self.seed, 0), "seed must be a non-negative integer")
+        _require(int_at_least(self.folds, 2), "folds must be an integer of at least 2")
+        _require(int_at_least(self.seed, 0), "seed must be a non-negative integer")
         if not self.candidates:
             object.__setattr__(self, "candidates", default_candidates(self.seed))
-        if self.stacking.top_n > len(self.candidates):
-            raise ConfigError("stacking top_n exceeds the candidate count")
+        options = dict(stacking_options or {})
+        meta = LearnerSpec(options.pop("meta_algorithm", "sgd_logistic"),
+                           options.pop("meta_hyperparameters", {}), self.seed)
+        object.__setattr__(self, "stacking", StackingConfig(
+            self.candidate_specs(), meta=meta, seed=self.seed, **options))
 
     def candidate_specs(self) -> tuple[LearnerSpec, ...]:
         return tuple(c.spec for c in self.candidates)
-
-    def meta_spec(self) -> LearnerSpec:
-        return LearnerSpec(self.stacking.meta_algorithm,
-                           dict(self.stacking.meta_hyperparameters), self.seed)
 
 
 # Candidate declaration order matches the study's baseline comparison table;
@@ -141,6 +133,8 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
 
     cleaning = CleaningConfig(**raw.get("cleaning", {})) if "cleaning" in raw else CleaningConfig()
     seed = raw.get("seed", DEFAULT_SEED)
+    stacking = raw.get("stacking", {})
+    _require(isinstance(stacking, dict), "stacking must be an object")
 
     candidates: tuple[CandidateConfig, ...] = ()
     if "candidates" in raw:
@@ -148,28 +142,23 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
         for entry in raw["candidates"]:
             _require(isinstance(entry, dict) and "algorithm" in entry,
                      "each candidate needs an 'algorithm'")
-            # A candidate without a seed takes the config's, which PipelineConfig checks.
-            _require(type(entry.get("seed", 0)) is int, "candidate seed must be an integer")
-            spec = LearnerSpec(entry["algorithm"], dict(entry.get("hyperparameters", {})),
+            unknown = set(entry) - {"algorithm", "hyperparameters", "seed", "grid"}
+            _require(not unknown, f"unknown candidate key(s): {', '.join(sorted(unknown))}")
+            # A candidate without a seed takes the config's.
+            spec = LearnerSpec(entry["algorithm"], entry.get("hyperparameters", {}),
                                entry.get("seed", seed))
-            grid = entry.get("grid")
-            if grid is not None:
-                _require(isinstance(grid, dict) and all(isinstance(v, list) for v in grid.values()),
-                         "candidate grid must map names to value lists")
-            built.append(CandidateConfig(spec, grid))
+            built.append(CandidateConfig(spec, entry.get("grid")))
         candidates = tuple(built)
-
-    stacking = StackingPart(**raw["stacking"]) if "stacking" in raw else StackingPart()
 
     return PipelineConfig(
         dataset=str(raw["dataset"]),
         out_dir=str(raw.get("out_dir", "out")),
         seed=seed,
-        split_fraction=float(raw.get("split_fraction", 0.8)),
+        split_fraction=raw.get("split_fraction", 0.8),
         folds=raw.get("folds", 10),
         cleaning=cleaning,
         candidates=candidates,
-        stacking=stacking,
+        stacking_options=stacking,
     )
 
 
@@ -182,7 +171,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raw = json.loads(Path(path).read_text(encoding="utf8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer too long or nesting too deep
         raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from None
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
@@ -204,8 +193,8 @@ def config_to_dict(config: PipelineConfig) -> dict:
         ],
         "stacking": {
             "top_n": config.stacking.top_n,
-            "meta_algorithm": config.stacking.meta_algorithm,
-            "meta_hyperparameters": dict(config.stacking.meta_hyperparameters),
+            "meta_algorithm": config.stacking.meta.algorithm,
+            "meta_hyperparameters": dict(config.stacking.meta.hyperparameters),
             "oof_folds": config.stacking.oof_folds,
         },
     }

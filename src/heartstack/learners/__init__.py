@@ -44,7 +44,6 @@ def fit(spec: LearnerSpec, X, y) -> TrainedModel:
     """Fit the algorithm named by the spec; standardizes features first for
     the learners that need it. Deterministic for equal (spec, data)."""
     X, y = check_training_data(X, y)
-    spec.resolved()  # hyperparameter validation up front
     standardizer = None
     if spec.needs_standardization:
         standardizer = fit_standardizer(X)

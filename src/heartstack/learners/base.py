@@ -15,6 +15,21 @@ from ..standardize import Standardizer
 # tree and Bayes learners take raw values.
 STANDARDIZED = frozenset({"knn", "sgd_logistic", "linear_svc", "mlp"})
 
+# Every learned parameter a model document holds must lie within
+# +-PARAMETER_BOUND. Fitted parameters stay below 1e4 (the largest is a
+# naive_bayes variance of raw cholesterol, about 4e3). At 1e100, a product of
+# two parameters summed over thousands of terms stays near 1e204, far below
+# float64's 1.8e308, so scoring ordinary rows with a loaded model cannot
+# overflow into wrong labels. A standardizer divides by its std, so a std must
+# be at least 1/PARAMETER_BOUND, which then scales a value no more than one
+# parameter does; fitted stds stay above 0.29 (a stack meta's column on the
+# stand-in; the smallest feature std over data seeds, splits and folds is 0.40).
+# The two bounds do not compose: a mean of 1e100 over a std of 1e-100 shifts
+# every standardized value by 1e200, and squared k-NN distances overflow. So
+# |mean| / std, the standardized shift, must stay within PARAMETER_BOUND too;
+# fitted features give a few units.
+PARAMETER_BOUND = 1e100
+
 DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
     "cart": {"criterion": "gini", "max_depth": None, "min_samples_split": 2,
              "max_features": None},
@@ -37,8 +52,54 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
 ALGORITHMS = tuple(DEFAULT_HYPERPARAMETERS)
 
 
+def int_at_least(value, low: int) -> bool:
+    """True for an int (not a bool, nor a float such as 2.0) of at least low:
+    the one test of every integer setting."""
+    return type(value) is int and value >= low
+
+
+def is_number(value) -> bool:
+    """True for an int or a float, but not a bool."""
+    return type(value) is int or isinstance(value, float)
+
+
+def _integer(low: int, *choices):
+    number = "a positive integer" if low == 1 else f"an integer >= {low}"
+    return (lambda v: v in choices or int_at_least(v, low),
+            " or ".join(filter(None, [", ".join(map(repr, choices)), number])))
+
+
+def _real(test, condition: str):
+    return (lambda v: is_number(v) and abs(v) <= PARAMETER_BOUND and test(v),
+            f"a finite number within +-{PARAMETER_BOUND:g} and {condition}")
+
+
+# Each hyperparameter's valid values, as (test, wording): the one definition,
+# applied when a LearnerSpec is built. Checks against the training data, such
+# as k at most the row count, stay in the fits.
+RULES = {
+    "n_estimators": _integer(1),
+    "max_depth": _integer(1, None),
+    "min_samples_split": _integer(2),
+    "max_features": _integer(1, None, "sqrt"),
+    "k": _integer(1),
+    "epochs": _integer(1),
+    "hidden_units": _integer(1),
+    "criterion": (lambda v: v in ("gini", "entropy"), "gini or entropy"),
+    "learning_rate": _real(lambda v: v > 0, "> 0"),
+    "var_floor": _real(lambda v: v > 0, "> 0"),
+    "reg_lambda": _real(lambda v: v >= 0, ">= 0"),
+    "gamma": _real(lambda v: v >= 0, ">= 0"),
+    "decay": _real(lambda v: v >= 0, ">= 0"),
+    "l2": _real(lambda v: v >= 0, ">= 0"),
+    "momentum": _real(lambda v: 0 <= v < 1, "in [0, 1)"),
+}
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
+    """An algorithm, its hyperparameters (defaults fill the rest) and its
+    seed; FitError, when built, for any name or value RULES rejects."""
     algorithm: str
     hyperparameters: dict = field(default_factory=dict)
     seed: int = 0
@@ -46,22 +107,27 @@ class LearnerSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise FitError(f"unknown algorithm {self.algorithm!r}")
+        if not isinstance(self.hyperparameters, dict):
+            raise FitError(f"{self.algorithm}: hyperparameters must map names to values")
+        object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
         unknown = set(self.hyperparameters) - set(DEFAULT_HYPERPARAMETERS[self.algorithm])
         if unknown:
             raise FitError(
                 f"{self.algorithm}: unknown hyperparameter(s) {', '.join(sorted(unknown))}"
             )
-        if self.seed < 0:
-            raise FitError("seed must be non-negative")
+        for name, value in self.resolved().items():
+            test, wording = RULES[name]
+            if not test(value):
+                raise FitError(f"{self.algorithm}: {name} must be {wording}")
+        if not int_at_least(self.seed, 0):
+            raise FitError("seed must be a non-negative integer")
 
     @property
     def needs_standardization(self) -> bool:
         return self.algorithm in STANDARDIZED
 
     def resolved(self) -> dict:
-        params = {**DEFAULT_HYPERPARAMETERS[self.algorithm], **self.hyperparameters}
-        _validate_params(self.algorithm, params)
-        return params
+        return {**DEFAULT_HYPERPARAMETERS[self.algorithm], **self.hyperparameters}
 
     def to_dict(self) -> dict:
         return {"algorithm": self.algorithm,
@@ -70,56 +136,7 @@ class LearnerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearnerSpec":
-        return cls(d["algorithm"], dict(d.get("hyperparameters", {})), int(d.get("seed", 0)))
-
-
-def _require(cond: bool, algo: str, message: str):
-    if not cond:
-        raise FitError(f"{algo}: {message}")
-
-
-def _validate_params(algo: str, p: dict):
-    for name in ("learning_rate", "reg_lambda", "gamma", "var_floor", "decay", "l2", "momentum"):
-        if name in p:  # a real hyperparameter
-            _require(isinstance(p[name], (int, float)) and abs(p[name]) <= PARAMETER_BOUND,
-                     algo, f"{name} must be a finite number within +-{PARAMETER_BOUND:g}")
-    if "n_estimators" in p:
-        _require(isinstance(p["n_estimators"], int) and p["n_estimators"] >= 1,
-                 algo, "n_estimators must be a positive integer")
-    if "max_depth" in p:
-        _require(p["max_depth"] is None or (isinstance(p["max_depth"], int) and p["max_depth"] >= 1),
-                 algo, "max_depth must be None or a positive integer")
-    if "min_samples_split" in p:
-        _require(isinstance(p["min_samples_split"], int) and p["min_samples_split"] >= 2,
-                 algo, "min_samples_split must be an integer >= 2")
-    if "criterion" in p:
-        _require(p["criterion"] in ("gini", "entropy"), algo, "criterion must be gini or entropy")
-    if "max_features" in p:
-        mf = p["max_features"]
-        _require(mf is None or mf == "sqrt" or (isinstance(mf, int) and mf >= 1),
-                 algo, "max_features must be None, 'sqrt' or a positive integer")
-    if "learning_rate" in p:
-        _require(p["learning_rate"] > 0, algo, "learning_rate must be positive")
-    if "reg_lambda" in p:
-        _require(p["reg_lambda"] >= 0, algo, "reg_lambda must be non-negative")
-    if "gamma" in p:
-        _require(p["gamma"] >= 0, algo, "gamma must be non-negative")
-    if "k" in p:
-        _require(isinstance(p["k"], int) and p["k"] >= 1, algo, "k must be a positive integer")
-    if "var_floor" in p:
-        _require(p["var_floor"] > 0, algo, "var_floor must be positive")
-    if "epochs" in p:
-        _require(isinstance(p["epochs"], int) and p["epochs"] >= 1,
-                 algo, "epochs must be a positive integer")
-    if "decay" in p:
-        _require(p["decay"] >= 0, algo, "decay must be non-negative")
-    if "l2" in p:
-        _require(p["l2"] >= 0, algo, "l2 must be non-negative")
-    if "hidden_units" in p:
-        _require(isinstance(p["hidden_units"], int) and p["hidden_units"] >= 1,
-                 algo, "hidden_units must be a positive integer")
-    if "momentum" in p:
-        _require(0 <= p["momentum"] < 1, algo, "momentum must lie in [0, 1)")
+        return cls(d["algorithm"], d.get("hyperparameters", {}), d.get("seed", 0))
 
 
 def resolve_max_features(mf, n_features: int) -> int | None:
@@ -127,7 +144,7 @@ def resolve_max_features(mf, n_features: int) -> int | None:
         return None
     if mf == "sqrt":
         return min(n_features, math.ceil(math.sqrt(n_features)))
-    return min(int(mf), n_features)
+    return min(mf, n_features)
 
 
 class TrainedModel:
@@ -172,22 +189,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-# Every learned parameter a model document holds must lie within
-# +-PARAMETER_BOUND. Fitted parameters stay below 1e4 (the largest is a
-# naive_bayes variance of raw cholesterol, about 4e3). At 1e100, a product of
-# two parameters summed over thousands of terms stays near 1e204, far below
-# float64's 1.8e308, so scoring ordinary rows with a loaded model cannot
-# overflow into wrong labels. A standardizer divides by its std, so a std must
-# be at least 1/PARAMETER_BOUND, which then scales a value no more than one
-# parameter does; fitted stds stay above 0.29 (a stack meta's column on the
-# stand-in; the smallest feature std over data seeds, splits and folds is 0.40).
-# The two bounds do not compose: a mean of 1e100 over a std of 1e-100 shifts
-# every standardized value by 1e200, and squared k-NN distances overflow. So
-# |mean| / std, the standardized shift, must stay within PARAMETER_BOUND too;
-# fitted features give a few units.
-PARAMETER_BOUND = 1e100
 
 
 def finite_array(name: str, values, shape: tuple | None) -> np.ndarray:

@@ -164,16 +164,15 @@ def fold_fits(searches, X, y, plan: FoldPlan, score: str = "accuracy") -> list:
     folds = [(plan.train_rows(fold), plan.test_rows(fold)) for fold in range(plan.k)]
     fits, layouts = [], []
     for spec, grid in searches:
-        combos = _grid_points(grid)
+        specs = grid_specs(spec, grid)
         if (score == "accuracy" and grid is not None and list(grid) == ["n_estimators"]
                 and spec.algorithm in STAGEABLE):
             staged, picks = _staged_n_estimators_cv(spec, grid["n_estimators"], folds)
             fits += staged
         else:
-            fits += [(_with_params(spec, combo), train, test, score)
-                     for combo in combos for train, test in folds]
+            fits += [(point, train, test, score) for point in specs for train, test in folds]
             picks = None
-        layouts.append((len(combos), picks))
+        layouts.append((len(specs), picks))
 
     results = iter(fit_rows(fits, X, y))
     out = []
@@ -213,9 +212,19 @@ def grid_search(spec_template: LearnerSpec, grid: dict[str, list], X, y,
     return tune([(spec_template, grid)], X, y, plan)[0]
 
 
+def grid_specs(spec: LearnerSpec, grid: dict[str, list] | None) -> list[LearnerSpec]:
+    """The spec of every point of the grid over ``spec``, in the order of
+    the Cartesian product of its values; one spec without a grid (None).
+    ConfigError for a grid that does not map names to non-empty value
+    lists; FitError for a point whose name or value the algorithm rejects."""
+    return [_with_params(spec, combo) for combo in _grid_points(grid)]
+
+
 def _grid_points(grid: dict[str, list] | None) -> list[dict]:
     if grid is None:
         return [{}]
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+        raise ConfigError("grid must map names to value lists")
     if not grid:
         raise ConfigError("grid must contain at least one dimension")
     for name, values in grid.items():
@@ -247,7 +256,7 @@ def _staged_n_estimators_cv(template, sizes, folds):
     """The fits of a pure-n_estimators grid: one fit per fold at the largest
     size, scored at every size; plus, per size in grid order, the index of
     its score in each fold's result."""
-    checkpoints = sorted(set(int(s) for s in sizes))
+    checkpoints = sorted(set(sizes))
     full_spec = _with_params(template, {"n_estimators": max(checkpoints)})
     fits = [(full_spec, train, test, checkpoints) for train, test in folds]
-    return fits, [checkpoints.index(int(s)) for s in sizes]
+    return fits, [checkpoints.index(s) for s in sizes]

@@ -68,8 +68,9 @@ def _single_payload(model: TrainedModel) -> dict:
 
 
 def _spec_from_dict(d: dict) -> LearnerSpec:
-    """LearnerSpec.from_dict, with an unknown algorithm or hyperparameter
-    raised as ValueError: in a document it is a format fault, not a fit's."""
+    """LearnerSpec.from_dict, with a spec the learners reject (an unknown
+    algorithm or hyperparameter, a bad value or seed) raised as ValueError:
+    in a document it is a format fault, not a fit's."""
     try:
         return LearnerSpec.from_dict(d)
     except FitError as exc:

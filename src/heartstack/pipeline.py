@@ -28,7 +28,7 @@ from .model_store import load_model, require_matching_schema, save_model
 # format_csv, like the imports above, stays importable for perfbench/tracer.py.
 from .reporting import LITERATURE_RESULTS, format_csv, write_csv, write_json  # noqa: F401
 from .splitting import SplitPair, stratified_split
-from .stacking import StackedModel, StackingConfig, fit_stack
+from .stacking import StackedModel, fit_stack
 
 MODEL_FILE = "stacked.model"
 
@@ -116,7 +116,7 @@ def tune_candidates(config: PipelineConfig, train: Dataset) -> list[dict]:
     """Grid-search (where a grid is configured) or plain 10-fold CV for every
     candidate, on the training split; all fold fits in one run_tasks call."""
     plan = k_fold_plan(train.n_rows, config.folds, config.seed, stratify_by=train.y)
-    results = tune([(c.spec, c.grid or None) for c in config.candidates],
+    results = tune([(c.spec, c.grid) for c in config.candidates],
                    train.X, train.y, plan)
     tuned = []
     for cand, result in zip(config.candidates, results):
@@ -185,20 +185,10 @@ def _write_seed_sweep(config: PipelineConfig, data: PreparedData, tuned: list[di
               ["algorithm", "mean_test_accuracy", "std_test_accuracy", "n_seeds"], rows)
 
 
-def stacking_config(config: PipelineConfig) -> StackingConfig:
-    return StackingConfig(
-        candidates=config.candidate_specs(),
-        top_n=config.stacking.top_n,
-        meta=config.meta_spec(),
-        oof_folds=config.stacking.oof_folds,
-        seed=config.seed,
-    )
-
-
 def cmd_train(config: PipelineConfig) -> dict:
     """Fit the stacked ensemble on the training split and persist it."""
     data = prepare(config)
-    stack = fit_stack(stacking_config(config), data.split.train.X, data.split.train.y)
+    stack = fit_stack(config.stacking, data.split.train.X, data.split.train.y)
     out = _outdir(config, "models")
     model_path = out / MODEL_FILE
     save_model(stack, model_path)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .learners import LearnerSpec, TrainedModel, fit
+from .learners.base import int_at_least
 from .model_selection import FoldPlan, _accuracy, fold_fits, k_fold_plan
 from .parallel import run_tasks
 from .rng import stream
@@ -21,6 +22,9 @@ from .rng import stream
 
 @dataclass(frozen=True)
 class StackingConfig:
+    """The stacking rules' one definition: ConfigError, when built, unless
+    top_n is an integer from 1 to the candidate count and oof_folds an
+    integer of at least 2."""
     candidates: tuple[LearnerSpec, ...]
     top_n: int = 4
     meta: LearnerSpec = field(default_factory=lambda: LearnerSpec("sgd_logistic"))
@@ -28,14 +32,16 @@ class StackingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.top_n < 1:
-            raise ConfigError("top_n must be at least 1")
-        if self.top_n > len(self.candidates):
-            raise ConfigError(
-                f"top_n={self.top_n} exceeds the {len(self.candidates)} candidates"
-            )
-        if self.oof_folds < 2:
-            raise ConfigError("stacking needs at least 2 out-of-fold folds")
+        _check_top_n(self.top_n, len(self.candidates))
+        if not int_at_least(self.oof_folds, 2):
+            raise ConfigError("oof_folds must be an integer of at least 2")
+
+
+def _check_top_n(top_n, n_candidates: int):
+    if not int_at_least(top_n, 1):
+        raise ConfigError("top_n must be an integer of at least 1")
+    if top_n > n_candidates:
+        raise ConfigError(f"top_n={top_n} exceeds the {n_candidates} candidates")
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,7 @@ def select_base_learners(cv_results, top_n: int) -> BaseSelectionReport:
     broken by declaration order, i.e. earlier entries win.
     """
     entries = tuple((spec, float(acc)) for spec, acc in cv_results)
-    if top_n > len(entries):
-        raise ConfigError(f"top_n={top_n} exceeds the {len(entries)} candidates")
+    _check_top_n(top_n, len(entries))
     ranked = sorted(range(len(entries)), key=lambda i: (-entries[i][1], i))
     return BaseSelectionReport(entries, tuple(sorted(ranked[:top_n])))
 
@@ -152,7 +157,3 @@ def fit_stack(config: StackingConfig, X, y) -> StackedModel:
                              + [(config.meta, meta_features, y)])
     return StackedModel(bases, meta, selection, plan)
 
-
-def predict_stack(model: StackedModel, X) -> tuple[np.ndarray, np.ndarray]:
-    proba = model.predict_proba(X)
-    return (proba >= 0.5).astype(np.int64), proba

@@ -31,7 +31,7 @@ from heartstack.metrics import (
     truncate_percent,
 )
 from heartstack.model_store import load_model, save_model
-from heartstack.pipeline import cmd_analyze, cmd_baseline, cmd_evaluate, cmd_train, stacking_config
+from heartstack.pipeline import cmd_analyze, cmd_baseline, cmd_evaluate, cmd_train
 from heartstack.reporting import read_csv
 from heartstack.rng import stream
 from heartstack.splitting import stratified_split
@@ -140,7 +140,7 @@ def stack_sweep(cleaned_dataset):
         seed = DEFAULT_SEED + offset
         split = stratified_split(cleaned_dataset, 0.8, seed)
         config = paper_default_config("unused", seed=seed)
-        stack = fit_stack(stacking_config(config), split.train.X, split.train.y)
+        stack = fit_stack(config.stacking, split.train.X, split.train.y)
         stacked_acc = float((stack.predict(split.test.X) == split.test.y).mean())
         base_accs = [float((b.predict(split.test.X) == split.test.y).mean())
                      for b in stack.bases]

@@ -201,10 +201,17 @@ def test_unknown_hyperparameter_rejected():
         LearnerSpec("knn", {"neighbors": 3})
 
 
-def test_invalid_hyperparameter_value_rejected(train_data):
-    X, y = train_data
+def test_invalid_hyperparameter_value_rejected():
+    # Values are checked when the spec is built, so no fit meets one.
     with pytest.raises(FitError, match="positive integer"):
-        fit(LearnerSpec("random_forest", {"n_estimators": 0}), X, y)
+        LearnerSpec("random_forest", {"n_estimators": 0})
+    # A bool is neither an integer nor a real.
+    for algorithm, hyper in [("knn", {"k": True}), ("gbm", {"n_estimators": True}),
+                             ("gbm", {"learning_rate": True})]:
+        with pytest.raises(FitError, match="must be"):
+            LearnerSpec(algorithm, hyper)
+    with pytest.raises(FitError, match="seed"):
+        LearnerSpec("knn", {}, seed=True)
     # Real hyperparameters must be finite numbers within +-PARAMETER_BOUND.
     for algorithm, hyper in [("gbm", {"learning_rate": float("inf")}),
                              ("gbm", {"learning_rate": "0.5"}),
@@ -216,7 +223,7 @@ def test_invalid_hyperparameter_value_rejected(train_data):
                              ("sgd_logistic", {"learning_rate": 1e200}),
                              ("mlp", {"momentum": float("nan")})]:
         with pytest.raises(FitError, match="finite number"):
-            fit(LearnerSpec(algorithm, hyper), X, y)
+            LearnerSpec(algorithm, hyper)
 
 
 def test_knn_k_larger_than_train_rejected():

@@ -555,6 +555,12 @@ def test_hostile_stack_document_rejected(mutation, stack_document, tmp_path, dat
 SPEC_MUTATIONS = {
     "unknown_algorithm": lambda spec: spec.update(algorithm="nope"),
     "unknown_hyperparameter": lambda spec: spec.update(hyperparameters={"bogus": 1}),
+    "bad_hyperparameter_value": lambda spec: spec.update(algorithm="naive_bayes",
+                                                         hyperparameters={"var_floor": -1}),
+    "fractional_seed": lambda spec: spec.update(seed=1.9),
+    "bool_seed": lambda spec: spec.update(seed=True),
+    "hyperparameters_as_list": lambda spec: spec.update(
+        hyperparameters=list(spec["hyperparameters"].items())),
 }
 
 

@@ -13,6 +13,7 @@ from heartstack.config import config_from_dict, load_config, paper_default_confi
 from heartstack.dataset import parse_feature_csv
 from heartstack.learners import LearnerSpec, fit
 from heartstack.metrics import confusion_matrix, metric_report
+from heartstack.model_selection import grid_specs
 from heartstack.model_store import load_model, save_model
 from heartstack.pipeline import MODEL_FILE
 from heartstack.errors import ConfigError
@@ -188,13 +189,133 @@ def test_train_that_diverges_exits_as_a_fit_error_and_writes_no_model(dataset_cs
     '"stacking": {"meta_hyperparameters": {"bogus": 1}}',
     '"cleaning": {"iqr_k": NaN}',
     '"cleaning": {"iqr_k": Infinity}',
+    '"cleaning": {"iqr_k": true}',
+    '"stacking": {"meta_hyperparameters": {"learning_rate": "fast"}}',
+    '"stacking": {"meta_hyperparameters": [["epochs", 5]]}',
+    '"stacking": {"meta_hyperparameters": []}',
+    '"stacking": [["top_n", 1]]',
+    '"candidates": [{"algorithm": "gbm", "hyperparameters": {"learning_rate": -1}}]',
+    '"candidates": [{"algorithm": "knn", "hyperparameters": [["k", 3]]}]',
+    '"candidates": [{"algorithm": "knn", "hyperparameters": []}]',
+    '"candidates": [{"algorithm": "knn", "hyperparameters": {"k": true}}]',
+    '"candidates": [{"algorithm": "knn", "hyperparams": {"k": 3}}]',
+    '"candidates": [{"algorithm": "knn", "grid": {"k": [0, "a"]}}]',
+    '"candidates": [{"algorithm": "knn", "grid": {"bogus": [1]}}]',
+    '"candidates": [{"algorithm": "knn", "grid": {}}]',
+    '"candidates": [{"algorithm": "knn", "grid": {"k": []}}]',
+    '"candidates": [{"algorithm": "xgb_style", "grid": {"n_estimators": [100, 2.5]}}]',
+    pytest.param('"seed": ' + "1" * 5000, id="seed_of_5000_digits"),
+    pytest.param('"cleaning": ' + "[" * 100_000 + "]" * 100_000, id="nested_too_deep"),
 ])
 def test_malformed_config_value_is_config_error(fragment, tmp_path):
+    # top_n 1 lets a one-candidate fragment fail for its own fault; a
+    # fragment's own "stacking" key comes later and replaces it.
     config = tmp_path / "c.json"
-    config.write_text('{"dataset": "%s", %s}' % (tmp_path / "d.csv", fragment))
+    config.write_text('{"dataset": "%s", "stacking": {"top_n": 1}, %s}'
+                      % (tmp_path / "d.csv", fragment))
     with pytest.raises(ConfigError):
         load_config(config)
     assert run(["analyze", "--config", config]) == 2
+
+
+VALID_CONFIG = {
+    "dataset": "d.csv", "out_dir": "out", "seed": 3, "split_fraction": 0.8, "folds": 3,
+    "cleaning": {"strategy": "iqr", "iqr_k": 1.5},
+    "candidates": [
+        {"algorithm": "xgb_style", "hyperparameters": {"learning_rate": 0.3, "gamma": 0.0},
+         "grid": {"n_estimators": [5, 10]}},
+        {"algorithm": "random_forest", "seed": 4,
+         "hyperparameters": {"max_features": "sqrt", "criterion": "gini", "max_depth": None}},
+        {"algorithm": "knn", "grid": {"k": [3, 5]}},
+        {"algorithm": "mlp", "hyperparameters": {"hidden_units": 4, "momentum": 0.5}},
+        {"algorithm": "naive_bayes", "hyperparameters": {"var_floor": 1e-9}},
+        {"algorithm": "cart", "grid": {"min_samples_split": [2, 4], "max_features": [None, 2]}},
+    ],
+    "stacking": {"top_n": 2, "meta_algorithm": "sgd_logistic",
+                 "meta_hyperparameters": {"epochs": 5, "l2": 0.0}, "oof_folds": 3},
+}
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from([True, False, None, 0, -1, 1, 2, 2.5, -0.0, 1e100, 1e101, 10**30, "",
+                     "sqrt", "gini", "sgd_logistic", [], {}, [1, 2], [["k", 3]], {"k": [3]}]),
+    st.integers(-2**63, 2**63), st.floats(), st.text(max_size=3))
+ADDED_KEYS = ("bogus", "k", "n_estimators", "learning_rate", "momentum", "seed", "grid", "top_n")
+INT_RULES = {"n_estimators": 1, "max_depth": 1, "max_features": 1, "min_samples_split": 2,
+             "k": 1, "epochs": 1, "hidden_units": 1}
+
+
+def admissible(name: str, value) -> bool:
+    """The hyperparameter rules, stated apart from learners/base.py."""
+    if value is None and name in ("max_depth", "max_features") or (name, value) == (
+            "max_features", "sqrt"):
+        return True
+    if name == "criterion":
+        return value in ("gini", "entropy")
+    if name in INT_RULES:
+        return type(value) is int and value >= INT_RULES[name]
+    if not (type(value) in (int, float) and abs(value) <= 1e100):
+        return False
+    if name == "momentum":
+        return 0 <= value < 1
+    return value > 0 if name in ("learning_rate", "var_floor") else value >= 0
+
+
+def tree_paths(node, path=()):
+    """The path of every value in a JSON tree, the root's () first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from tree_paths(child, path + (key,))
+
+
+def hostile_config(data) -> dict:
+    """VALID_CONFIG with one to three mutations drawn from ``data``: a value
+    replaced by a hostile one (wrong types, bools, negatives, NaN, infinities
+    and huge numbers), a key or list entry dropped, a key added to an object,
+    an entry appended to a list (odd grids) or an object or list emptied."""
+    config = json.loads(json.dumps(VALID_CONFIG))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(tree_paths(config))))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else config
+        kind = data.draw(st.sampled_from(["replace", "replace", "drop", "add", "append",
+                                          "empty"]))
+        if kind == "replace" and path:
+            parent[path[-1]] = data.draw(HOSTILE_VALUES)
+        elif kind == "drop" and path:
+            del parent[path[-1]]
+        elif kind == "add" and isinstance(node, dict):
+            node[data.draw(st.sampled_from(ADDED_KEYS))] = data.draw(HOSTILE_VALUES)
+        elif kind == "append" and isinstance(node, list):
+            node.append(data.draw(HOSTILE_VALUES))
+        elif kind == "empty" and isinstance(node, (dict, list)):
+            node.clear()
+    return config
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hostile_configs_fail_at_load_or_resolve(data, tmp_path):
+    # load_config checks the whole config, so it either raises ConfigError
+    # or returns one whose every spec and grid point holds valid values.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(hostile_config(data)))
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    specs = [config.stacking.meta]
+    for candidate in config.candidates:
+        specs += grid_specs(candidate.spec, candidate.grid)
+    for spec in specs:
+        assert type(spec.seed) is int and spec.seed >= 0
+        assert all(admissible(name, value) for name, value in spec.resolved().items())
+    stacking = config.stacking
+    assert type(stacking.top_n) is int and 1 <= stacking.top_n <= len(config.candidates)
+    assert type(stacking.oof_folds) is int and stacking.oof_folds >= 2
 
 
 def test_unreadable_dataset_is_data_error(tmp_path):

@@ -9,7 +9,6 @@ from heartstack.stacking import (
     StackingConfig,
     fit_stack,
     out_of_fold_probabilities,
-    predict_stack,
     select_base_learners,
 )
 
@@ -56,6 +55,10 @@ def test_selection_needs_enough_candidates():
 def test_config_validates_top_n():
     with pytest.raises(ConfigError):
         StackingConfig(candidates=(spec_of("cart"),), top_n=2)
+    for top_n in (2.5, True, 0):
+        with pytest.raises(ConfigError, match="top_n must be an integer"):
+            StackingConfig(candidates=(spec_of("cart"), spec_of("knn"), spec_of("mlp")),
+                           top_n=top_n)
 
 
 def test_out_of_fold_purity_by_refitting():
@@ -103,7 +106,7 @@ def test_oracle_base_is_followed_on_held_out_rows():
     X_new = rng.normal(size=(30, 3))
     y_new = rng.integers(0, 2, 30)
     X_new[:, 0] = y_new
-    labels, proba = predict_stack(stack, X_new)
+    labels, proba = stack.predict(X_new), stack.predict_proba(X_new)
     assert (labels == y_new).all()
     assert ((proba >= 0.0) & (proba <= 1.0)).all()
 
