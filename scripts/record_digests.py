@@ -6,8 +6,9 @@
 The sets are ``TREES_SHA256``, ``DFS_TREES_SHA256``,
 ``BOOTSTRAP_TREES_SHA256``, ``FOLD_DOC_SHA256``, ``FOREST_FOLD_DOC_SHA256``
 and ``FOLD_PROBA_SHA256`` of
-``tests/test_forest_engine.py``, and ``PROBA_SHA256`` and ``STAGED_SHA256``
-of ``tests/test_golden_predictions.py``. Each is computed with the tests'
+``tests/test_forest_engine.py``, ``PROBA_SHA256`` and ``STAGED_SHA256``
+of ``tests/test_golden_predictions.py``, and ``STUDY_SHA256`` of
+``tests/test_study_digests.py``. Each is computed with the tests'
 own data and hash helpers, so the output can be pasted over the literals.
 With ``--against``, a file this script wrote for another checkout, it also
 prints to stderr which entries of each set moved.
@@ -19,9 +20,11 @@ the sets that moved.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,6 +32,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import test_forest_engine as engine  # noqa: E402
 import test_golden_predictions as golden  # noqa: E402
+import test_study_digests as study  # noqa: E402
 
 
 def digests() -> dict[str, dict[str, str]]:
@@ -55,6 +59,9 @@ def digests() -> dict[str, dict[str, str]]:
     out["PROBA_SHA256"] = {a: golden.proba_digest(a, golden_data) for a in golden.ALGORITHMS}
     out["STAGED_SHA256"] = {a: golden.staged_digest(a, golden_data)
                             for a in sorted(golden.STAGEABLE)}
+    # The study's commands print where they wrote; keep stdout for the JSON.
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stdout(sys.stderr):
+        out["STUDY_SHA256"] = study.study_digests(Path(root))
     return out
 
 

@@ -136,8 +136,13 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     stacking = raw.get("stacking", {})
     _require(isinstance(stacking, dict), "stacking must be an object")
 
+    for key in ("dataset", "out_dir"):
+        _require(isinstance(raw.get(key, ""), str), f"{key} must be a string")
+
     candidates: tuple[CandidateConfig, ...] = ()
     if "candidates" in raw:
+        _require(isinstance(raw["candidates"], list) and raw["candidates"],
+                 "candidates must be a non-empty list")
         built = []
         for entry in raw["candidates"]:
             _require(isinstance(entry, dict) and "algorithm" in entry,
@@ -151,8 +156,8 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
         candidates = tuple(built)
 
     return PipelineConfig(
-        dataset=str(raw["dataset"]),
-        out_dir=str(raw.get("out_dir", "out")),
+        dataset=raw["dataset"],
+        out_dir=raw.get("out_dir", "out"),
         seed=seed,
         split_fraction=raw.get("split_fraction", 0.8),
         folds=raw.get("folds", 10),

@@ -147,12 +147,15 @@ def resolve_max_features(mf, n_features: int) -> int | None:
     return min(mf, n_features)
 
 
-class TrainedModel:
-    """Immutable fitted predictor: class-1 probabilities plus labels.
+def to_labels(proba) -> np.ndarray:
+    """Class labels from class-1 probabilities: 1 iff the probability is
+    at least 0.5. The one label rule of every model and report."""
+    return (np.asarray(proba) >= 0.5).astype(np.int64)
 
-    Labels follow the uniform thresholding rule predict(x) = 1 iff
-    predict_proba(x) >= 0.5, for every algorithm.
-    """
+
+class TrainedModel:
+    """Immutable fitted predictor: class-1 probabilities plus labels
+    (``to_labels`` of the probabilities, for every algorithm)."""
 
     def __init__(self, spec: LearnerSpec, n_features_in: int):
         self.spec = spec
@@ -173,7 +176,7 @@ class TrainedModel:
         return np.clip(self._proba(self._prepare(X)), 0.0, 1.0)
 
     def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
+        return to_labels(self.predict_proba(X))
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError

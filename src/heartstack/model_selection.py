@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .learners import STAGEABLE, LearnerSpec, fit
+from .learners.base import is_number, to_labels
 from .parallel import run_tasks
 from .rng import stream
 
@@ -87,15 +88,6 @@ def k_fold_plan(n: int, k: int, seed: int, stratify_by=None) -> FoldPlan:
 
 
 @dataclass(frozen=True)
-class CvScores:
-    per_fold: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.per_fold))
-
-
-@dataclass(frozen=True)
 class GridPoint:
     params: dict
     per_fold: tuple[float, ...]
@@ -120,44 +112,41 @@ class GridSearchResult:
         }
 
 
-def _accuracy(proba: np.ndarray, y: np.ndarray) -> float:
-    return float(((proba >= 0.5).astype(np.int64) == y).mean())
+def fold_accuracies(probas, y, test_rows) -> tuple[float, ...]:
+    """The accuracy of each fold's class-1 probabilities against y at that
+    fold's test rows: the one accuracy rule."""
+    return tuple(float((to_labels(proba) == y[rows]).mean())
+                 for proba, rows in zip(probas, test_rows))
 
 
 def _fit_rows(task):
-    """Fit on rows ``train`` of the shared X, y and score rows ``test``:
-    their class-1 probabilities (score "proba"), their accuracy (score
-    "accuracy"), or for a list of checkpoints the accuracy of each staged
-    prediction."""
-    spec, X, y, train, test, score = task
+    """Fit on rows ``train`` of the shared X, y and return the class-1
+    probabilities of rows ``test``; for a list of checkpoints, those of each
+    staged prediction."""
+    spec, X, y, train, test, checkpoints = task
     model = fit(spec, X[train], y[train])
-    X_test, y_test = X[test], y[test]
-    if score == "proba":
-        return model.predict_proba(X_test)
-    if score == "accuracy":
-        return float((model.predict(X_test) == y_test).mean())
-    return [_accuracy(proba, y_test) for proba in model.staged_proba(X_test, score)]
+    if checkpoints is None:
+        return model.predict_proba(X[test])
+    return model.staged_proba(X[test], checkpoints)
 
 
 def fit_rows(fits, X, y) -> list:
-    """Run every (spec, train, test, score) fit of ``fits`` in one
+    """Run every (spec, train, test, checkpoints) fit of ``fits`` in one
     ``run_tasks`` call, each task carrying the same X and y and its own row
     indices; results in the order of ``fits`` (see ``_fit_rows``)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    return run_tasks(_fit_rows, [(spec, X, y, train, test, score)
-                                 for spec, train, test, score in fits])
+    return run_tasks(_fit_rows, [(spec, X, y, train, test, checkpoints)
+                                 for spec, train, test, checkpoints in fits])
 
 
-def fold_fits(searches, X, y, plan: FoldPlan, score: str = "accuracy") -> list:
+def fold_fits(searches, X, y, plan: FoldPlan) -> list:
     """Every fold fit of every (spec, grid) search, in one ``run_tasks`` call.
 
-    A search without a grid (grid None) is one point; a grid has one point
-    per element of the Cartesian product of its values. Returns, per search
-    and per point, the fold results in fold order. Scored by accuracy,
-    pure-n_estimators grids over stageable ensembles are one maximal fit per
-    fold, scored by staged prediction, which yields identical scores to
-    refitting.
+    Returns, per search and per point of ``grid_specs``, the class-1
+    probabilities of each held-out fold in fold order. A pure-n_estimators
+    grid over a stageable ensemble is one maximal fit per fold, read by
+    staged prediction, which yields the probabilities of refitting.
     """
     if plan.n != np.shape(X)[0]:
         raise DataError("fold plan does not cover this dataset")
@@ -165,41 +154,43 @@ def fold_fits(searches, X, y, plan: FoldPlan, score: str = "accuracy") -> list:
     fits, layouts = [], []
     for spec, grid in searches:
         specs = grid_specs(spec, grid)
-        if (score == "accuracy" and grid is not None and list(grid) == ["n_estimators"]
-                and spec.algorithm in STAGEABLE):
-            staged, picks = _staged_n_estimators_cv(spec, grid["n_estimators"], folds)
+        if grid is not None and list(grid) == ["n_estimators"] and spec.algorithm in STAGEABLE:
+            staged, picks = _staged_n_estimators_cv(specs, folds)
             fits += staged
         else:
-            fits += [(point, train, test, score) for point in specs for train, test in folds]
+            fits += [(point, train, test, None) for point in specs for train, test in folds]
             picks = None
         layouts.append((len(specs), picks))
 
     results = iter(fit_rows(fits, X, y))
     out = []
-    for n_combos, picks in layouts:
+    for n_points, picks in layouts:
         if picks is None:
-            out.append([tuple(next(results) for _ in folds) for _ in range(n_combos)])
+            out.append([tuple(next(results) for _ in folds) for _ in range(n_points)])
         else:
             per_fold = [next(results) for _ in folds]
-            out.append([tuple(scores[i] for scores in per_fold) for i in picks])
+            out.append([tuple(probas[i] for probas in per_fold) for i in picks])
     return out
 
 
-def tune(searches, X, y, plan: FoldPlan) -> list:
+def tune(searches, X, y, plan: FoldPlan) -> list[GridSearchResult]:
     """Cross-validate every (spec, grid) search on one fold plan, all fold
-    fits in one ``run_tasks`` call: a ``CvScores`` per search without a
-    grid, a ``GridSearchResult`` per search with one."""
-    out = []
-    for (spec, grid), points in zip(searches, fold_fits(searches, X, y, plan)):
-        out.append(CvScores(points[0]) if grid is None else _best_point(spec, grid, points))
-    return out
+    fits in one ``run_tasks`` call: a ``GridSearchResult`` per search. A
+    search without a grid (grid None) is one point with params {} whose
+    best spec is the spec itself."""
+    y = np.asarray(y, dtype=np.int64)
+    test_rows = [plan.test_rows(fold) for fold in range(plan.k)]
+    return [_best_point(grid, grid_specs(spec, grid),
+                        [fold_accuracies(probas, y, test_rows) for probas in points])
+            for (spec, grid), points in zip(searches, fold_fits(searches, X, y, plan))]
 
 
-def cross_validate(spec: LearnerSpec, X, y, plan: FoldPlan) -> CvScores:
-    """Accuracy of the spec on each held-out fold; any standardization is
-    refit inside each training fold (it lives inside fit()). Folds may run
-    in parallel; scores equal the sequential ones exactly."""
-    return tune([(spec, None)], X, y, plan)[0]
+def cross_validate(spec: LearnerSpec, X, y, plan: FoldPlan) -> GridPoint:
+    """Accuracy of the spec on each held-out fold (``per_fold``, ``mean``);
+    any standardization is refit inside each training fold (it lives inside
+    fit()). Folds may run in parallel; scores equal the sequential ones
+    exactly."""
+    return tune([(spec, None)], X, y, plan)[0].best
 
 
 def grid_search(spec_template: LearnerSpec, grid: dict[str, list], X, y,
@@ -207,22 +198,19 @@ def grid_search(spec_template: LearnerSpec, grid: dict[str, list], X, y,
     """Cross-validate every point of the Cartesian product of the grid.
 
     The best point attains the maximum mean accuracy; ties go to the
-    smallest hyperparameter values in declaration order.
+    smallest hyperparameter values in declaration order, where None comes
+    first, then numbers, then strings.
     """
     return tune([(spec_template, grid)], X, y, plan)[0]
 
 
 def grid_specs(spec: LearnerSpec, grid: dict[str, list] | None) -> list[LearnerSpec]:
     """The spec of every point of the grid over ``spec``, in the order of
-    the Cartesian product of its values; one spec without a grid (None).
+    the Cartesian product of its values; ``[spec]`` without a grid (None).
     ConfigError for a grid that does not map names to non-empty value
     lists; FitError for a point whose name or value the algorithm rejects."""
-    return [_with_params(spec, combo) for combo in _grid_points(grid)]
-
-
-def _grid_points(grid: dict[str, list] | None) -> list[dict]:
     if grid is None:
-        return [{}]
+        return [spec]
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise ConfigError("grid must map names to value lists")
     if not grid:
@@ -230,33 +218,33 @@ def _grid_points(grid: dict[str, list] | None) -> list[dict]:
     for name, values in grid.items():
         if not values:
             raise ConfigError(f"grid dimension {name!r} is empty")
-    return [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
+    return [replace(spec, hyperparameters={**spec.hyperparameters, **dict(zip(grid, values))})
+            for values in itertools.product(*grid.values())]
 
 
-def _best_point(spec_template: LearnerSpec, grid: dict[str, list],
-                per_fold_by_combo) -> GridSearchResult:
-    names = list(grid)
-    points = tuple(GridPoint(combo, per_fold)
-                   for combo, per_fold in zip(_grid_points(grid), per_fold_by_combo))
-    best = points[0]
-    for point in points[1:]:
-        key = tuple(point.params[n] for n in names)
-        best_key = tuple(best.params[n] for n in names)
-        if point.mean > best.mean or (point.mean == best.mean and key < best_key):
-            best = point
-    return GridSearchResult(points, best, _with_params(spec_template, best.params))
+def _value_order(value) -> tuple:
+    """A total order over grid values: None, then numbers, then strings."""
+    return (0,) if value is None else (1, value) if is_number(value) else (2, value)
 
 
-def _with_params(template: LearnerSpec, params: dict) -> LearnerSpec:
-    merged = {**template.hyperparameters, **params}
-    return replace(template, hyperparameters=merged)
+def _best_point(grid: dict[str, list] | None, specs: list[LearnerSpec],
+                per_fold_by_point) -> GridSearchResult:
+    names = list(grid or ())
+    points = tuple(GridPoint({n: spec.hyperparameters[n] for n in names}, per_fold)
+                   for spec, per_fold in zip(specs, per_fold_by_point))
+    # min keeps the first of equal keys, so a grid that repeats a value keeps
+    # its first point.
+    best = min(range(len(points)), key=lambda i: (
+        -points[i].mean, tuple(_value_order(points[i].params[n]) for n in names)))
+    return GridSearchResult(points, points[best], specs[best])
 
 
-def _staged_n_estimators_cv(template, sizes, folds):
-    """The fits of a pure-n_estimators grid: one fit per fold at the largest
-    size, scored at every size; plus, per size in grid order, the index of
-    its score in each fold's result."""
+def _staged_n_estimators_cv(specs, folds):
+    """The fits of a pure-n_estimators grid, given its point specs: one fit
+    per fold of the spec with the most estimators, read at every size; plus,
+    per point, the index of its probabilities in each fold's result."""
+    sizes = [spec.hyperparameters["n_estimators"] for spec in specs]
     checkpoints = sorted(set(sizes))
-    full_spec = _with_params(template, {"n_estimators": max(checkpoints)})
+    full_spec = specs[sizes.index(checkpoints[-1])]
     fits = [(full_spec, train, test, checkpoints) for train, test in folds]
     return fits, [checkpoints.index(s) for s in sizes]

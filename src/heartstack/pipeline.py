@@ -22,8 +22,10 @@ from .errors import ConfigError, DataError
 # of a command runs in the model_selection and stacking task pools. They
 # stay importable from this module, where perfbench/tracer.py wraps them.
 from .learners import LearnerSpec, fit  # noqa: F401
+from .learners.base import to_labels
 from .metrics import confusion_matrix, metric_report, pr_curve, roc_curve, truncate_percent
-from .model_selection import cross_validate, fit_rows, grid_search, k_fold_plan, tune  # noqa: F401
+from .model_selection import (cross_validate, fit_rows, fold_accuracies,  # noqa: F401
+                              grid_search, k_fold_plan, tune)
 from .model_store import load_model, require_matching_schema, save_model
 # format_csv, like the imports above, stays importable for perfbench/tracer.py.
 from .reporting import LITERATURE_RESULTS, format_csv, write_csv, write_json  # noqa: F401
@@ -114,28 +116,23 @@ def cmd_analyze(config: PipelineConfig) -> dict:
 
 def tune_candidates(config: PipelineConfig, train: Dataset) -> list[dict]:
     """Grid-search (where a grid is configured) or plain 10-fold CV for every
-    candidate, on the training split; all fold fits in one run_tasks call."""
+    candidate, on the training split; all fold fits in one run_tasks call.
+    "grid" holds the search result of a candidate with a grid."""
     plan = k_fold_plan(train.n_rows, config.folds, config.seed, stratify_by=train.y)
     results = tune([(c.spec, c.grid) for c in config.candidates],
                    train.X, train.y, plan)
-    tuned = []
-    for cand, result in zip(config.candidates, results):
-        grid = result if cand.grid else None
-        tuned.append({
-            "algorithm": cand.spec.algorithm,
-            "spec": grid.best_spec if grid else cand.spec,
-            "cv_mean": grid.best.mean if grid else result.mean,
-            "grid": grid,
-        })
-    return tuned
+    return [{"algorithm": cand.spec.algorithm, "spec": result.best_spec,
+             "cv_mean": result.best.mean, "grid": result if cand.grid else None}
+            for cand, result in zip(config.candidates, results)]
 
 
 def _test_accuracies(data: PreparedData, specs: list[LearnerSpec], splits: list[SplitPair]):
     """Test accuracy of every spec fitted on the train side of every split of
     the cleaned data (split-major order), in one run_tasks call."""
-    return fit_rows([(spec, split.train_rows, split.test_rows, "accuracy")
-                     for split in splits for spec in specs],
-                    data.cleaned.X, data.cleaned.y)
+    fits = [(spec, split.train_rows, split.test_rows, None)
+            for split in splits for spec in specs]
+    return fold_accuracies(fit_rows(fits, data.cleaned.X, data.cleaned.y), data.cleaned.y,
+                           [test for _, _, test, _ in fits])
 
 
 def cmd_baseline(config: PipelineConfig, sweep_seeds: int | None = None) -> dict:
@@ -214,8 +211,7 @@ def cmd_evaluate(config: PipelineConfig, model_path) -> dict:
     table_rows = []
     reports = {}
     for name, proba in scored:
-        pred = (proba >= 0.5).astype(np.int64)
-        report = metric_report(confusion_matrix(test.y, pred))
+        report = metric_report(confusion_matrix(test.y, to_labels(proba)))
         roc = roc_curve(test.y, proba)
         pr = pr_curve(test.y, proba)
         reports[name] = report
@@ -256,7 +252,7 @@ def cmd_predict(model_path, input_csv, out_path) -> dict:
     X, y = parse_feature_csv(input_csv)
     require_valid_codes(X, y, str(input_csv))
     proba = model.predict_proba(X)
-    labels = (proba >= 0.5).astype(np.int64)
+    labels = to_labels(proba)
 
     text = "row,probability,label\n" + "".join(
         f"{i},{p!r},{label}\n"

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .learners import LearnerSpec, TrainedModel, fit
-from .learners.base import int_at_least
-from .model_selection import FoldPlan, _accuracy, fold_fits, k_fold_plan
+from .learners.base import int_at_least, to_labels
+from .model_selection import FoldPlan, fold_accuracies, fold_fits, k_fold_plan
 from .parallel import run_tasks
 from .rng import stream
 
@@ -103,17 +103,14 @@ class StackedModel:
         return self.meta.predict_proba(self.base_probabilities(X))
 
     def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
+        return to_labels(self.predict_proba(X))
 
 
-def _oof_column(probas, y, plan: FoldPlan) -> tuple[np.ndarray, tuple[float, ...]]:
-    oof = np.empty(plan.n)
-    scores = []
-    for fold, proba in enumerate(probas):
-        test = plan.test_rows(fold)
-        oof[test] = proba
-        scores.append(_accuracy(proba, y[test]))
-    return oof, tuple(scores)
+def _oof_column(probas, n: int, test_rows) -> np.ndarray:
+    oof = np.empty(n)
+    for proba, rows in zip(probas, test_rows):
+        oof[rows] = proba
+    return oof
 
 
 def out_of_fold_probabilities(spec: LearnerSpec, X, y, plan: FoldPlan) -> tuple[np.ndarray, tuple[float, ...]]:
@@ -121,8 +118,10 @@ def out_of_fold_probabilities(spec: LearnerSpec, X, y, plan: FoldPlan) -> tuple[
 
     Row i's entry comes from the model trained with fold(i) held out.
     """
-    [[probas]] = fold_fits([(spec, None)], X, y, plan, score="proba")
-    return _oof_column(probas, np.asarray(y, dtype=np.int64), plan)
+    [[probas]] = fold_fits([(spec, None)], X, y, plan)
+    test_rows = [plan.test_rows(fold) for fold in range(plan.k)]
+    return (_oof_column(probas, plan.n, test_rows),
+            fold_accuracies(probas, np.asarray(y, dtype=np.int64), test_rows))
 
 
 def _fit(task) -> TrainedModel:
@@ -142,14 +141,13 @@ def fit_stack(config: StackingConfig, X, y) -> StackedModel:
     plan = k_fold_plan(X.shape[0], config.oof_folds,
                        int(stream(config.seed, "oof").integers(2**31)), stratify_by=y)
 
+    test_rows = [plan.test_rows(fold) for fold in range(plan.k)]
     oof_columns: list[np.ndarray] = []
     cv_results: list[tuple[LearnerSpec, float]] = []
-    per_candidate = fold_fits([(spec, None) for spec in config.candidates], X, y, plan,
-                              score="proba")
+    per_candidate = fold_fits([(spec, None) for spec in config.candidates], X, y, plan)
     for spec, [probas] in zip(config.candidates, per_candidate):
-        oof, scores = _oof_column(probas, y, plan)
-        oof_columns.append(oof)
-        cv_results.append((spec, float(np.mean(scores))))
+        oof_columns.append(_oof_column(probas, plan.n, test_rows))
+        cv_results.append((spec, float(np.mean(fold_accuracies(probas, y, test_rows)))))
 
     selection = select_base_learners(cv_results, config.top_n)
     meta_features = np.column_stack([oof_columns[i] for i in selection.indices])

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_classification
 from heartstack.errors import ConfigError, DataError, FitError
 from heartstack.learners import LearnerSpec, fit
-from heartstack.model_selection import CvScores, cross_validate, grid_search, k_fold_plan
+from heartstack.model_selection import cross_validate, grid_search, k_fold_plan, tune
 
 
 def test_leave_one_out_shape():
@@ -51,6 +51,9 @@ def test_constant_classifier_scores_base_rate(monkeypatch):
         def predict(self, X):
             return np.ones(len(X), dtype=np.int64)
 
+        def predict_proba(self, X):
+            return np.ones(len(X))
+
     import heartstack.model_selection as ms
     monkeypatch.setattr(ms, "fit", lambda spec, X, y: AlwaysOne())
     monkeypatch.setenv("HEARTSTACK_JOBS", "1")
@@ -91,6 +94,21 @@ def test_single_class_training_fold_propagates():
         cross_validate(LearnerSpec("cart"), X, y, plan)
 
 
+def test_every_search_returns_one_result_type():
+    # A search without a grid is one point with params {} whose best spec is
+    # the spec itself; cross_validate returns that point.
+    rng = np.random.default_rng(3)
+    X, y = random_classification(rng, 30, 3)
+    plan = k_fold_plan(30, 3, seed=4, stratify_by=y)
+    spec = LearnerSpec("cart", {"max_depth": 2}, seed=1)
+    plain, searched = tune([(spec, None), (spec, {"max_depth": [1, 3]})], X, y, plan)
+    assert plain.best_spec is spec
+    assert plain.points == (plain.best,) and plain.best.params == {}
+    assert plain.best == cross_validate(spec, X, y, plan)
+    assert [p.params for p in searched.points] == [{"max_depth": 1}, {"max_depth": 3}]
+    assert searched.best_spec.hyperparameters == searched.best.params
+
+
 def test_single_point_grid():
     rng = np.random.default_rng(12)
     X, y = random_classification(rng, 40, 3)
@@ -105,6 +123,9 @@ def test_grid_tie_breaks_to_smallest_values(monkeypatch):
         def predict(self, X):
             return np.zeros(len(X), dtype=np.int64)
 
+        def predict_proba(self, X):
+            return np.zeros(len(X))
+
     import heartstack.model_selection as ms
     monkeypatch.setattr(ms, "fit", lambda spec, X, y: Stub())
     monkeypatch.setenv("HEARTSTACK_JOBS", "1")
@@ -113,6 +134,25 @@ def test_grid_tie_breaks_to_smallest_values(monkeypatch):
     plan = k_fold_plan(12, 3, seed=0, stratify_by=y)
     result = ms.grid_search(LearnerSpec("knn"), {"k": [7, 3, 5]}, X, y, plan)
     assert result.best.params == {"k": 3}  # all tie at 0.5; smallest value wins
+
+
+@pytest.mark.parametrize("algorithm, grid, best", [
+    ("cart", {"max_depth": [3, None]}, {"max_depth": None}),
+    ("cart", {"max_features": ["sqrt", 1]}, {"max_features": 1}),
+    ("cart", {"max_features": ["sqrt", None, 2]}, {"max_features": None}),
+    ("extra_trees", {"criterion": ["gini", "entropy"]}, {"criterion": "entropy"}),
+])
+def test_grid_ties_over_mixed_values_resolve(algorithm, grid, best):
+    # Constant features admit no split, so every point scores the base rate
+    # and ties; None comes first, then numbers, then strings.
+    X = np.zeros((12, 2))
+    y = np.array([0, 1] * 6)
+    plan = k_fold_plan(12, 3, seed=0, stratify_by=y)
+    spec = LearnerSpec(algorithm, {"n_estimators": 2} if algorithm == "extra_trees" else {})
+    result = grid_search(spec, grid, X, y, plan)
+    assert len({p.mean for p in result.points}) == 1
+    assert result.best.params == best
+    assert result.best_spec == LearnerSpec(algorithm, {**spec.hyperparameters, **best})
 
 
 def test_empty_grid_dimension_rejected():

@@ -204,6 +204,10 @@ def test_train_that_diverges_exits_as_a_fit_error_and_writes_no_model(dataset_cs
     '"candidates": [{"algorithm": "knn", "grid": {}}]',
     '"candidates": [{"algorithm": "knn", "grid": {"k": []}}]',
     '"candidates": [{"algorithm": "xgb_style", "grid": {"n_estimators": [100, 2.5]}}]',
+    '"dataset": 5',
+    '"out_dir": ["a"]',
+    '"candidates": []',
+    '"candidates": {}',
     pytest.param('"seed": ' + "1" * 5000, id="seed_of_5000_digits"),
     pytest.param('"cleaning": ' + "[" * 100_000 + "]" * 100_000, id="nested_too_deep"),
 ])
