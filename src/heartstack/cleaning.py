@@ -71,6 +71,6 @@ def clean(ds: Dataset, strategy: str = "iqr", iqr_k: float = 1.5) -> tuple[Datas
     removed = int((~keep).sum())
     if removed == ds.n_rows:
         raise DataError("cleaning would remove every row")
-    cleaned = ds if strategy == "none" else ds.take(np.nonzero(keep)[0], cleaned=True)
+    cleaned = ds if strategy == "none" else ds.take(np.nonzero(keep)[0])
     report = CleaningReport(strategy, removed, reasons, ds.n_rows, cleaned.n_rows)
     return cleaned, report

@@ -11,6 +11,7 @@ import json
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
+from .cleaning import STRATEGIES
 from .errors import ConfigError, FitError
 from .learners import LearnerSpec
 from .learners.base import int_at_least, is_number
@@ -31,7 +32,7 @@ class CleaningConfig:
     iqr_k: float = 1.5
 
     def __post_init__(self):
-        if self.strategy not in ("none", "domain_validity", "iqr"):
+        if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown cleaning strategy {self.strategy!r}")
         if not (is_number(self.iqr_k) and 0 < self.iqr_k < float("inf")):
             raise ConfigError("iqr_k must be positive and finite")
@@ -174,8 +175,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     without a seed of its own."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also an integer too long or nesting too deep
         raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from None
     if overrides and isinstance(raw, dict):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +24,11 @@ from .schema import (
 
 
 @dataclass(frozen=True)
-class Provenance:
-    source: str
-    cleaned: bool = False
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable feature table (n x 11 float) with a binary target vector."""
 
     X: np.ndarray
     y: np.ndarray
-    provenance: Provenance
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -58,9 +51,8 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.X[:, FEATURE_NAMES.index(name)]
 
-    def take(self, indices, cleaned: bool | None = None) -> "Dataset":
-        prov = self.provenance if cleaned is None else replace(self.provenance, cleaned=cleaned)
-        return Dataset(self.X[indices], self.y[indices], prov)
+    def take(self, indices) -> "Dataset":
+        return Dataset(self.X[indices], self.y[indices])
 
 
 @dataclass(frozen=True)
@@ -121,14 +113,13 @@ def parse_csv(source) -> Dataset:
     missing or duplicated column and any cell that does not parse as its
     declared kind is a hard error with row/column coordinates.
     """
-    X, y, source_name = _parse_table(source, require_target=True)
-    return Dataset(X, y, Provenance(source=source_name))
+    X, y = _parse_table(source, require_target=True)
+    return Dataset(X, y)
 
 
 def parse_feature_csv(source) -> tuple[np.ndarray, np.ndarray | None]:
     """Like parse_csv but the target column is optional (scoring inputs)."""
-    X, y, _ = _parse_table(source, require_target=False)
-    return X, y
+    return _parse_table(source, require_target=False)
 
 
 def _parse_table(source, require_target: bool):
@@ -165,7 +156,7 @@ def _parse_table(source, require_target: bool):
         raise DataError(f"{source_name}: empty dataset (header only)")
     columns = [(positions[s.name], s) for s in FEATURE_SPECS]
     if target_pos is not None:
-        columns.append((target_pos, _TARGET_CELL_SPEC))
+        columns.append((target_pos, TARGET_SPEC))
     try:
         table = _parse_columns(rows, len(header), columns)
     except ValueError:  # a row or cell breaks a rule: raise its error
@@ -182,13 +173,13 @@ def _parse_table(source, require_target: bool):
         raise DataError(f"{source_name}: row {row + 1}, column {FEATURE_SPECS[col].name!r}: "
                         f"value {float(X[row, col])!r} is beyond +-{PARAMETER_BOUND:g}")
     if target_pos is None:
-        return X, None, source_name
+        return X, None
     targets = table[:, N_FEATURES]
     outside = ~((targets >= -2.0**63) & (targets < 2.0**63))
     if outside.any():
         raise DataError(f"{source_name}: row {np.argmax(outside) + 1}, column 'target': "
                         "code out of the integer range")
-    return X, targets.astype(np.int64), source_name
+    return X, targets.astype(np.int64)
 
 
 def _parse_columns(rows, width: int, columns) -> np.ndarray:
@@ -228,11 +219,6 @@ def _parse_rows(rows, width: int, columns, source_name: str) -> np.ndarray:
     return np.array(table, dtype=np.float64)
 
 
-# Target cells share nominal parsing rules but range checking is deferred
-# to validate_schema, so accept any integer code here.
-_TARGET_CELL_SPEC = AttributeSpec("target", NOMINAL, frozenset(range(-128, 128)))
-
-
 def _parse_cell(cell: str, spec: AttributeSpec, row_idx: int, source_name: str) -> float:
     try:
         value = float(cell)
@@ -251,20 +237,26 @@ def _parse_cell(cell: str, spec: AttributeSpec, row_idx: int, source_name: str) 
     raise DataError(f"{source_name}: row {row_idx + 1}, column {spec.name!r}: {problem}")
 
 
-def require_valid_codes(X, y, source_name: str) -> None:
-    """Raise DataError naming the first row, then column, of a scoring
-    input whose nominal code lies outside its allowed codes (st_slope's
-    code 0 is allowed), or, when there are targets, whose target is not 0
-    or 1."""
-    checked = [(X[:, col], spec) for col, spec in enumerate(FEATURE_SPECS)
-               if spec.kind == NOMINAL]
+def _code_checks(X, y):
+    """(spec, values, mask of values outside spec.allowed_codes) for each
+    nominal feature column, then for the target when there is one."""
+    for col, spec in enumerate(FEATURE_SPECS):
+        if spec.kind == NOMINAL:
+            values = X[:, col]
+            yield spec, values, ~np.isin(values, list(spec.allowed_codes))
     if y is not None:
-        checked.append((y, TARGET_SPEC))
-    bad = np.column_stack([~np.isin(values, list(spec.allowed_codes))
-                           for values, spec in checked])
+        yield TARGET_SPEC, y, ~np.isin(y, list(TARGET_SPEC.allowed_codes))
+
+
+def require_valid_codes(X, y, source_name: str) -> None:
+    """Raise DataError naming the first row, then column, of a table
+    whose nominal code lies outside its allowed codes (st_slope's code 0 is
+    allowed), or, when there are targets, whose target is not 0 or 1."""
+    checked = list(_code_checks(X, y))
+    bad = np.column_stack([mask for _, _, mask in checked])
     if bad.any():
         row, j = np.argwhere(bad)[0]
-        values, spec = checked[j]
+        spec, values, _ = checked[j]
         raise DataError(f"{source_name}: row {row + 1}, column {spec.name!r}: code "
                         f"{float(values[row]):g} is not one of {sorted(spec.allowed_codes)}")
 
@@ -278,18 +270,13 @@ def validate_schema(ds: Dataset) -> ValidationReport:
     """
     violations: list[Violation] = []
     warnings: list[Violation] = []
-    for col, spec in enumerate(FEATURE_SPECS):
-        if spec.kind != NOMINAL:
-            continue
-        values = ds.X[:, col]
-        for row in np.nonzero(~np.isin(values, list(spec.allowed_codes)))[0]:
-            violations.append(Violation(int(row), spec.name, float(values[row]),
-                                        "code outside allowed set"))
+    for spec, values, bad in _code_checks(ds.X, ds.y):
+        reason = ("target must be 0 or 1" if spec is TARGET_SPEC
+                  else "code outside allowed set")
+        for row in np.nonzero(bad)[0]:
+            violations.append(Violation(int(row), spec.name, float(values[row]), reason))
         if spec.name == "st_slope":
             for row in np.nonzero(values == ST_SLOPE_WARNING_CODE)[0]:
                 warnings.append(Violation(int(row), spec.name, float(values[row]),
                                           "code 0 is undocumented but occurs in shipped files"))
-    for row in np.nonzero(~np.isin(ds.y, (0, 1)))[0]:
-        violations.append(Violation(int(row), "target", float(ds.y[row]),
-                                    "target must be 0 or 1"))
     return ValidationReport(ds.n_rows, tuple(violations), tuple(warnings))

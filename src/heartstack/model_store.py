@@ -35,6 +35,7 @@ from pathlib import Path
 from .errors import ConfigError, FitError, ModelFormatError, SchemaMismatchError
 from .learners import LEARNERS, LearnerSpec, TrainedModel
 from .model_selection import FoldPlan
+from .reporting import write_file
 from .schema import CANONICAL_SCHEMA, TARGET_ALIASES, schema_fingerprint
 from .stacking import BaseSelectionReport, StackedModel
 from .standardize import Standardizer
@@ -86,10 +87,10 @@ def _single_from_payload(payload: dict) -> TrainedModel:
     return model
 
 
-def save_model(model, sink=None) -> bytes:
-    """Serialize a TrainedModel or StackedModel; optionally write to a path
-    or binary file object. Returns the document bytes either way. FitError,
-    and nothing written, if load_model would reject the document."""
+def save_model(model, path=None) -> bytes:
+    """Serialize a TrainedModel or StackedModel; optionally write it to a
+    path. Returns the document bytes either way. FitError, and nothing
+    written, if load_model would reject the document."""
     if isinstance(model, StackedModel):
         kind = "stacked"
         payload = {
@@ -120,26 +121,23 @@ def save_model(model, sink=None) -> bytes:
         load_model(data)
     except ModelFormatError as exc:
         raise FitError(f"the fitted model cannot be saved: {exc}") from None
-    if sink is not None:
-        if isinstance(sink, (str, Path)):
-            Path(sink).write_bytes(data)
-        else:
-            sink.write(data)
+    if path is not None:
+        write_file(path, data)
     return data
 
 
 def load_model(source):
-    """Parse a model document back into a predictor with bit-identical
-    behaviour. Unknown versions and malformed documents raise."""
-    if isinstance(source, (str, Path)):
+    """Parse a model document, from a path or its bytes, back into a
+    predictor with bit-identical behaviour. ModelFormatError for an
+    unknown version or a malformed document; SchemaMismatchError for a
+    sound one whose schema fingerprint is not this toolkit's."""
+    if isinstance(source, (bytes, bytearray)):
+        data = bytes(source)
+    else:
         try:
             data = Path(source).read_bytes()
         except OSError as exc:
             raise ModelFormatError(f"cannot read model: {exc}") from None
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
-        data = source.read()
     try:
         doc = json.loads(data.decode("utf8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -173,7 +171,12 @@ def load_model(source):
             raise ModelFormatError(f"unknown model kind {doc['kind']!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from None
-    model.schema_fingerprint = fingerprint
+    # Checked after the payload parses, so a malformed document is a format
+    # error whatever its fingerprint.
+    if fingerprint != schema_fingerprint():
+        raise SchemaMismatchError(
+            "model was trained on a different column schema than this dataset"
+        )
     return model
 
 
@@ -201,12 +204,3 @@ def _check_stack(bases, meta, indices: tuple, n_entries: int, n_columns: int) ->
         raise ValueError("stack selected_indices must be distinct, in range and "
                          "one per base")
 
-
-def require_matching_schema(model) -> None:
-    """Raise unless the model's stored fingerprint matches the canonical
-    schema this toolkit parses datasets into."""
-    stored = getattr(model, "schema_fingerprint", schema_fingerprint())
-    if stored != schema_fingerprint():
-        raise SchemaMismatchError(
-            "model was trained on a different column schema than this dataset"
-        )

@@ -17,7 +17,7 @@ from .analysis import correlation_matrix, correlation_with_target, summarize
 from .cleaning import clean
 from .config import PipelineConfig
 from .dataset import Dataset, parse_csv, parse_feature_csv, require_valid_codes, validate_schema
-from .errors import ConfigError, DataError
+from .errors import DataError
 # fit, cross_validate and grid_search are not called here any more: every fit
 # of a command runs in the model_selection and stacking task pools. They
 # stay importable from this module, where perfbench/tracer.py wraps them.
@@ -26,9 +26,10 @@ from .learners.base import to_labels
 from .metrics import confusion_matrix, metric_report, pr_curve, roc_curve, truncate_percent
 from .model_selection import (cross_validate, fit_rows, fold_accuracies,  # noqa: F401
                               grid_search, k_fold_plan, tune)
-from .model_store import load_model, require_matching_schema, save_model
+from .model_store import load_model, save_model
 # format_csv, like the imports above, stays importable for perfbench/tracer.py.
-from .reporting import LITERATURE_RESULTS, format_csv, write_csv, write_json  # noqa: F401
+from .reporting import (LITERATURE_RESULTS, format_csv, write_csv,  # noqa: F401
+                        write_file, write_json)
 from .splitting import SplitPair, stratified_split
 from .stacking import StackedModel, fit_stack
 
@@ -43,23 +44,9 @@ class PreparedData:
 
 def prepare(config: PipelineConfig) -> PreparedData:
     raw = parse_csv(config.dataset)
-    validation = validate_schema(raw)
-    if not validation.valid:
-        raise DataError(
-            f"dataset failed validation with {len(validation.violations)} violation(s); "
-            "see the analyze report for coordinates"
-        )
+    require_valid_codes(raw.X, raw.y, config.dataset)
     cleaned, _ = clean(raw, config.cleaning.strategy, config.cleaning.iqr_k)
     return PreparedData(cleaned, stratified_split(cleaned, config.split_fraction, config.seed))
-
-
-def _outdir(config: PipelineConfig, sub: str) -> Path:
-    path = Path(config.out_dir) / sub
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {path}: {exc}") from None
-    return path
 
 
 def cmd_analyze(config: PipelineConfig) -> dict:
@@ -70,7 +57,7 @@ def cmd_analyze(config: PipelineConfig) -> dict:
     """
     raw = parse_csv(config.dataset)
     validation = validate_schema(raw)
-    out = _outdir(config, "analysis")
+    out = Path(config.out_dir) / "analysis"
     write_json(out / "validation.json", validation.to_dict())
 
     if validation.valid:
@@ -152,7 +139,7 @@ def cmd_baseline(config: PipelineConfig, sweep_seeds: int | None = None) -> dict
          f"{truncate_percent(tuned[i]['test_accuracy']):.2f}"]
         for i in order
     ]
-    out = _outdir(config, "baseline")
+    out = Path(config.out_dir) / "baseline"
     write_csv(out / "baseline_table.csv",
               ["algorithm", "cv_mean_accuracy", "test_accuracy",
                "cv_mean_percent", "test_percent"], table_rows)
@@ -186,7 +173,7 @@ def cmd_train(config: PipelineConfig) -> dict:
     """Fit the stacked ensemble on the training split and persist it."""
     data = prepare(config)
     stack = fit_stack(config.stacking, data.split.train.X, data.split.train.y)
-    out = _outdir(config, "models")
+    out = Path(config.out_dir) / "models"
     model_path = out / MODEL_FILE
     save_model(stack, model_path)
     write_json(out / "selection_report.json", stack.selection.to_dict())
@@ -197,7 +184,6 @@ def cmd_evaluate(config: PipelineConfig, model_path) -> dict:
     """Score the stack and its bases on the test split; write the metric
     table, ROC/PR curve files and the literature context table."""
     model = load_model(model_path)
-    require_matching_schema(model)
     if not isinstance(model, StackedModel):
         raise DataError("evaluate expects a stacked model file")
     data = prepare(config)
@@ -207,7 +193,7 @@ def cmd_evaluate(config: PipelineConfig, model_path) -> dict:
     scored = [("stacked", model.meta.predict_proba(base_proba))]
     scored += [(b.spec.algorithm, base_proba[:, i]) for i, b in enumerate(model.bases)]
 
-    out = _outdir(config, "evaluation")
+    out = Path(config.out_dir) / "evaluation"
     table_rows = []
     reports = {}
     for name, proba in scored:
@@ -248,7 +234,6 @@ def cmd_predict(model_path, input_csv, out_path) -> dict:
     targets the schema allows; write per-row class-1 probabilities and
     labels, appending a metric record when targets exist."""
     model = load_model(model_path)
-    require_matching_schema(model)
     X, y = parse_feature_csv(input_csv)
     require_valid_codes(X, y, str(input_csv))
     proba = model.predict_proba(X)
@@ -263,10 +248,5 @@ def cmd_predict(model_path, input_csv, out_path) -> dict:
         lines = [f"# {name} {'-' if value is None else repr(value)}"
                  for name, value in report.to_dict().items() if name != "undefined"]
         text += "\n".join(lines) + "\n"
-    out_path = Path(out_path)
-    try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text, encoding="utf8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write predictions to {out_path}: {exc}") from None
-    return {"out": str(out_path), "probabilities": proba, "labels": labels, "report": report}
+    write_file(out_path, text)
+    return {"out": str(Path(out_path)), "probabilities": proba, "labels": labels, "report": report}

@@ -1,8 +1,9 @@
 """Report file I/O: JSON key-value trees and CSV tables with sidecar lines.
 
-Every file written here is re-parseable by the readers below; CSV files may
-carry leading ``#`` comment lines (used for curve areas and appended metric
-records).
+Every file the program writes goes through ``write_file``, so a refused
+write is a config error wherever it happens. Every report written here is
+re-parseable by the readers below; CSV files may carry leading ``#``
+comment lines (used for curve areas and appended metric records).
 """
 
 from __future__ import annotations
@@ -12,9 +13,24 @@ import io
 import json
 from pathlib import Path
 
+from .errors import ConfigError
+
+
+def write_file(path, data) -> None:
+    """Write text as UTF-8, or bytes as they are, making the parent
+    directory first. ConfigError if the system refuses either."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf8")
+    write_file(path, json.dumps(obj, indent=2) + "\n")
 
 
 def read_json(path):
@@ -32,7 +48,7 @@ def format_csv(header, rows, comments=()) -> str:
 
 
 def write_csv(path, header, rows, comments=()) -> None:
-    Path(path).write_text(format_csv(header, rows, comments), encoding="utf8")
+    write_file(path, format_csv(header, rows, comments))
 
 
 def read_csv(path):

@@ -16,9 +16,6 @@ class Standardizer:
     def apply(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
-    def invert(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) * self.std + self.mean
-
     def to_dict(self) -> dict:
         return {
             "mean": self.mean.tolist(),

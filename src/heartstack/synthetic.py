@@ -24,8 +24,8 @@ import functools
 
 import numpy as np
 
-from .dataset import Dataset, Provenance
-from .reporting import format_csv
+from .dataset import Dataset
+from .reporting import format_csv, write_file
 from .rng import stream
 from .schema import FEATURE_NAMES, TARGET_SPEC
 
@@ -485,7 +485,7 @@ def _generate(seed: int) -> Dataset:
     sd_col = col["st_depression"]
     X[:, sd_col] = np.round(X[:, sd_col], 1)
 
-    return Dataset(X, y, Provenance(source=f"synthetic(seed={seed})"))
+    return Dataset(X, y)
 
 
 def _special_carriers(rows_by_class, seed):
@@ -511,6 +511,5 @@ def dataset_to_csv(ds: Dataset) -> str:
 
 def write_dataset_csv(path, seed: int = DEFAULT_DATA_SEED) -> Dataset:
     ds = generate_dataset(seed)
-    with open(path, "w", encoding="utf8") as handle:
-        handle.write(dataset_to_csv(ds))
+    write_file(path, dataset_to_csv(ds))
     return ds

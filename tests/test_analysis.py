@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from heartstack.analysis import correlation_matrix, correlation_with_target, summarize
-from heartstack.dataset import Dataset, Provenance
+from heartstack.dataset import Dataset
 from heartstack.schema import FEATURE_NAMES
 
 
 def build(rows, targets):
-    return Dataset(np.array(rows, dtype=float), np.array(targets),
-                   Provenance(source="toy"))
+    return Dataset(np.array(rows, dtype=float), np.array(targets))
 
 
 def toy_rows(n, rng):

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heartstack.cleaning import RULE_BP_ZERO, clean
-from heartstack.dataset import Dataset, Provenance
+from heartstack.dataset import Dataset
 from heartstack.errors import DataError
 from heartstack.schema import feature_index
 
 
 def toy_dataset(rows, targets):
-    return Dataset(np.array(rows, dtype=float), np.array(targets),
-                   Provenance(source="toy"))
+    return Dataset(np.array(rows, dtype=float), np.array(targets))
 
 
 def typical_row(bp=120.0):
@@ -33,7 +32,6 @@ def test_domain_validity_removes_zero_blood_pressure():
     assert cleaned.n_rows == 2
     assert report.removal_reasons == {RULE_BP_ZERO: 1}
     assert (cleaned.column("resting_blood_pressure") > 0).all()
-    assert cleaned.provenance.cleaned
 
 
 def test_iqr_removes_far_outlier():

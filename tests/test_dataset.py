@@ -10,7 +10,7 @@ from heartstack import dataset as dataset_module
 from heartstack.dataset import parse_csv, parse_feature_csv, validate_schema
 from heartstack.errors import DataError
 from heartstack.learners.base import PARAMETER_BOUND
-from heartstack.schema import FEATURE_NAMES, FEATURE_SPECS, TARGET_ALIASES
+from heartstack.schema import FEATURE_NAMES, FEATURE_SPECS, TARGET_ALIASES, TARGET_SPEC
 from test_pipeline_cli import hostile_csv
 
 HEADER = ",".join(FEATURE_NAMES) + ",target"
@@ -63,7 +63,7 @@ def reference_parse(source, require_target: bool):
                          for s in FEATURE_SPECS])
             if target_pos is not None:
                 targets.append(int(dataset_module._parse_cell(
-                    cells[target_pos].strip(), dataset_module._TARGET_CELL_SPEC, row_idx,
+                    cells[target_pos].strip(), TARGET_SPEC, row_idx,
                     source_name)))
     if not rows:
         raise DataError(f"{source_name}: empty dataset (header only)")

@@ -13,7 +13,7 @@ from heartstack.learners import ALGORITHMS, LearnerSpec, fit
 from heartstack.learners.base import pack, unpack
 from heartstack.learners.forest import TreeEnsembleModel
 from heartstack.learners.tree import TreeBlock
-from heartstack.model_store import _single_payload, load_model, require_matching_schema, save_model
+from heartstack.model_store import _single_payload, load_model, save_model
 from heartstack.stacking import StackingConfig, fit_stack
 
 SMALL = {"random_forest": {"n_estimators": 8}, "extra_trees": {"n_estimators": 8},
@@ -102,9 +102,8 @@ def test_fingerprint_mismatch_detected(train_data):
     X, y = train_data
     doc = json.loads(save_model(fit(LearnerSpec("cart"), X, y)))
     doc["schema"]["fingerprint"] = "0000000000000000"
-    loaded = load_model(json.dumps(doc).encode("utf8"))
     with pytest.raises(SchemaMismatchError):
-        require_matching_schema(loaded)
+        load_model(json.dumps(doc).encode("utf8"))
 
 
 def test_standardizer_survives_round_trip(train_data):

@@ -340,6 +340,7 @@ def test_unreadable_dataset_is_data_error(tmp_path):
     ("out_is_a_file", 2),
     ("predict_output_is_a_directory", 2),
     ("train_without_config", 2),
+    ("config_is_a_directory", 2),
 ])
 def test_unreadable_input_or_blocked_output_exits_with_its_category(case, code, dataset,
                                                                     dataset_csv, tmp_path):
@@ -369,8 +370,42 @@ def test_unreadable_input_or_blocked_output_exits_with_its_category(case, code, 
         "out_is_a_file": ["analyze", "--config", config, "--out", tmp_path / "a_file"],
         "predict_output_is_a_directory": predict(model, dataset_csv, tmp_path),
         "train_without_config": ["train"],
+        "config_is_a_directory": ["analyze", "--config", tmp_path],
     }[case]
     assert run(argv) == code
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("train", "models/stacked.model"),
+    ("analyze", "analysis/validation.json"),
+    ("baseline", "baseline/baseline_table.csv"),
+    ("evaluate", "evaluation/metrics_table.csv"),
+])
+def test_blocked_output_file_exits_with_config_error_naming_it(command, blocked, dataset_csv,
+                                                               micro_stack, tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(dict(
+        fast_config(dataset_csv, tmp_path / "out"), folds=2,
+        candidates=[{"algorithm": "cart", "hyperparameters": {"max_depth": 3}},
+                    {"algorithm": "naive_bayes", "hyperparameters": {}}],
+        stacking={"top_n": 2, "meta_hyperparameters": {"epochs": 5}, "oof_folds": 2})))
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    argv = [command, "--config", config]
+    if command == "evaluate":
+        argv += ["--model", micro_stack / "stack.model"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error[config]: cannot write {tmp_path / 'out' / blocked}: " in err
+
+
+def test_train_names_the_row_and_column_of_a_code_outside_the_schema(dataset_csv, tmp_path,
+                                                                    capsys):
+    data = tmp_path / "d.csv"
+    data.write_text(with_cells(dataset_csv.read_text(), {"sex": "2"}, rows=[6]))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(fast_config(data, tmp_path / "out")))
+    assert run(["train", "--config", config]) == 3
+    assert f"{data}: row 7, column 'sex': code 2 is not one of [0, 1]" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(workspace, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heartstack.dataset import Dataset, Provenance
+from heartstack.dataset import Dataset
 from heartstack.errors import DataError
 from heartstack.splitting import stratified_split
 
@@ -16,7 +16,7 @@ def toy(n_per_class):
         for _ in range(count):
             rows.append(rng.normal(size=11))
             targets.append(cls)
-    return Dataset(np.array(rows), np.array(targets), Provenance(source="toy"))
+    return Dataset(np.array(rows), np.array(targets))
 
 
 def test_exact_proportionality():
