@@ -8,6 +8,7 @@
     python3 scripts/bench_pairs.py ... generate [--seed 77] [--pairs 10]
     python3 scripts/bench_pairs.py ... trees [--trees 25 100 500] [--repeats 5]
     python3 scripts/bench_pairs.py ... store [--pairs 10] [--work DIR]
+    python3 scripts/bench_pairs.py ... study [--pairs 2] [--work DIR]
 
 ``perfbench`` runs ``python3 perfbench/run.py`` in each checkout,
 alternating the side that goes first per pair, and stores every run's
@@ -23,7 +24,13 @@ output of ``scripts/bench_trees.py --src`` over both checkouts' sources.
 a fresh process per run and in pairs like ``perfbench``, times
 ``load_model`` of that document and ``predict_proba`` of 1, 235 and 4096
 stand-in rows; it also stores the document bytes and each train's wall
-time. Each mode adds its section to ``--out`` and keeps the others.
+time. ``study`` runs ``scripts/run_full_study.py`` (this script's sibling,
+so both sides print the same stage lines) over each checkout's ``src``, in
+that checkout and in pairs like ``perfbench``, with its output under
+``--work``; it stores the wall time of each stage (analysis, baseline,
+train, evaluate), read from the script's stage lines, and the whole
+process's, which also covers the imports and writing the stand-in CSV.
+Each mode adds its section to ``--out`` and keeps the others.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -70,6 +79,8 @@ for r in rows:
 print(json.dumps(out))
 """
 STORE_ROWS = (1, 235, 4096)
+STUDY_STAGES = ("analysis", "baseline", "train", "evaluate")
+STUDY_STAMP = re.compile(r"\[\s*([0-9.]+)s\] (\w+):")
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -181,6 +192,34 @@ def store(args, dirs) -> dict:
     return section
 
 
+def study(args, dirs) -> dict:
+    script = Path(__file__).resolve().with_name("run_full_study.py")
+    names = [f"{stage}_s" for stage in STUDY_STAGES] + ["total_s"]
+    runs = {side: {name: [] for name in names} for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="bench_study_", dir=args.work) as tmp:
+        for i in range(args.pairs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                out = Path(tmp) / side
+                t0 = time.perf_counter()
+                proc = subprocess.run([sys.executable, str(script), "--out", str(out)],
+                                      cwd=dirs[side],
+                                      env={**os.environ, "PYTHONPATH": str(dirs[side] / "src")},
+                                      capture_output=True, text=True, check=True)
+                total = time.perf_counter() - t0
+                shutil.rmtree(out)
+                stamps = {m[2]: float(m[1]) for m in map(STUDY_STAMP.match,
+                                                         proc.stdout.splitlines()) if m}
+                ends = [stamps[stage] for stage in STUDY_STAGES]
+                for stage, end, start in zip(STUDY_STAGES, ends, [0.0] + ends):
+                    runs[side][f"{stage}_s"].append(end - start)
+                runs[side]["total_s"].append(total)
+                print(f"study pair {i + 1}/{args.pairs} {side}: {total:.2f} s", file=sys.stderr)
+    section = {"pairs": args.pairs}
+    for name in names:
+        section[name] = compare({s: runs[s][name] for s in SIDES}, True, args.pairs)
+    return section
+
+
 def tier1(args, dirs) -> dict:
     out = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:])}
     for side in SIDES:
@@ -219,6 +258,9 @@ def main(argv=None) -> int:
     store_runs = modes.add_parser("store")
     store_runs.add_argument("--pairs", type=int, default=10)
     store_runs.add_argument("--work", help="where the trained stacks go (default: a temp dir)")
+    study_runs = modes.add_parser("study")
+    study_runs.add_argument("--pairs", type=int, default=2)
+    study_runs.add_argument("--work", help="where the studies write (default: a temp dir)")
     args = parser.parse_args(argv)
 
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -233,6 +275,8 @@ def main(argv=None) -> int:
         record["trees"] = trees(args, dirs)
     elif args.mode == "store":
         record["store"] = store(args, dirs)
+    elif args.mode == "study":
+        record["study"] = study(args, dirs)
     else:
         record["tier1"] = tier1(args, dirs)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -6,6 +6,11 @@ Points at a real combined heart-disease CSV when given one; otherwise
 generates the synthetic stand-in first. On the stand-in the whole study
 took 59 s and 91 s of wall time in two runs on a 2-CPU Xeon, nearly two
 thirds of it in the baseline grids.
+
+Each stage ends with a line ``[<seconds>s] <stage>: <message>``, where the
+seconds (to 0.01 s) count from the start of the analysis and the stages are
+analysis, baseline, train and evaluate; ``scripts/bench_pairs.py study``
+reads these lines.
 """
 
 import argparse
@@ -36,16 +41,20 @@ def main():
     config = paper_default_config(str(csv_path), seed=args.seed, out_dir=str(out))
     (out / "config.json").write_text(json.dumps(config_to_dict(config), indent=2))
 
-    t0 = time.time()
+    t0 = time.perf_counter()
+
+    def stamp(stage: str, message: str) -> None:
+        print(f"[{time.perf_counter() - t0:8.2f}s] {stage}: {message}", flush=True)
+
     cmd_analyze(config)
-    print(f"[{time.time()-t0:6.0f}s] analysis written")
+    stamp("analysis", "reports written")
     baseline = cmd_baseline(config)
-    print(f"[{time.time()-t0:6.0f}s] baseline ranking: {baseline['ranking']}")
+    stamp("baseline", f"ranking {baseline['ranking']}")
     trained = cmd_train(config)
-    print(f"[{time.time()-t0:6.0f}s] stacked model saved to {trained['model_path']}")
+    stamp("train", f"stacked model saved to {trained['model_path']}")
     evaluated = cmd_evaluate(config, trained["model_path"])
     stacked = evaluated["reports"]["stacked"]
-    print(f"[{time.time()-t0:6.0f}s] stacked test metrics: "
+    stamp("evaluate", "stacked test metrics "
           + " ".join(f"{k}={v}" for k, v in stacked.display_row().items()))
 
 

@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     baseline = sub.add_parser("baseline", parents=[common],
                               help="grid-search and cross-validate all candidates")
     baseline.add_argument("--seeds", type=int, default=None,
-                          help="additionally sweep N split seeds (mean and std)")
+                          help="additionally sweep N >= 1 split seeds (mean and std)")
     sub.add_parser("train", parents=[common], help="fit and save the stacked model")
     evaluate = sub.add_parser("evaluate", parents=[common],
                               help="score the stack and its bases on the test split")

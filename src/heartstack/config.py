@@ -70,6 +70,10 @@ class PipelineConfig:
         _require(int_at_least(self.seed, 0), "seed must be a non-negative integer")
         if not self.candidates:
             object.__setattr__(self, "candidates", default_candidates(self.seed))
+        # Every report is keyed by algorithm name.
+        names = [c.spec.algorithm for c in self.candidates]
+        for name in names:
+            _require(names.count(name) == 1, f"candidates repeat the algorithm {name!r}")
         options = dict(stacking_options or {})
         meta = LearnerSpec(options.pop("meta_algorithm", "sgd_logistic"),
                            options.pop("meta_hyperparameters", {}), self.seed)

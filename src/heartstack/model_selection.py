@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,6 +91,8 @@ def k_fold_plan(n: int, k: int, seed: int, stratify_by=None) -> FoldPlan:
 class GridPoint:
     params: dict
     per_fold: tuple[float, ...]
+    # Each fold's class-1 probabilities of its test rows, in fold order.
+    probas: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     @property
     def mean(self) -> float:
@@ -140,16 +142,18 @@ def fit_rows(fits, X, y) -> list:
                                  for spec, train, test, checkpoints in fits])
 
 
-def fold_fits(searches, X, y, plan: FoldPlan) -> list:
-    """Every fold fit of every (spec, grid) search, in one ``run_tasks`` call.
-
-    Returns, per search and per point of ``grid_specs``, the class-1
-    probabilities of each held-out fold in fold order. A pure-n_estimators
-    grid over a stageable ensemble is one maximal fit per fold, read by
-    staged prediction, which yields the probabilities of refitting.
-    """
+def tune(searches, X, y, plan: FoldPlan) -> list[GridSearchResult]:
+    """Cross-validate every (spec, grid) search on one fold plan, all fold
+    fits in one ``run_tasks`` call: a ``GridSearchResult`` per search, each
+    point with its fold accuracies and each held-out fold's class-1
+    probabilities (``probas``). A search without a grid (grid None) is one
+    point with params {} whose best spec is the spec itself. A
+    pure-n_estimators grid over a stageable ensemble is one maximal fit per
+    fold, read by staged prediction, which yields the probabilities of
+    refitting."""
     if plan.n != np.shape(X)[0]:
         raise DataError("fold plan does not cover this dataset")
+    y = np.asarray(y, dtype=np.int64)
     folds = [(plan.train_rows(fold), plan.test_rows(fold)) for fold in range(plan.k)]
     fits, layouts = [], []
     for spec, grid in searches:
@@ -160,36 +164,26 @@ def fold_fits(searches, X, y, plan: FoldPlan) -> list:
         else:
             fits += [(point, train, test, None) for point in specs for train, test in folds]
             picks = None
-        layouts.append((len(specs), picks))
+        layouts.append((grid, specs, picks))
 
     results = iter(fit_rows(fits, X, y))
+    test_rows = [test for _, test in folds]
     out = []
-    for n_points, picks in layouts:
+    for grid, specs, picks in layouts:
         if picks is None:
-            out.append([tuple(next(results) for _ in folds) for _ in range(n_points)])
+            probas = [tuple(next(results) for _ in folds) for _ in specs]
         else:
             per_fold = [next(results) for _ in folds]
-            out.append([tuple(probas[i] for probas in per_fold) for i in picks])
+            probas = [tuple(staged[i] for staged in per_fold) for i in picks]
+        out.append(_best_point(grid, specs, probas, y, test_rows))
     return out
 
 
-def tune(searches, X, y, plan: FoldPlan) -> list[GridSearchResult]:
-    """Cross-validate every (spec, grid) search on one fold plan, all fold
-    fits in one ``run_tasks`` call: a ``GridSearchResult`` per search. A
-    search without a grid (grid None) is one point with params {} whose
-    best spec is the spec itself."""
-    y = np.asarray(y, dtype=np.int64)
-    test_rows = [plan.test_rows(fold) for fold in range(plan.k)]
-    return [_best_point(grid, grid_specs(spec, grid),
-                        [fold_accuracies(probas, y, test_rows) for probas in points])
-            for (spec, grid), points in zip(searches, fold_fits(searches, X, y, plan))]
-
-
 def cross_validate(spec: LearnerSpec, X, y, plan: FoldPlan) -> GridPoint:
-    """Accuracy of the spec on each held-out fold (``per_fold``, ``mean``);
-    any standardization is refit inside each training fold (it lives inside
-    fit()). Folds may run in parallel; scores equal the sequential ones
-    exactly."""
+    """Accuracy of the spec on each held-out fold (``per_fold``, ``mean``)
+    and its class-1 probabilities there (``probas``); any standardization is
+    refit inside each training fold (it lives inside fit()). Folds may run
+    in parallel; scores equal the sequential ones exactly."""
     return tune([(spec, None)], X, y, plan)[0].best
 
 
@@ -227,11 +221,12 @@ def _value_order(value) -> tuple:
     return (0,) if value is None else (1, value) if is_number(value) else (2, value)
 
 
-def _best_point(grid: dict[str, list] | None, specs: list[LearnerSpec],
-                per_fold_by_point) -> GridSearchResult:
+def _best_point(grid: dict[str, list] | None, specs: list[LearnerSpec], probas_by_point,
+                y, test_rows) -> GridSearchResult:
     names = list(grid or ())
-    points = tuple(GridPoint({n: spec.hyperparameters[n] for n in names}, per_fold)
-                   for spec, per_fold in zip(specs, per_fold_by_point))
+    points = tuple(GridPoint({n: spec.hyperparameters[n] for n in names},
+                             fold_accuracies(probas, y, test_rows), probas)
+                   for spec, probas in zip(specs, probas_by_point))
     # min keeps the first of equal keys, so a grid that repeats a value keeps
     # its first point.
     best = min(range(len(points)), key=lambda i: (

@@ -17,12 +17,12 @@ from .analysis import correlation_matrix, correlation_with_target, summarize
 from .cleaning import clean
 from .config import PipelineConfig
 from .dataset import Dataset, parse_csv, parse_feature_csv, require_valid_codes, validate_schema
-from .errors import DataError
+from .errors import ConfigError, DataError
 # fit, cross_validate and grid_search are not called here any more: every fit
 # of a command runs in the model_selection and stacking task pools. They
 # stay importable from this module, where perfbench/tracer.py wraps them.
 from .learners import LearnerSpec, fit  # noqa: F401
-from .learners.base import to_labels
+from .learners.base import int_at_least, to_labels
 from .metrics import confusion_matrix, metric_report, pr_curve, roc_curve, truncate_percent
 from .model_selection import (cross_validate, fit_rows, fold_accuracies,  # noqa: F401
                               grid_search, k_fold_plan, tune)
@@ -101,18 +101,6 @@ def cmd_analyze(config: PipelineConfig) -> dict:
             "correlation": table, "summary": summary}
 
 
-def tune_candidates(config: PipelineConfig, train: Dataset) -> list[dict]:
-    """Grid-search (where a grid is configured) or plain 10-fold CV for every
-    candidate, on the training split; all fold fits in one run_tasks call.
-    "grid" holds the search result of a candidate with a grid."""
-    plan = k_fold_plan(train.n_rows, config.folds, config.seed, stratify_by=train.y)
-    results = tune([(c.spec, c.grid) for c in config.candidates],
-                   train.X, train.y, plan)
-    return [{"algorithm": cand.spec.algorithm, "spec": result.best_spec,
-             "cv_mean": result.best.mean, "grid": result if cand.grid else None}
-            for cand, result in zip(config.candidates, results)]
-
-
 def _test_accuracies(data: PreparedData, specs: list[LearnerSpec], splits: list[SplitPair]):
     """Test accuracy of every spec fitted on the train side of every split of
     the cleaned data (split-major order), in one run_tasks call."""
@@ -123,50 +111,44 @@ def _test_accuracies(data: PreparedData, specs: list[LearnerSpec], splits: list[
 
 
 def cmd_baseline(config: PipelineConfig, sweep_seeds: int | None = None) -> dict:
-    """Tune and score every baseline candidate; write the comparison table
-    sorted by test accuracy (ties keep declaration order)."""
+    """Tune every candidate on the training split, score each tuned spec on
+    the test split and write the comparison table sorted by test accuracy
+    (ties keep declaration order). ``sweep_seeds`` N, an integer of at least
+    1, also scores them on the splits of seeds seed+1 to seed+N-1 for a mean
+    and std over N splits, the table's first. Two ``run_tasks`` calls: the
+    fold fits, then the split fits."""
+    if sweep_seeds is not None and not int_at_least(sweep_seeds, 1):
+        raise ConfigError("--seeds must be an integer of at least 1")
     data = prepare(config)
-    tuned = tune_candidates(config, data.split.train)
-    accuracies = _test_accuracies(data, [e["spec"] for e in tuned], [data.split])
-    for entry, accuracy in zip(tuned, accuracies):
-        entry["test_accuracy"] = accuracy
-
-    order = sorted(range(len(tuned)), key=lambda i: (-tuned[i]["test_accuracy"], i))
-    table_rows = [
-        [tuned[i]["algorithm"],
-         repr(tuned[i]["cv_mean"]), repr(tuned[i]["test_accuracy"]),
-         f"{truncate_percent(tuned[i]['cv_mean']):.2f}",
-         f"{truncate_percent(tuned[i]['test_accuracy']):.2f}"]
-        for i in order
-    ]
+    train = data.split.train
+    plan = k_fold_plan(train.n_rows, config.folds, config.seed, stratify_by=train.y)
+    results = tune([(c.spec, c.grid) for c in config.candidates], train.X, train.y, plan)
+    names = [c.spec.algorithm for c in config.candidates]
+    sweep = [stratified_split(data.cleaned, config.split_fraction, config.seed + offset)
+             for offset in range(1, sweep_seeds or 1)]
+    n = len(results)
+    # Split-major: candidate i's accuracy on every split is accuracies[i::n].
+    accuracies = _test_accuracies(data, [r.best_spec for r in results], [data.split, *sweep])
+    order = sorted(range(n), key=lambda i: (-accuracies[i], i))
     out = Path(config.out_dir) / "baseline"
     write_csv(out / "baseline_table.csv",
               ["algorithm", "cv_mean_accuracy", "test_accuracy",
-               "cv_mean_percent", "test_percent"], table_rows)
+               "cv_mean_percent", "test_percent"],
+              [[names[i], repr(results[i].best.mean), repr(accuracies[i]),
+                f"{truncate_percent(results[i].best.mean):.2f}",
+                f"{truncate_percent(accuracies[i]):.2f}"] for i in order])
     write_csv(out / "accuracy_comparison.csv", ["algorithm", "test_accuracy_percent"],
-              [[tuned[i]["algorithm"], f"{truncate_percent(tuned[i]['test_accuracy']):.2f}"]
-               for i in order])
+              [[names[i], f"{truncate_percent(accuracies[i]):.2f}"] for i in order])
     write_json(out / "grid_search_results.json", {
-        e["algorithm"]: e["grid"].to_dict() for e in tuned if e["grid"] is not None
-    })
-
+        c.spec.algorithm: r.to_dict() for c, r in zip(config.candidates, results)
+        if c.grid is not None})
     if sweep_seeds:
-        _write_seed_sweep(config, data, tuned, sweep_seeds, out)
-    return {"out": str(out), "tuned": tuned, "ranking": [tuned[i]["algorithm"] for i in order]}
-
-
-def _write_seed_sweep(config: PipelineConfig, data: PreparedData, tuned: list[dict],
-                      n_seeds: int, out: Path):
-    splits = [stratified_split(data.cleaned, config.split_fraction, config.seed + offset)
-              for offset in range(n_seeds)]
-    accuracies = _test_accuracies(data, [e["spec"] for e in tuned], splits)
-    accs: dict[str, list[float]] = {e["algorithm"]: [] for e in tuned}
-    for entry, accuracy in zip(tuned * n_seeds, accuracies):
-        accs[entry["algorithm"]].append(accuracy)
-    rows = [[algo, repr(float(np.mean(v))), repr(float(np.std(v))), len(v)]
-            for algo, v in accs.items()]
-    write_csv(out / "seed_sweep.csv",
-              ["algorithm", "mean_test_accuracy", "std_test_accuracy", "n_seeds"], rows)
+        write_csv(out / "seed_sweep.csv",
+                  ["algorithm", "mean_test_accuracy", "std_test_accuracy", "n_seeds"],
+                  [[names[i], repr(float(np.mean(accuracies[i::n]))),
+                    repr(float(np.std(accuracies[i::n]))), sweep_seeds] for i in range(n)])
+    return {"out": str(out), "tuned": dict(zip(names, results)),
+            "ranking": [names[i] for i in order]}
 
 
 def cmd_train(config: PipelineConfig) -> dict:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError
 from .learners import LearnerSpec, TrainedModel, fit
 from .learners.base import int_at_least, to_labels
-from .model_selection import FoldPlan, fold_accuracies, fold_fits, k_fold_plan
+from .model_selection import FoldPlan, cross_validate, k_fold_plan, tune
 from .parallel import run_tasks
 from .rng import stream
 
@@ -106,10 +106,10 @@ class StackedModel:
         return to_labels(self.predict_proba(X))
 
 
-def _oof_column(probas, n: int, test_rows) -> np.ndarray:
-    oof = np.empty(n)
-    for proba, rows in zip(probas, test_rows):
-        oof[rows] = proba
+def _oof_column(probas, plan: FoldPlan) -> np.ndarray:
+    oof = np.empty(plan.n)
+    for fold, proba in enumerate(probas):
+        oof[plan.test_rows(fold)] = proba
     return oof
 
 
@@ -118,10 +118,8 @@ def out_of_fold_probabilities(spec: LearnerSpec, X, y, plan: FoldPlan) -> tuple[
 
     Row i's entry comes from the model trained with fold(i) held out.
     """
-    [[probas]] = fold_fits([(spec, None)], X, y, plan)
-    test_rows = [plan.test_rows(fold) for fold in range(plan.k)]
-    return (_oof_column(probas, plan.n, test_rows),
-            fold_accuracies(probas, np.asarray(y, dtype=np.int64), test_rows))
+    point = cross_validate(spec, X, y, plan)
+    return _oof_column(point.probas, plan), point.per_fold
 
 
 def _fit(task) -> TrainedModel:
@@ -129,9 +127,10 @@ def _fit(task) -> TrainedModel:
 
 
 def fit_stack(config: StackingConfig, X, y) -> StackedModel:
-    """Cross-validate all candidates on a shared fold plan, select the top_n,
-    then refit the selected bases on the full training data and train the
-    meta classifier on their out-of-fold probabilities.
+    """Cross-validate all candidates on a shared fold plan with ``tune``,
+    select the top_n by mean fold accuracy, then refit the selected bases on
+    the full training data and train the meta classifier on their
+    out-of-fold probabilities.
 
     Two ``run_tasks`` calls: one for every fold fit of every candidate, one
     for the refits and the meta fit.
@@ -141,17 +140,12 @@ def fit_stack(config: StackingConfig, X, y) -> StackedModel:
     plan = k_fold_plan(X.shape[0], config.oof_folds,
                        int(stream(config.seed, "oof").integers(2**31)), stratify_by=y)
 
-    test_rows = [plan.test_rows(fold) for fold in range(plan.k)]
-    oof_columns: list[np.ndarray] = []
-    cv_results: list[tuple[LearnerSpec, float]] = []
-    per_candidate = fold_fits([(spec, None) for spec in config.candidates], X, y, plan)
-    for spec, [probas] in zip(config.candidates, per_candidate):
-        oof_columns.append(_oof_column(probas, plan.n, test_rows))
-        cv_results.append((spec, float(np.mean(fold_accuracies(probas, y, test_rows)))))
-
-    selection = select_base_learners(cv_results, config.top_n)
-    meta_features = np.column_stack([oof_columns[i] for i in selection.indices])
+    points = [result.best for result in tune([(spec, None) for spec in config.candidates],
+                                             X, y, plan)]
+    selection = select_base_learners(
+        [(spec, point.mean) for spec, point in zip(config.candidates, points)], config.top_n)
+    meta_features = np.column_stack([_oof_column(points[i].probas, plan)
+                                     for i in selection.indices])
     *bases, meta = run_tasks(_fit, [(config.candidates[i], X, y) for i in selection.indices]
                              + [(config.meta, meta_features, y)])
     return StackedModel(bases, meta, selection, plan)
-

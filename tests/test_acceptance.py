@@ -185,7 +185,7 @@ def test_criterion_5_baseline_ordering(baseline_run):
 
 def test_criterion_6_grid_search_agreement(baseline_run):
     # Seed-sensitive: asserted for the shipped default seed only.
-    tuned = {e["algorithm"]: e["spec"].resolved() for e in baseline_run["tuned"]}
+    tuned = {a: result.best_spec.resolved() for a, result in baseline_run["tuned"].items()}
     xgb_n = tuned["xgb_style"]["n_estimators"]
     et_n = tuned["extra_trees"]["n_estimators"]
     knn_k = tuned["knn"]["k"]

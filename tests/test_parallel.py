@@ -10,9 +10,10 @@ import heartstack.model_selection as model_selection
 import heartstack.stacking as stacking
 from conftest import random_classification
 from heartstack.cli import main
-from heartstack.config import CANDIDATE_ORDER
+from heartstack.config import CANDIDATE_ORDER, load_config
 from heartstack.learners import LearnerSpec
 from heartstack.parallel import run_tasks
+from heartstack.pipeline import prepare
 from heartstack.synthetic import write_dataset_csv
 
 MICRO = {"xgb_style": {"n_estimators": 3}, "extra_trees": {"n_estimators": 3},
@@ -88,16 +89,20 @@ def test_fit_stack_makes_two_calls(n_candidates, counted):
     assert all(task[1] is oof_tasks[0][1] and task[2] is oof_tasks[0][2] for task in oof_tasks)
 
 
-@pytest.mark.parametrize("seeds, n_calls", [([], 2), (["--seeds", "3"], 3)])
-def test_baseline_makes_one_call_per_stage(seeds, n_calls, micro_config, tmp_path, counted):
+@pytest.mark.parametrize("seeds, n_splits", [([], 1), (["--seeds", "3"], 3)])
+def test_baseline_makes_one_call_per_stage(seeds, n_splits, micro_config, tmp_path, counted):
     assert main(["baseline", "--config", str(micro_config), "--out", str(tmp_path),
                  *seeds]) == 0
-    assert len(counted) == n_calls
     n = len(CANDIDATE_ORDER)
-    # 3 folds x (7 plain candidates, 1 staged fit, 2 knn points, 4 cart points)
-    assert [len(tasks) for tasks in counted] == [3 * (7 + 1 + 2 + 4), n, 3 * n][:n_calls]
+    # 3 folds x (7 plain candidates, 1 staged fit, 2 knn points, 4 cart points),
+    # then every candidate on each split, the table's split first.
+    assert [len(tasks) for tasks in counted] == [3 * (7 + 1 + 2 + 4), n_splits * n]
     for tasks in counted:
         assert all(task[1] is tasks[0][1] for task in tasks)
+    table_split = prepare(load_config(micro_config)).split
+    for task in counted[1][:n]:
+        assert np.array_equal(task[3], table_split.train_rows)
+        assert np.array_equal(task[4], table_split.test_rows)
 
 
 def test_run_tasks_keeps_task_order_without_pickling_tasks():

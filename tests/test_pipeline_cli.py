@@ -97,6 +97,14 @@ def test_baseline_table_shape(workspace):
     assert "xgb_style" in grid_results
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_baseline_seeds_below_one_is_config_error(seeds, workspace, tmp_path, capsys):
+    assert run(["baseline", "--config", workspace["config"], "--out", tmp_path,
+                "--seeds", seeds]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "baseline").exists()
+
+
 def test_train_then_evaluate_and_predict(workspace):
     assert run(["train", "--config", workspace["config"]]) == 0
     model_path = workspace["out"] / "models" / "stacked.model"
@@ -208,6 +216,7 @@ def test_train_that_diverges_exits_as_a_fit_error_and_writes_no_model(dataset_cs
     '"out_dir": ["a"]',
     '"candidates": []',
     '"candidates": {}',
+    '"candidates": [{"algorithm": "knn"}, {"algorithm": "cart"}, {"algorithm": "knn", "seed": 2}]',
     pytest.param('"seed": ' + "1" * 5000, id="seed_of_5000_digits"),
     pytest.param('"cleaning": ' + "[" * 100_000 + "]" * 100_000, id="nested_too_deep"),
 ])
@@ -317,6 +326,8 @@ def test_hostile_configs_fail_at_load_or_resolve(data, tmp_path):
     for spec in specs:
         assert type(spec.seed) is int and spec.seed >= 0
         assert all(admissible(name, value) for name, value in spec.resolved().items())
+    algorithms = [candidate.spec.algorithm for candidate in config.candidates]
+    assert len(set(algorithms)) == len(algorithms)
     stacking = config.stacking
     assert type(stacking.top_n) is int and 1 <= stacking.top_n <= len(config.candidates)
     assert type(stacking.oof_folds) is int and stacking.oof_folds >= 2
