@@ -27,7 +27,9 @@ STANDARDIZED = frozenset({"knn", "sgd_logistic", "linear_svc", "mlp"})
 # The two bounds do not compose: a mean of 1e100 over a std of 1e-100 shifts
 # every standardized value by 1e200, and squared k-NN distances overflow. So
 # |mean| / std, the standardized shift, must stay within PARAMETER_BOUND too;
-# fitted features give a few units.
+# fitted features give a few units. A naive_bayes variance (and var_floor, so a
+# fit always loads) must be at least 1/PARAMETER_BOUND: a deviation of at most
+# 2e100, squared over 1e-100 and summed over 11 features, stays finite (4e301).
 PARAMETER_BOUND = 1e100
 
 DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
@@ -87,7 +89,7 @@ RULES = {
     "hidden_units": _integer(1),
     "criterion": (lambda v: v in ("gini", "entropy"), "gini or entropy"),
     "learning_rate": _real(lambda v: v > 0, "> 0"),
-    "var_floor": _real(lambda v: v > 0, "> 0"),
+    "var_floor": _real(lambda v: v >= 1 / PARAMETER_BOUND, f">= {1 / PARAMETER_BOUND:g}"),
     "reg_lambda": _real(lambda v: v >= 0, ">= 0"),
     "gamma": _real(lambda v: v >= 0, ">= 0"),
     "decay": _real(lambda v: v >= 0, ">= 0"),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LearnerSpec, TrainedModel, finite_array
+from .base import PARAMETER_BOUND, LearnerSpec, TrainedModel, finite_array
 
 
 class NaiveBayesModel(TrainedModel):
@@ -38,13 +38,13 @@ class NaiveBayesModel(TrainedModel):
     def from_payload(cls, spec, n_features_in, payload):
         """Inverse of params_payload. Raises ValueError unless log_priors
         holds 2 finite numbers and means and variances are finite
-        2 x n_features_in matrices, with every variance positive."""
+        2 x n_features_in matrices, every variance >= 1/PARAMETER_BOUND."""
         log_priors = finite_array("naive_bayes log_priors", payload["log_priors"], (2,))
         shape = (2, n_features_in)
         means = finite_array("naive_bayes means", payload["means"], shape)
         variances = finite_array("naive_bayes variances", payload["variances"], shape)
-        if not (variances > 0).all():
-            raise ValueError("naive_bayes variances must be positive")
+        if not (variances >= 1 / PARAMETER_BOUND).all():
+            raise ValueError(f"naive_bayes variances must be >= {1 / PARAMETER_BOUND:g}")
         return cls(spec, n_features_in, log_priors, means, variances)
 
 

@@ -5,8 +5,13 @@ single-threshold formula (sensitivity + specificity) / 2 used by the
 evaluation tables, while ``RocCurve.area`` is the usual trapezoidal area
 under the threshold-swept curve. Both are reported, labelled distinctly.
 
-Percentages in report tables are truncated (not rounded) to two decimals;
-full precision is kept internally.
+``roc_curve`` and ``pr_curve`` read one sweep: the scores are sorted once
+and the confusion counts taken at each distinct score, descending, so tied
+scores collapse to one operating point. Scores outside [0, 1], NaN
+included, are refused.
+
+Percentages in report tables are truncated toward zero (not rounded) to two
+decimals; full precision is kept internally.
 """
 
 from __future__ import annotations
@@ -74,9 +79,8 @@ class MetricReport:
     undefined: frozenset[str]
 
     def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in METRIC_NAMES}
-        d["undefined"] = sorted(self.undefined)
-        return d
+        return {**{name: getattr(self, name) for name in METRIC_NAMES},
+                "undefined": sorted(self.undefined)}
 
     def display_row(self) -> dict[str, str]:
         """Two-decimal percentage strings (truncated), '-' when undefined."""
@@ -87,10 +91,11 @@ class MetricReport:
         return out
 
 
-def truncate_percent(value: float, decimals: int = 2) -> float:
-    """100*value truncated to `decimals` places (report-table convention)."""
-    scale = 10 ** decimals
-    return math.floor(value * 100 * scale + 1e-9) / scale
+def truncate_percent(value: float) -> float:
+    """100*value truncated toward zero to two decimals (report-table
+    convention); a value that truncates to zero gives 0.0, never -0.0."""
+    hundredths = math.floor(abs(value) * 100 * 100 + 1e-9)
+    return (hundredths if value >= 0 else -hundredths) / 100
 
 
 def _ratio(num: int, den: int) -> float | None:
@@ -144,68 +149,46 @@ def _check_scores(y_true, scores):
         raise DataError("labels and scores must be equal-length 1-D vectors")
     if not np.isin(y_true, (0, 1)).all():
         raise DataError("labels must be binary")
-    if (scores < 0).any() or (scores > 1).any():
+    if not ((scores >= 0) & (scores <= 1)).all():
         raise DataError("scores must lie in [0, 1]")
     return y_true, scores
 
 
-def roc_curve(y_true, scores) -> RocCurve:
-    """Operating points swept over unique scores descending, with (0,0) and
-    (1,1) sentinels; tied scores collapse to one point. Trapezoidal area."""
+def _sweep(y_true, scores):
+    """(fp, tp, neg, pos): the false- and true-positive counts of the rule
+    score >= t at each distinct score t, descending, and the class totals."""
     y_true, scores = _check_scores(y_true, scores)
-    pos = int((y_true == 1).sum())
-    neg = y_true.size - pos
-    if pos == 0 or neg == 0:
-        raise DataError("ROC needs both classes present")
-
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_y = y_true[order]
-    cum_tp = np.cumsum(sorted_y == 1)
-    cum_fp = np.cumsum(sorted_y == 0)
     # Keep only the last index of each tied-score run.
     last_of_run = np.nonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))[0]
+    tp = np.cumsum(y_true[order] == 1)[last_of_run]
+    fp = last_of_run + 1 - tp
+    return fp, tp, int(fp[-1]), int(tp[-1])
 
-    points = [(0.0, 0.0)]
-    for i in last_of_run:
-        points.append((cum_fp[i] / neg, cum_tp[i] / pos))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    pts = np.array(points)
-    area = float(_trapezoid(pts[:, 1], pts[:, 0]))
-    return RocCurve(tuple((float(a), float(b)) for a, b in points), area)
+
+def roc_curve(y_true, scores) -> RocCurve:
+    """(fpr, tpr) from the (0,0) sentinel to (1,1) at the lowest
+    threshold. Trapezoidal area."""
+    fp, tp, neg, pos = _sweep(y_true, scores)
+    if pos == 0 or neg == 0:
+        raise DataError("ROC needs both classes present")
+    fpr = np.append(0.0, fp / neg)
+    tpr = np.append(0.0, tp / pos)
+    return RocCurve(tuple(zip(fpr.tolist(), tpr.tolist())), float(_trapezoid(tpr, fpr)))
 
 
 def pr_curve(y_true, scores) -> PrCurve:
-    """Precision-recall points at each unique descending threshold.
+    """(recall, precision) at each distinct threshold, descending.
 
-    average_precision is the step-sum over recall increments; area is the
-    trapezoid over the swept points.
+    average_precision is the step-sum over recall increments, added left to
+    right; area is the trapezoid over the swept points.
     """
-    y_true, scores = _check_scores(y_true, scores)
-    pos = int((y_true == 1).sum())
+    fp, tp, _, pos = _sweep(y_true, scores)
     if pos == 0:
         raise DataError("PR curve needs at least one positive row")
-
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_y = y_true[order]
-    cum_tp = np.cumsum(sorted_y == 1)
-    predicted = np.arange(1, y_true.size + 1)
-    last_of_run = np.nonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))[0]
-
-    points = []
-    ap = 0.0
-    prev_recall = 0.0
-    for i in last_of_run:
-        recall = cum_tp[i] / pos
-        precision = cum_tp[i] / predicted[i]
-        points.append((float(recall), float(precision)))
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    pts = np.array(points)
-    if len(points) > 1:
-        area = float(_trapezoid(pts[:, 1], pts[:, 0]))
-    else:
-        area = float(points[0][1])
-    return PrCurve(tuple(points), area, float(ap))
+    recall = tp / pos
+    precision = tp / (tp + fp)
+    ap = float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
+    area = float(_trapezoid(precision, recall)) if recall.size > 1 else float(precision[0])
+    return PrCurve(tuple(zip(recall.tolist(), precision.tolist())), area, ap)

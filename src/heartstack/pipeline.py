@@ -23,7 +23,8 @@ from .errors import ConfigError, DataError
 # stay importable from this module, where perfbench/tracer.py wraps them.
 from .learners import LearnerSpec, fit  # noqa: F401
 from .learners.base import int_at_least, to_labels
-from .metrics import confusion_matrix, metric_report, pr_curve, roc_curve, truncate_percent
+from .metrics import (METRIC_NAMES, confusion_matrix, metric_report, pr_curve, roc_curve,
+                      truncate_percent)
 from .model_selection import (cross_validate, fit_rows, fold_accuracies,  # noqa: F401
                               grid_search, k_fold_plan, tune)
 from .model_store import load_model, save_model
@@ -183,16 +184,11 @@ def cmd_evaluate(config: PipelineConfig, model_path) -> dict:
         roc = roc_curve(test.y, proba)
         pr = pr_curve(test.y, proba)
         reports[name] = report
-        row = report.display_row()
-        table_rows.append([
-            name, row["accuracy"], row["precision"], row["sensitivity"],
-            row["specificity"], row["f1"], row["balanced_auc"], row["mcc"],
-            f"{truncate_percent(roc.area):.2f}",
-        ])
-        full = report.to_dict()
-        full["roc_curve_area"] = roc.area
-        full["average_precision"] = pr.average_precision
-        write_json(out / f"metrics_{name}.json", full)
+        table_rows.append([name, *report.display_row().values(),
+                           f"{truncate_percent(roc.area):.2f}"])
+        write_json(out / f"metrics_{name}.json",
+                   {**report.to_dict(), "roc_curve_area": roc.area,
+                    "average_precision": pr.average_precision})
         write_csv(out / f"roc_{name}.csv", ["fpr", "tpr"],
                   [[repr(a), repr(b)] for a, b in roc.points],
                   comments=[f"area {roc.area!r}"])
@@ -201,9 +197,7 @@ def cmd_evaluate(config: PipelineConfig, model_path) -> dict:
                   comments=[f"average_precision {pr.average_precision!r}",
                             f"area {pr.area!r}"])
 
-    write_csv(out / "metrics_table.csv",
-              ["model", "accuracy", "precision", "sensitivity", "specificity",
-               "f1", "balanced_auc", "mcc", "roc_curve_auc"], table_rows)
+    write_csv(out / "metrics_table.csv", ["model", *METRIC_NAMES, "roc_curve_auc"], table_rows)
     write_csv(out / "literature_comparison.csv",
               ["authors", "approach", "dataset", "accuracy_percent"],
               [[r["authors"], r["approach"], r["dataset"], r["accuracy_percent"]]

@@ -59,6 +59,9 @@ def test_truncate_percent_is_truncation():
     assert truncate_percent(115 / 123) == 93.49  # rounds to 93.50, truncates to 93.49
     assert truncate_percent(0.92) == 92.00
     assert truncate_percent(0.923404) == 92.34
+    assert truncate_percent(-0.0692640692640692) == -6.92  # floors to -6.93
+    assert truncate_percent(-115 / 123) == -93.49
+    assert f"{truncate_percent(-0.00004):.2f}" == "0.00"  # never -0.00
 
 
 @settings(deadline=None, max_examples=60)
@@ -110,14 +113,23 @@ def mann_whitney(y, scores):
 
 def test_roc_area_equals_pair_counting_oracle():
     rng = np.random.default_rng(11)
-    for trial in range(30):
+    for trial in range(31):
         n = int(rng.integers(5, 25))
         y = rng.integers(0, 2, n)
         if y.min() == y.max():
             y[0] = 1 - y[0]
         scores = np.round(rng.random(n), 2)  # rounded scores force ties
+        if trial == 30:
+            scores = np.full(n, 0.5)  # all tied: one operating point
         curve = roc_curve(y, scores)
         assert curve.area == pytest.approx(mann_whitney(y, scores), abs=1e-12)
+        # Every point against a literal enumeration of the thresholds.
+        expected = [(0.0, 0.0)]
+        for t in sorted(set(scores), reverse=True):
+            pred = scores >= t
+            expected.append((int((pred & (y == 0)).sum()) / int((y == 0).sum()),
+                             int((pred & (y == 1)).sum()) / int((y == 1).sum())))
+        assert curve.points == tuple(expected)
 
 
 def test_roc_monotone_with_sentinels():
@@ -132,20 +144,23 @@ def test_roc_monotone_with_sentinels():
     assert (np.diff(pts[:, 1]) >= 0).all()
 
 
-def ap_oracle(y, scores):
-    """Literal threshold enumeration of average precision."""
+def pr_oracle(y, scores):
+    """Literal threshold enumeration of the (recall, precision) points and
+    the average precision."""
     thresholds = sorted(set(scores), reverse=True)
+    points = []
     ap = 0.0
     prev_recall = 0.0
-    pos = (y == 1).sum()
+    pos = int((y == 1).sum())
     for t in thresholds:
         pred = scores >= t
         tp = int((pred & (y == 1)).sum())
-        precision = tp / pred.sum()
+        precision = tp / int(pred.sum())
         recall = tp / pos
+        points.append((recall, precision))
         ap += (recall - prev_recall) * precision
         prev_recall = recall
-    return ap
+    return points, ap
 
 
 def test_pr_trivial_cases():
@@ -159,16 +174,26 @@ def test_pr_trivial_cases():
 
 def test_pr_matches_enumeration_oracle():
     rng = np.random.default_rng(23)
-    for trial in range(30):
+    for trial in range(31):
         n = int(rng.integers(4, 25))
         y = rng.integers(0, 2, n)
         if (y == 1).sum() == 0:
             y[0] = 1
         scores = np.round(rng.random(n), 2)
+        if trial == 30:
+            scores = np.full(n, 0.5)  # all tied: one operating point
         curve = pr_curve(y, scores)
-        assert curve.average_precision == pytest.approx(ap_oracle(y, scores), abs=1e-12)
+        points, ap = pr_oracle(y, scores)
+        assert curve.points == tuple(points)
+        assert curve.average_precision == pytest.approx(ap, abs=1e-12)
+        area = sum((r1 - r0) * (p0 + p1) / 2 for (r0, p0), (r1, p1) in zip(points, points[1:]))
+        assert curve.area == pytest.approx(area if len(points) > 1 else points[0][1], abs=1e-12)
 
 
 def test_scores_out_of_range_rejected():
     with pytest.raises(DataError):
         roc_curve([0, 1], [0.5, 1.5])
+    nan = float("nan")
+    for curve in (roc_curve, pr_curve):
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            curve([0, 1, 0, 1], [nan, 0.9, 0.2, nan])

@@ -475,6 +475,9 @@ PARAMS_MUTATIONS = {
         "variances", [[0.0] * len(row) for row in p["variances"]])),
     "naive_bayes-variance_negative": ("naive_bayes", _set_entry("variances", -1.0)),
     "naive_bayes-variance_nan": ("naive_bayes", _set_entry("variances", float("nan"))),
+    "naive_bayes-variances_tiny": ("naive_bayes", lambda p: p.__setitem__(
+        "variances", [[1e-300] * len(row) for row in p["variances"]])),
+    "naive_bayes-variance_below_bound": ("naive_bayes", _set_entry("variances", 1e-101)),
     "naive_bayes-means_3_columns": ("naive_bayes", lambda p: p.__setitem__(
         "means", [row[:3] for row in p["means"]])),
     "naive_bayes-mean_infinite": ("naive_bayes", _set_entry("means", float("inf"))),

@@ -203,6 +203,7 @@ def test_train_that_diverges_exits_as_a_fit_error_and_writes_no_model(dataset_cs
     '"stacking": {"meta_hyperparameters": []}',
     '"stacking": [["top_n", 1]]',
     '"candidates": [{"algorithm": "gbm", "hyperparameters": {"learning_rate": -1}}]',
+    '"candidates": [{"algorithm": "naive_bayes", "hyperparameters": {"var_floor": 1e-101}}]',
     '"candidates": [{"algorithm": "knn", "hyperparameters": [["k", 3]]}]',
     '"candidates": [{"algorithm": "knn", "hyperparameters": []}]',
     '"candidates": [{"algorithm": "knn", "hyperparameters": {"k": true}}]',
@@ -269,7 +270,9 @@ def admissible(name: str, value) -> bool:
         return False
     if name == "momentum":
         return 0 <= value < 1
-    return value > 0 if name in ("learning_rate", "var_floor") else value >= 0
+    if name == "var_floor":
+        return value >= 1e-100
+    return value > 0 if name == "learning_rate" else value >= 0
 
 
 def tree_paths(node, path=()):
