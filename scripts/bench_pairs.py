@@ -24,12 +24,15 @@ output of ``scripts/bench_trees.py --src`` over both checkouts' sources.
 a fresh process per run and in pairs like ``perfbench``, times
 ``load_model`` of that document and ``predict_proba`` of 1, 235 and 4096
 stand-in rows; it also stores the document bytes and each train's wall
-time. ``study`` runs ``scripts/run_full_study.py`` (this script's sibling,
-so both sides print the same stage lines) over each checkout's ``src``, in
-that checkout and in pairs like ``perfbench``, with its output under
-``--work``; it stores the wall time of each stage (analysis, baseline,
-train, evaluate), read from the script's stage lines, and the whole
-process's, which also covers the imports and writing the stand-in CSV.
+time, the SHA-256 of each side's ``predict_proba`` output for each row
+count (every distinct digest over its runs) and whether the two sides'
+digests are the same single one for every row count. ``study`` runs
+``scripts/run_full_study.py`` (this script's sibling, so both sides print
+the same stage lines) over each checkout's ``src``, in that checkout and
+in pairs like ``perfbench``, with its output under ``--work``; it stores
+the wall time of each stage (analysis, baseline, train, evaluate), read
+from the script's stage lines, and the whole process's, which also covers
+the imports and writing the stand-in CSV.
 Each mode adds its section to ``--out`` and keeps the others.
 """
 
@@ -63,7 +66,7 @@ config = paper_default_config(sys.argv[1] + "/heart.csv", out_dir=sys.argv[1])
 print(cmd_train(config)["model_path"])
 """
 STORE_LOAD = """
-import json, sys, time
+import hashlib, json, sys, time
 import numpy as np
 from heartstack.dataset import parse_feature_csv
 from heartstack.model_store import load_model
@@ -72,11 +75,13 @@ rows = [np.resize(X, (int(n), X.shape[1])) for n in sys.argv[3:]]
 t0 = time.perf_counter()
 model = load_model(sys.argv[1])
 out = [time.perf_counter() - t0]
+digests = []
 for r in rows:
     t0 = time.perf_counter()
-    model.predict_proba(r)
+    proba = model.predict_proba(r)
     out.append(time.perf_counter() - t0)
-print(json.dumps(out))
+    digests.append(hashlib.sha256(np.ascontiguousarray(proba).tobytes()).hexdigest())
+print(json.dumps({"times": out, "sha256": digests}))
 """
 STORE_ROWS = (1, 235, 4096)
 STUDY_STAGES = ("analysis", "baseline", "train", "evaluate")
@@ -165,6 +170,7 @@ def store(args, dirs) -> dict:
     env = {side: {**os.environ, "PYTHONPATH": str(dirs[side] / "src")} for side in SIDES}
     names = ["load_s"] + [f"proba_{n}_s" for n in STORE_ROWS]
     runs = {side: {name: [] for name in names} for side in SIDES}
+    digests = {side: {n: set() for n in STORE_ROWS} for side in SIDES}
     section = {"pairs": args.pairs, "rows": list(STORE_ROWS), "train_s": {}, "doc_bytes": {}}
     with tempfile.TemporaryDirectory(prefix="bench_store_", dir=args.work) as tmp:
         work = {side: Path(tmp) / side for side in SIDES}
@@ -182,11 +188,19 @@ def store(args, dirs) -> dict:
                 proc = subprocess.run([sys.executable, "-c", STORE_LOAD, models[side],
                                        str(work[side] / "heart.csv"), *map(str, STORE_ROWS)],
                                       env=env[side], capture_output=True, text=True, check=True)
-                for name, value in zip(names, json.loads(proc.stdout)):
+                result = json.loads(proc.stdout)
+                for name, value in zip(names, result["times"]):
                     runs[side][name].append(value)
+                for n, digest in zip(STORE_ROWS, result["sha256"]):
+                    digests[side][n].add(digest)
             print(f"store pair {i + 1}/{args.pairs}: load_s "
                   f"{runs['parent']['load_s'][-1]:.3f} -> {runs['change']['load_s'][-1]:.3f}",
                   file=sys.stderr)
+    section["proba_sha256"] = {s: {str(n): sorted(digests[s][n]) for n in STORE_ROWS}
+                               for s in SIDES}
+    section["proba_identical"] = all(len(digests["parent"][n]) == 1
+                                     and digests["parent"][n] == digests["change"][n]
+                                     for n in STORE_ROWS)
     for name in names:
         section[name] = compare({s: runs[s][name] for s in SIDES}, True, args.pairs)
     return section

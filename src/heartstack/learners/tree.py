@@ -30,11 +30,17 @@ Tie-breaking is fully deterministic: among equal scores the split with the
 lowest feature index wins, then the lowest threshold.
 
 Trees are stored flat, as in scikit-learn's ``Tree``: a ``TreeBlock`` holds
-the nodes of all trees of a model in parallel arrays, and ``tree_apply``
-scores every (tree, row) pair of a block at once. Node order is the
+the nodes of all trees of a model in parallel arrays. Node order is the
 tree: both growers append a tree's nodes breadth first, so a node's
 children follow from which nodes are inner, and only ``_derive_left``
-works out where they are.
+works out where they are. ``tree_apply`` scores every (tree, row) pair of
+a block at once, in two phases. Every leaf is a self-loop, so at first all
+pairs step together over whole arrays, with no gather or scatter of the
+moving set; once fewer than half of them move in a step, only those go on,
+compacted on every step as in Hummingbird's level-synchronous traversal
+(Nakandala et al., OSDI 2020). A row goes left where its value is at most
+the threshold, so NaN goes right at every inner node, and a leaf keeps
+every row, NaN or not.
 """
 
 from __future__ import annotations
@@ -712,30 +718,44 @@ _PAIRS_PER_CHUNK = 1 << 16
 def tree_apply(trees: TreeBlock, X) -> np.ndarray:
     """Leaf value of every (tree, row) pair, shape (n_trees, n_rows).
 
-    All pairs descend one level per step, the level-synchronous traversal of
-    Hummingbird (Nakandala et al., OSDI 2020); a pair leaves the moving set
-    once it reaches a leaf.
+    One step moves a pair from node i to ``right[i] - (x[feature[i]] <=
+    threshold[i])``: an inner node's right child is ``left[i] + 1``, so a
+    pair goes left exactly when the comparison holds, and NaN goes right. A
+    leaf is a self-loop: it reads a constant 0.0 column appended to X
+    against its threshold, 0.0, which always holds, and its right is itself
+    plus one.
+
+    The traversal runs in two phases. First every pair of a chunk steps,
+    over whole arrays, until a step in which fewer than half of them moved;
+    a pair that did not move is at a leaf, because an inner node always
+    moves. Then only the pairs that moved in that step go on, and the moving
+    set is compacted on every step, the level-synchronous traversal of
+    Hummingbird (Nakandala et al., OSDI 2020).
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     leaf = trees.left == -1
-    index = np.arange(trees.n_nodes)
-    # Right children, then left ones; a leaf is its own child on both sides.
-    child = np.concatenate((np.where(leaf, index, trees.left + 1),
-                            np.where(leaf, index, trees.left)))
-    feature = np.where(leaf, 0, trees.feature)
+    right = np.where(leaf, np.arange(1, trees.n_nodes + 1), trees.left + 1)
+    feature = np.where(leaf, d, trees.feature)
+    padded = np.zeros((n, d + 1))
+    padded[:, :d] = X
     out = np.empty((trees.n_trees, n))
     chunk = max(1, _PAIRS_PER_CHUNK // trees.n_trees)
     for lo in range(0, n, chunk):
-        rows = X[lo:lo + chunk]
+        rows = padded[lo:lo + chunk]
         cells = rows.ravel()
         node = np.repeat(trees.roots, len(rows))
-        cell = np.tile(np.arange(len(rows)) * d, trees.n_trees)  # pair's row offset in cells
-        moving = np.arange(node.size)
+        cell = np.tile(np.arange(len(rows)) * (d + 1), trees.n_trees)  # pair's row offset
+        while True:  # every pair steps
+            step = right[node] - (cells[cell + feature[node]] <= trees.threshold[node])
+            moved = step != node
+            node = step
+            if 2 * np.count_nonzero(moved) < node.size:
+                break
+        moving = np.flatnonzero(moved)  # only the pairs that may still move
         while moving.size:
             at = node[moving]
-            go_left = cells[cell[moving] + feature[at]] <= trees.threshold[at]
-            step = child[at + trees.n_nodes * go_left]
+            step = right[at] - (cells[cell[moving] + feature[at]] <= trees.threshold[at])
             node[moving] = step
             moving = moving[step != at]
         out[:, lo:lo + len(rows)] = trees.value[node].reshape(trees.n_trees, len(rows))

@@ -21,9 +21,12 @@ def job_count() -> int:
     env = os.environ.get("HEARTSTACK_JOBS")
     if env is not None:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            raise ConfigError(f"HEARTSTACK_JOBS must be an integer, got {env!r}") from None
+            jobs = None
+        if jobs is None or jobs < 1:
+            raise ConfigError(f"HEARTSTACK_JOBS must be an integer of at least 1, got {env!r}")
+        return jobs
     return min(8, os.cpu_count() or 1)
 
 

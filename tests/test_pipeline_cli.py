@@ -155,6 +155,12 @@ def test_non_integer_jobs_is_config_error(workspace, tmp_path, monkeypatch):
     assert run(["train", "--config", workspace["config"], "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_config_error(jobs, workspace, tmp_path, monkeypatch):
+    monkeypatch.setenv("HEARTSTACK_JOBS", jobs)
+    assert run(["train", "--config", workspace["config"], "--out", tmp_path]) == 2
+
+
 @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999", "-99999999999999"])
 def test_bad_source_date_epoch_is_config_error(epoch, dataset_csv, tmp_path, monkeypatch):
     # The stamp is read when the stack is saved, after every fit.

@@ -595,3 +595,168 @@ def test_random_thresholds_are_generator_uniform_draws():
         want = np.random.default_rng(seed).uniform(lo, hi)
         got = lo + (hi - lo) * np.random.default_rng(seed).random(lo.shape)
         assert got.tobytes() == want.tobytes()
+
+
+def level_synchronous_apply(trees, X):
+    """tree_apply as it was before its two phases: every moving pair steps
+    through a table of right children, then left ones, in which a leaf is
+    its own child, and the moving set is compacted on every step."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    leaf = trees.left == -1
+    index = np.arange(trees.n_nodes)
+    child = np.concatenate((np.where(leaf, index, trees.left + 1),
+                            np.where(leaf, index, trees.left)))
+    feature = np.where(leaf, 0, trees.feature)
+    out = np.empty((trees.n_trees, n))
+    chunk = max(1, (1 << 16) // trees.n_trees)
+    for lo in range(0, n, chunk):
+        rows = X[lo:lo + chunk]
+        cells = rows.ravel()
+        node = np.repeat(trees.roots, len(rows))
+        cell = np.tile(np.arange(len(rows)) * d, trees.n_trees)
+        moving = np.arange(node.size)
+        while moving.size:
+            at = node[moving]
+            go_left = cells[cell[moving] + feature[at]] <= trees.threshold[at]
+            step = child[at + trees.n_nodes * go_left]
+            node[moving] = step
+            moving = moving[step != at]
+        out[:, lo:lo + len(rows)] = trees.value[node].reshape(trees.n_trees, len(rows))
+    return out
+
+
+def walk_apply(trees, X):
+    """Each (tree, row) pair walked from its root, one node at a time."""
+    out = np.empty((trees.n_trees, len(X)))
+    for t, root in enumerate(trees.roots.tolist()):
+        for r, x in enumerate(X):
+            node = root
+            while trees.left[node] != -1:
+                go_left = x[trees.feature[node]] <= trees.threshold[node]
+                node = trees.left[node] + (0 if go_left else 1)
+            out[t, r] = trees.value[node]
+    return out
+
+
+def staircase_tree():
+    """CART on an alternating staircase: every cut ties at zero gain, so it
+    peels one row per level down to depth 999."""
+    X = np.arange(1000.0)[:, None]
+    return X, grow_cart(X, np.arange(1000) % 2, GrowParams())
+
+
+def oracle_blocks():
+    """Blocks of every grower, over four features whose cuts include 0.0,
+    with single-leaf trees and all of them concatenated."""
+    rng = np.random.default_rng(41)
+    X = rng.integers(-3, 4, size=(90, 4)) + 0.5
+    X[:, 3] = np.round(rng.normal(size=90), 2)
+    y = (X[:, 0] + X[:, 3] + rng.normal(size=90) > 0).astype(np.int64)
+    p = rng.uniform(0.1, 0.9, 90)
+    w = rng.random(90)
+    exhaustive = GrowParams(feature_subsample=2)
+    random = GrowParams(criterion="entropy", feature_subsample=2,
+                        candidate_mode="random_threshold")
+    blocks = {
+        "forest-exhaustive": grow_forest(X, y, exhaustive, [stream(1, "t", t) for t in range(4)],
+                                         bootstrap=True),
+        "forest-random": grow_forest(X, y, random, [stream(2, "t", t) for t in range(4)],
+                                     bootstrap=True),
+        "cart": grow_cart(X, y, GrowParams(max_depth=4)),
+        "variance": grow_tree(X, y - p, GrowParams(criterion="variance", max_depth=4)),
+        "second_order": grow_tree(X, p - y, GrowParams(criterion="second_order", max_depth=3),
+                                  w=p * (1.0 - p)),
+        "stump": boosting._stump(SortedColumns(X), y, w / w.sum())[0],
+        "stump-leaf": boosting._stump(SortedColumns(np.full_like(X, 0.5)), y, w / w.sum())[0],
+        "cart-leaf": grow_cart(X[:5], np.ones(5, dtype=np.int64), GrowParams()),
+    }
+    assert blocks["stump"].n_nodes == 3
+    assert blocks["stump-leaf"].n_nodes == blocks["cart-leaf"].n_nodes == 1
+    blocks["concat"] = TreeBlock.concat(list(blocks.values()))
+    return blocks
+
+
+def oracle_queries(block, n_features, n, rng):
+    """n rows of small half-integers, about a third of the cells at one of
+    the block's thresholds for that feature and a fifth NaN, +-inf, -0.0 or
+    0.0."""
+    Q = rng.integers(-4, 5, size=(n, n_features)) + 0.5
+    inner = np.flatnonzero(block.left != -1)
+    for f in range(n_features):
+        cuts = block.threshold[inner[block.feature[inner] == f]]
+        at = rng.random(n) < 0.35
+        if len(cuts):
+            Q[at, f] = rng.choice(cuts, size=at.sum())
+    special = rng.random(Q.shape) < 0.2
+    Q[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0], size=special.sum())
+    return Q
+
+
+ORACLE_BLOCKS = oracle_blocks()
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [1, 7, tree_module._PAIRS_PER_CHUNK])
+@pytest.mark.parametrize("name", list(ORACLE_BLOCKS))
+def test_tree_apply_matches_level_synchronous_and_walk(name, pairs_per_chunk, monkeypatch):
+    monkeypatch.setattr(tree_module, "_PAIRS_PER_CHUNK", pairs_per_chunk)
+    block = ORACLE_BLOCKS[name]
+    rng = np.random.default_rng(len(name))
+    for n in (0, 1, 150):
+        Q = oracle_queries(block, 4, n, rng)
+        got = tree_apply(block, Q)
+        assert got.shape == (block.n_trees, n)
+        assert got.tobytes() == level_synchronous_apply(block, Q).tobytes()
+        assert got.tobytes() == walk_apply(block, Q).tobytes()
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [1, 7, tree_module._PAIRS_PER_CHUNK])
+def test_tree_apply_on_the_depth_999_staircase(pairs_per_chunk, monkeypatch):
+    X, block = staircase_tree()
+    assert block.n_nodes == 1999
+    monkeypatch.setattr(tree_module, "_PAIRS_PER_CHUNK", pairs_per_chunk)
+    rng = np.random.default_rng(999)
+    Q = np.concatenate((X, oracle_queries(block, 1, 100, rng),
+                        [[np.nan], [np.inf], [-np.inf], [-0.0], [999.5]]))
+    rows = np.arange(len(Q))
+    if pairs_per_chunk == 1:  # one pair per chunk: keep the steps few
+        rows = np.sort(rng.choice(len(Q), size=150, replace=False))
+    got = tree_apply(block, Q[rows])
+    assert got.tobytes() == level_synchronous_apply(block, Q[rows]).tobytes()
+    sample = rng.choice(len(rows), size=60, replace=False)
+    assert got[:, sample].tobytes() == walk_apply(block, Q[rows[sample]]).tobytes()
+    train = rows < 1000
+    assert (got[0, train] == rows[train] % 2).all()
+
+
+@pytest.mark.parametrize("name", ["staircase", "concat"])
+def test_whole_array_steps_stop_at_the_first_step_under_half_moved(name, monkeypatch):
+    # Where the first phase stops changes no leaf, only the cost: each of its
+    # steps counts the pairs that moved, the last count is the first under
+    # half of the chunk's pairs, and the second phase starts from the pairs
+    # that moved in that step.
+    if name == "staircase":
+        Q, block = staircase_tree()
+    else:
+        block = ORACLE_BLOCKS[name]
+        Q = oracle_queries(block, 4, 300, np.random.default_rng(3))
+    pairs = block.n_trees * len(Q)
+    block.left  # derived before the counting starts
+    counts, starts = [], []
+    count_nonzero, flatnonzero = np.count_nonzero, np.flatnonzero
+
+    def counted(moved):
+        assert moved.size == pairs  # whole arrays: one chunk of every pair
+        counts.append(count_nonzero(moved))
+        return counts[-1]
+
+    def started(moved):
+        starts.append(count_nonzero(moved))
+        return flatnonzero(moved)
+
+    monkeypatch.setattr(np, "count_nonzero", counted)
+    monkeypatch.setattr(np, "flatnonzero", started)
+    tree_apply(block, Q)
+    monkeypatch.undo()
+    assert len(counts) > 1 and counts[-1] < pairs / 2 <= min(counts[:-1])
+    assert starts == counts[-1:]
