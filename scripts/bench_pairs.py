@@ -23,10 +23,12 @@ output of ``scripts/bench_trees.py --src`` over both checkouts' sources.
 (``heartstack train`` with the default config, under ``--work``), then, in
 a fresh process per run and in pairs like ``perfbench``, times
 ``load_model`` of that document and ``predict_proba`` of 1, 235 and 4096
-stand-in rows; it also stores the document bytes and each train's wall
-time, the SHA-256 of each side's ``predict_proba`` output for each row
-count (every distinct digest over its runs) and whether the two sides'
-digests are the same single one for every row count. ``study`` runs
+stand-in rows, and reads the process's peak RSS (``ru_maxrss``) after
+those calls and before it imports ``hashlib`` for the digests; it also
+stores the document bytes and each train's wall time, the SHA-256 of each
+side's ``predict_proba`` output for each row count (every distinct digest
+over its runs) and whether the two sides' digests are the same single one
+for every row count. ``study`` runs
 ``scripts/run_full_study.py`` (this script's sibling, so both sides print
 the same stage lines) over each checkout's ``src``, in that checkout and
 in pairs like ``perfbench``, with its output under ``--work``; it stores
@@ -66,7 +68,7 @@ config = paper_default_config(sys.argv[1] + "/heart.csv", out_dir=sys.argv[1])
 print(cmd_train(config)["model_path"])
 """
 STORE_LOAD = """
-import hashlib, json, sys, time
+import json, resource, sys, time
 import numpy as np
 from heartstack.dataset import parse_feature_csv
 from heartstack.model_store import load_model
@@ -75,13 +77,15 @@ rows = [np.resize(X, (int(n), X.shape[1])) for n in sys.argv[3:]]
 t0 = time.perf_counter()
 model = load_model(sys.argv[1])
 out = [time.perf_counter() - t0]
-digests = []
+probas = []
 for r in rows:
     t0 = time.perf_counter()
-    proba = model.predict_proba(r)
+    probas.append(model.predict_proba(r))
     out.append(time.perf_counter() - t0)
-    digests.append(hashlib.sha256(np.ascontiguousarray(proba).tobytes()).hexdigest())
-print(json.dumps({"times": out, "sha256": digests}))
+out.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)  # KiB on Linux
+import hashlib  # after the reading, so that the peak is what a predict process holds
+digests = [hashlib.sha256(np.ascontiguousarray(p).tobytes()).hexdigest() for p in probas]
+print(json.dumps({"values": out, "sha256": digests}))
 """
 STORE_ROWS = (1, 235, 4096)
 STUDY_STAGES = ("analysis", "baseline", "train", "evaluate")
@@ -168,7 +172,7 @@ def trees(args, dirs) -> dict:
 
 def store(args, dirs) -> dict:
     env = {side: {**os.environ, "PYTHONPATH": str(dirs[side] / "src")} for side in SIDES}
-    names = ["load_s"] + [f"proba_{n}_s" for n in STORE_ROWS]
+    names = ["load_s"] + [f"proba_{n}_s" for n in STORE_ROWS] + ["peak_rss_mb"]
     runs = {side: {name: [] for name in names} for side in SIDES}
     digests = {side: {n: set() for n in STORE_ROWS} for side in SIDES}
     section = {"pairs": args.pairs, "rows": list(STORE_ROWS), "train_s": {}, "doc_bytes": {}}
@@ -189,7 +193,7 @@ def store(args, dirs) -> dict:
                                        str(work[side] / "heart.csv"), *map(str, STORE_ROWS)],
                                       env=env[side], capture_output=True, text=True, check=True)
                 result = json.loads(proc.stdout)
-                for name, value in zip(names, result["times"]):
+                for name, value in zip(names, result["values"]):
                     runs[side][name].append(value)
                 for n, digest in zip(STORE_ROWS, result["sha256"]):
                     digests[side][n].add(digest)

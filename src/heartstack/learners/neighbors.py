@@ -7,18 +7,25 @@ import numpy as np
 from .base import LearnerSpec, TrainedModel, finite_array, pack, unpack
 from ..errors import FitError
 
-# Query rows are scored in blocks of at most this many, which bounds the
-# distance matrix and its selection arrays whatever the request size.
+# Query rows are multiplied against the training rows in blocks of at most
+# this many, which bounds the distance matrix whatever the request size.
 _ROWS_PER_BLOCK = 1024
+# A block's distances are finished and selected in slices of this many rows.
+_ROWS_PER_SLICE = 128
 
 
 class KnnModel(TrainedModel):
     """Stores the (standardized) training rows; probability is the class-1
     fraction among the k nearest by Euclidean distance, with distance ties
-    broken toward the lower training-row index. Scoring selects the k
-    nearest of each query row, block by block of a fixed number of rows,
-    so its memory does not grow with the request size. A document packs
-    the rows row-major as float64 and the labels as int32."""
+    broken toward the lower training-row index. Scoring multiplies the
+    query rows against the training rows in blocks of ``_ROWS_PER_BLOCK``
+    rows, then finishes the distances and selects the k nearest in slices
+    of ``_ROWS_PER_SLICE`` rows of the block, and drops each block before
+    the next product. Its working memory is one block's distances plus one
+    slice's selection arrays, whatever the request size. The product is
+    not sliced, since BLAS rounds a product of another shape differently
+    in the last bit. A document packs the rows row-major as float64 and
+    the labels as int32."""
 
     def __init__(self, spec, n_features_in, X_train, y_train, k: int):
         super().__init__(spec, n_features_in)
@@ -33,9 +40,13 @@ class KnnModel(TrainedModel):
             rows = X[lo:lo + _ROWS_PER_BLOCK]
             # d2 = |x|^2 - 2x.t + |t|^2, evaluated in that order but in place.
             d2 = 2.0 * rows @ self.X_train.T
-            np.subtract((rows * rows).sum(axis=1)[:, None], d2, out=d2)
-            d2 += train_sq
-            ones[lo:lo + len(rows)] = _nearest_ones(d2, self.y_train, self.k)
+            rows_sq = (rows * rows).sum(axis=1)[:, None]
+            for at in range(0, len(rows), _ROWS_PER_SLICE):
+                part = d2[at:at + _ROWS_PER_SLICE]
+                np.subtract(rows_sq[at:at + _ROWS_PER_SLICE], part, out=part)
+                part += train_sq
+                ones[lo + at:lo + at + len(part)] = _nearest_ones(part, self.y_train, self.k)
+            del d2, part  # freed before the next block's product is made
         # A sum of 0/1 labels is exact, so this equals the neighbours' mean.
         return ones / self.k
 

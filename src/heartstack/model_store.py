@@ -36,7 +36,7 @@ from .errors import ConfigError, FitError, ModelFormatError, SchemaMismatchError
 from .learners import LEARNERS, LearnerSpec, TrainedModel
 from .model_selection import FoldPlan
 from .reporting import write_file
-from .schema import CANONICAL_SCHEMA, TARGET_ALIASES, schema_fingerprint
+from .schema import CANONICAL_SCHEMA, SCHEMA_FINGERPRINT, TARGET_ALIASES
 from .stacking import BaseSelectionReport, StackedModel
 from .standardize import Standardizer
 
@@ -55,7 +55,7 @@ def _created_stamp() -> str:
 def _schema_block() -> dict:
     return {
         "columns": [{"name": s.name, "kind": s.kind} for s in CANONICAL_SCHEMA],
-        "fingerprint": schema_fingerprint(),
+        "fingerprint": SCHEMA_FINGERPRINT,
     }
 
 
@@ -173,7 +173,7 @@ def load_model(source):
         raise ModelFormatError(f"malformed model document: {exc}") from None
     # Checked after the payload parses, so a malformed document is a format
     # error whatever its fingerprint.
-    if fingerprint != schema_fingerprint():
+    if fingerprint != SCHEMA_FINGERPRINT:
         raise SchemaMismatchError(
             "model was trained on a different column schema than this dataset"
         )

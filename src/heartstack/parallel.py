@@ -7,7 +7,6 @@ of worker count. HEARTSTACK_JOBS=1 disables forking.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 from .errors import ConfigError
@@ -27,6 +26,8 @@ def job_count() -> int:
         if jobs is None or jobs < 1:
             raise ConfigError(f"HEARTSTACK_JOBS must be an integer of at least 1, got {env!r}")
         return jobs
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -51,6 +52,8 @@ def run_tasks(fn, tasks, jobs: int | None = None) -> list:
     jobs = job_count() if jobs is None else jobs
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    import multiprocessing  # here, so that a process that never forks does not load it
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(min(jobs, len(tasks)), _start_worker, (fn, tasks)) as pool:
         return pool.map(_run_task, range(len(tasks)), chunksize=1)

@@ -7,7 +7,6 @@ may be called either ``target`` or ``class``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 NUMERIC = "numeric"
@@ -63,7 +62,7 @@ def feature_index(name: str) -> int:
     return FEATURE_NAMES.index(name)
 
 
-def schema_fingerprint(specs=CANONICAL_SCHEMA) -> str:
-    """Stable hash of column names and kinds, stored in model files."""
-    text = "|".join(f"{s.name}:{s.kind}" for s in specs)
-    return hashlib.sha256(text.encode("utf8")).hexdigest()[:16]
+# Stored in model files and checked on load: the first 16 hex digits of the
+# SHA-256 of "|".join(f"{s.name}:{s.kind}" for s in CANONICAL_SCHEMA), pinned
+# as a constant so that no process hashes (and loads OpenSSL) to get it.
+SCHEMA_FINGERPRINT = "4213aa33253b566e"

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from heartstack.learners.base import pack, unpack
 from heartstack.learners.forest import TreeEnsembleModel
 from heartstack.learners.tree import TreeBlock
 from heartstack.model_store import _single_payload, load_model, save_model
+from heartstack.schema import CANONICAL_SCHEMA, SCHEMA_FINGERPRINT
 from heartstack.stacking import StackingConfig, fit_stack
 
 SMALL = {"random_forest": {"n_estimators": 8}, "extra_trees": {"n_estimators": 8},
@@ -98,12 +100,21 @@ def test_non_model_json_rejected():
         load_model(b'{"hello": 1}')
 
 
-def test_fingerprint_mismatch_detected(train_data):
+def test_fingerprint_mismatch_detected(train_data, tmp_path, dataset_csv):
     X, y = train_data
     doc = json.loads(save_model(fit(LearnerSpec("cart"), X, y)))
     doc["schema"]["fingerprint"] = "0000000000000000"
     with pytest.raises(SchemaMismatchError):
         load_model(json.dumps(doc).encode("utf8"))
+    path = tmp_path / "other_schema.model"
+    path.write_text(json.dumps(doc))
+    assert main(["predict", "--model", str(path), "--input", str(dataset_csv),
+                 "--output", str(tmp_path / "p.csv")]) == 4
+
+
+def test_schema_fingerprint_is_the_hash_of_the_schema():
+    text = "|".join(f"{s.name}:{s.kind}" for s in CANONICAL_SCHEMA)
+    assert SCHEMA_FINGERPRINT == hashlib.sha256(text.encode("utf8")).hexdigest()[:16]
 
 
 def test_standardizer_survives_round_trip(train_data):

@@ -2,6 +2,7 @@
 tasks, and outputs that do not depend on the worker count."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conftest import random_classification
 from heartstack.cli import main
 from heartstack.config import CANDIDATE_ORDER, load_config
 from heartstack.learners import LearnerSpec
-from heartstack.parallel import run_tasks
+from heartstack.parallel import job_count, run_tasks
 from heartstack.pipeline import prepare
 from heartstack.synthetic import write_dataset_csv
 
@@ -110,3 +111,9 @@ def test_run_tasks_keeps_task_order_without_pickling_tasks():
     # tasks need to be picklable.
     tasks = [(i, lambda v: v * v) for i in range(7)]
     assert run_tasks(lambda task: task[1](task[0]), tasks, jobs=2) == [i * i for i in range(7)]
+
+
+def test_default_job_count_is_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("HEARTSTACK_JOBS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert job_count() == 1

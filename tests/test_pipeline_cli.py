@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import heartstack
 from heartstack import cli as cli_module
 from heartstack import config as config_module
 from heartstack.cli import main
@@ -589,6 +593,27 @@ def test_predictions_file_equals_per_row_csv_writer(with_target, micro_stack, da
                 "--output", out]) == 0
     assert out.read_bytes() == reference_predict_text(micro_stack / "stack.model",
                                                       path).encode("utf8")
+
+
+# Modules a predict request never uses: hashlib loads OpenSSL, and
+# multiprocessing and numpy.random serve only fits.
+NOT_IN_PREDICT = ("hashlib", "_hashlib", "multiprocessing", "numpy.random")
+PREDICT_PROCESS = """
+import json, sys
+from heartstack.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, [name for name in %r if name in sys.modules]]))
+""" % (NOT_IN_PREDICT,)
+
+
+def test_predict_process_loads_no_module_it_does_not_use(micro_stack):
+    src = str(Path(heartstack.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", PREDICT_PROCESS, "predict", "--model", str(micro_stack / "stack.model"),
+         "--input", str(micro_stack / "input.csv"), "--output", str(micro_stack / "fresh.csv")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_parser_is_built_once_per_process():
