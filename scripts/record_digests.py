@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -36,7 +35,6 @@ import test_study_digests as study  # noqa: E402
 
 
 def digests() -> dict[str, dict[str, str]]:
-    os.environ.pop("SOURCE_DATE_EPOCH", None)  # the documents' "created" stamp
     forest_data = engine.make_forest_data()
     out = {
         "TREES_SHA256": {case: engine.forest_trees_digest(case, forest_data)

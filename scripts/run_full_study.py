@@ -18,9 +18,18 @@ import json
 import time
 from pathlib import Path
 
-from heartstack.config import DEFAULT_SEED, config_to_dict, paper_default_config
+from heartstack.config import DEFAULT_SEED, PipelineConfig, paper_default_config
 from heartstack.pipeline import cmd_analyze, cmd_baseline, cmd_evaluate, cmd_train
 from heartstack.synthetic import write_dataset_csv
+
+
+def write_config(out: Path, csv_path, seed: int) -> PipelineConfig:
+    """Write ``out/config.json`` with the keys this run sets, every other
+    setting being the default, and return the config it describes."""
+    config = paper_default_config(str(csv_path), seed=seed, out_dir=str(out))
+    (out / "config.json").write_text(json.dumps(
+        {"dataset": config.dataset, "out_dir": config.out_dir, "seed": config.seed}, indent=2))
+    return config
 
 
 def main():
@@ -38,8 +47,7 @@ def main():
         write_dataset_csv(csv_path)
         print(f"generated synthetic stand-in at {csv_path}")
 
-    config = paper_default_config(str(csv_path), seed=args.seed, out_dir=str(out))
-    (out / "config.json").write_text(json.dumps(config_to_dict(config), indent=2))
+    config = write_config(out, csv_path, args.seed)
 
     t0 = time.perf_counter()
 

@@ -187,24 +187,3 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raw = {**raw, **overrides}
     return config_from_dict(raw)
 
-
-def config_to_dict(config: PipelineConfig) -> dict:
-    return {
-        "dataset": config.dataset,
-        "out_dir": config.out_dir,
-        "seed": config.seed,
-        "split_fraction": config.split_fraction,
-        "folds": config.folds,
-        "cleaning": {"strategy": config.cleaning.strategy, "iqr_k": config.cleaning.iqr_k},
-        "candidates": [
-            {"algorithm": c.spec.algorithm, "hyperparameters": dict(c.spec.hyperparameters),
-             "seed": c.spec.seed, "grid": c.grid}
-            for c in config.candidates
-        ],
-        "stacking": {
-            "top_n": config.stacking.top_n,
-            "meta_algorithm": config.stacking.meta.algorithm,
-            "meta_hyperparameters": dict(config.stacking.meta.hyperparameters),
-            "oof_folds": config.stacking.oof_folds,
-        },
-    }

@@ -15,7 +15,7 @@ from .base import (
 from .bayes import NaiveBayesModel, fit_naive_bayes
 from .boosting import fit_adaboost, fit_gbm, fit_xgb
 from .forest import TreeEnsembleModel, fit_cart, fit_extra_trees, fit_random_forest
-from .linear import LinearModel, fit_linear_svc, fit_sgd_logistic, logistic_loss_and_grad
+from .linear import LinearModel, fit_linear, logistic_loss_and_grad
 from .mlp import MlpModel, fit_mlp
 from .neighbors import KnnModel, fit_knn
 from .tree import GrowParams, TreeBlock, best_split, grow_tree, tree_apply
@@ -30,8 +30,8 @@ LEARNERS = {
     "adaboost": (fit_adaboost, TreeEnsembleModel),
     "knn": (fit_knn, KnnModel),
     "naive_bayes": (fit_naive_bayes, NaiveBayesModel),
-    "sgd_logistic": (fit_sgd_logistic, LinearModel),
-    "linear_svc": (fit_linear_svc, LinearModel),
+    "sgd_logistic": (fit_linear, LinearModel),
+    "linear_svc": (fit_linear, LinearModel),
     "mlp": (fit_mlp, MlpModel),
 }
 

@@ -59,12 +59,8 @@ class TreeEnsembleModel(TrainedModel):
             return sigmoid(2.0 * (total / alpha_sum if alpha_sum else np.zeros_like(total)))
         return sigmoid(total) if self.boosted else total / n_trees
 
-    def decision(self, X) -> np.ndarray:
-        """The margin when boosted, otherwise the sum of the leaf values."""
-        return self._sums(X, [self.trees.n_trees])[0]
-
     def _proba(self, X):
-        return self._link(self.decision(X), self.trees.n_trees)
+        return self._link(self._sums(X, [self.trees.n_trees])[0], self.trees.n_trees)
 
     def staged_proba(self, X, checkpoints: list[int]) -> list[np.ndarray]:
         """Probabilities using only the first c trees, for each c.

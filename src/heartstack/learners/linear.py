@@ -61,17 +61,11 @@ def _sgd(X, y, loss: str, epochs: int, eta0: float, decay: float, l2: float, see
     return w, b
 
 
-def fit_sgd_logistic(spec: LearnerSpec, X, y) -> LinearModel:
+def fit_linear(spec: LearnerSpec, X, y) -> LinearModel:
+    """sgd_logistic or linear_svc, by the spec's algorithm."""
     p = spec.resolved()
-    w, b = _sgd(X, y, "logistic", p["epochs"], p["learning_rate"], p["decay"], p["l2"],
-                spec.seed)
-    return LinearModel(spec, X.shape[1], w, b)
-
-
-def fit_linear_svc(spec: LearnerSpec, X, y) -> LinearModel:
-    p = spec.resolved()
-    w, b = _sgd(X, y, "hinge", p["epochs"], p["learning_rate"], p["decay"], p["l2"],
-                spec.seed)
+    loss = "logistic" if spec.algorithm == "sgd_logistic" else "hinge"
+    w, b = _sgd(X, y, loss, p["epochs"], p["learning_rate"], p["decay"], p["l2"], spec.seed)
     return LinearModel(spec, X.shape[1], w, b)
 
 

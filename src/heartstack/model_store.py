@@ -1,68 +1,49 @@
 """Versioned model persistence.
 
 One self-describing JSON document (extension ``.model``) serves both single
-models and stacks: top-level keys are format_version, created, kind, schema
-and payload. Numbers are written with full round-trippable precision, as
-JSON numbers or, for the arrays of tree and k-NN models, packed: the base64
-of their little-endian bytes (int32, unsigned 8, 16 or 32 bits, or
-float64). Documents are pure data; loading never executes anything beyond
-parsing.
+models and stacks: top-level keys are format_version, kind, schema (the
+schema's fingerprint) and payload. A document stores only what scoring
+reads, so no model in it records its width: a single model and every base
+of a stack read the schema's ``N_FEATURES`` columns, and a stack's meta one
+probability per base. ``save_model`` refuses a fitted model of any other
+width, since a tree payload cannot show its own. Numbers are written with
+full round-trippable precision, as JSON numbers or, for the arrays of tree
+and k-NN models, packed: the base64 of their little-endian bytes (int32,
+unsigned 8, 16 or 32 bits, or float64). Documents are pure data; loading
+never executes anything beyond parsing.
 
-Format 5 packs each tree model's nodes (see ``TreeBlock``): ``inner``, one
-bit per node (``np.packbits``, little bit order), from which each inner
-node's children follow; ``feature`` (one byte each up to 256 features,
-else two) and ``threshold`` per inner node; ``leaf_values``, the sorted
-codebook of distinct leaf values, and ``leaves``, one index into it per
-leaf in the fewest bytes that hold the codebook's length; and ``roots``.
+Each tree model packs its nodes (see ``TreeBlock``): ``inner``, one bit per
+node (``np.packbits``, little bit order), from which each inner node's
+children follow; ``feature`` (one byte each up to 256 features, else two)
+and ``threshold`` per inner node; ``leaf_values``, the sorted codebook of
+distinct leaf values, and ``leaves``, one index into it per leaf in the
+fewest bytes that hold the codebook's length; and ``roots``.
 ``load_model`` checks them before any row is scored: the bitmap's length,
 pad bits and count against the thresholds, roots that tile the nodes into
 trees of 2m + 1 nodes for m inner ones, children after their parents,
 feature range, finite thresholds, a finite and bounded codebook, and leaf
-indices inside it. Formats 1 to 4 are rejected: train again.
-
-The ``created`` stamp honours SOURCE_DATE_EPOCH, in whole seconds, and
-otherwise falls back to a fixed epoch so that repeated pipeline runs stay
-byte-identical.
+indices inside it. Formats 1 to 5 are rejected: train again.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ConfigError, FitError, ModelFormatError, SchemaMismatchError
+from .errors import FitError, ModelFormatError, SchemaMismatchError
 from .learners import LEARNERS, LearnerSpec, TrainedModel
 from .model_selection import FoldPlan
 from .reporting import write_file
-from .schema import CANONICAL_SCHEMA, SCHEMA_FINGERPRINT, TARGET_ALIASES
+from .schema import N_FEATURES, SCHEMA_FINGERPRINT
 from .stacking import BaseSelectionReport, StackedModel
 from .standardize import Standardizer
 
-FORMAT_VERSION = 5
-
-
-def _created_stamp() -> str:
-    env = os.environ.get("SOURCE_DATE_EPOCH", "0")
-    try:
-        return datetime.fromtimestamp(int(env), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    except (ValueError, OverflowError, OSError):
-        raise ConfigError(f"SOURCE_DATE_EPOCH must be whole seconds in years 1 to 9999, "
-                          f"got {env!r}") from None
-
-
-def _schema_block() -> dict:
-    return {
-        "columns": [{"name": s.name, "kind": s.kind} for s in CANONICAL_SCHEMA],
-        "fingerprint": SCHEMA_FINGERPRINT,
-    }
+FORMAT_VERSION = 6
 
 
 def _single_payload(model: TrainedModel) -> dict:
     return {
         "spec": model.spec.to_dict(),
-        "n_features_in": model.n_features_in,
         "standardizer": None if model.standardizer is None else model.standardizer.to_dict(),
         "params": model.params_payload(),
     }
@@ -78,20 +59,32 @@ def _spec_from_dict(d: dict) -> LearnerSpec:
         raise ValueError(f"bad learner spec: {exc}") from None
 
 
-def _single_from_payload(payload: dict) -> TrainedModel:
+def _single_from_payload(payload: dict, n_features: int) -> TrainedModel:
+    """The model a payload describes, reading ``n_features`` features."""
     spec = _spec_from_dict(payload["spec"])
-    n_features_in = int(payload["n_features_in"])
-    model = LEARNERS[spec.algorithm][1].from_payload(spec, n_features_in, payload["params"])
+    model = LEARNERS[spec.algorithm][1].from_payload(spec, n_features, payload["params"])
     if payload.get("standardizer") is not None:
-        model.standardizer = Standardizer.from_dict(payload["standardizer"], n_features_in)
+        model.standardizer = Standardizer.from_dict(payload["standardizer"], n_features)
     return model
+
+
+def _check_width(model: TrainedModel, n_features: int, role: str) -> None:
+    """FitError unless ``model`` reads the ``n_features`` features that
+    load_model gives it."""
+    if model.n_features_in != n_features:
+        raise FitError(f"the fitted model cannot be saved: {role} reads "
+                       f"{model.n_features_in} features, not {n_features}")
 
 
 def save_model(model, path=None) -> bytes:
     """Serialize a TrainedModel or StackedModel; optionally write it to a
     path. Returns the document bytes either way. FitError, and nothing
-    written, if load_model would reject the document."""
+    written, for a model of another width than load_model gives it, or a
+    document load_model would reject."""
     if isinstance(model, StackedModel):
+        for base in model.bases:
+            _check_width(base, N_FEATURES, f"base {base.spec.algorithm}")
+        _check_width(model.meta, len(model.bases), "the meta")
         kind = "stacked"
         payload = {
             "selection": {
@@ -104,6 +97,7 @@ def save_model(model, path=None) -> bytes:
             "meta": _single_payload(model.meta),
         }
     elif isinstance(model, TrainedModel):
+        _check_width(model, N_FEATURES, model.spec.algorithm)
         kind = "single"
         payload = _single_payload(model)
     else:
@@ -111,9 +105,8 @@ def save_model(model, path=None) -> bytes:
 
     doc = {
         "format_version": FORMAT_VERSION,
-        "created": _created_stamp(),
         "kind": kind,
-        "schema": _schema_block(),
+        "schema": {"fingerprint": SCHEMA_FINGERPRINT},
         "payload": payload,
     }
     data = (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf8")
@@ -152,19 +145,17 @@ def load_model(source):
                                f"(expected {FORMAT_VERSION}): train the model again")
     try:
         fingerprint = doc["schema"]["fingerprint"]
-        n_columns = sum(c["name"] not in TARGET_ALIASES for c in doc["schema"]["columns"])
         payload = doc["payload"]
         if doc["kind"] == "single":
-            model = _single_from_payload(payload)
-            _check_reads_schema(model, n_columns)
+            model = _single_from_payload(payload, N_FEATURES)
         elif doc["kind"] == "stacked":
             sel = payload["selection"]
             entries = tuple((_spec_from_dict(e["spec"]), float(e["mean_cv_accuracy"]))
                             for e in sel["entries"])
             indices = tuple(sorted(int(i) for i in sel["selected_indices"]))
-            bases = [_single_from_payload(b) for b in payload["bases"]]
-            meta = _single_from_payload(payload["meta"])
-            _check_stack(bases, meta, indices, len(entries), n_columns)
+            bases = [_single_from_payload(b, N_FEATURES) for b in payload["bases"]]
+            _check_stack(bases, indices, len(entries))
+            meta = _single_from_payload(payload["meta"], len(bases))
             selection = BaseSelectionReport(entries, indices)
             model = StackedModel(bases, meta, selection, FoldPlan.from_dict(payload["fold_plan"]))
         else:
@@ -180,27 +171,12 @@ def load_model(source):
     return model
 
 
-def _check_reads_schema(model: TrainedModel, n_columns: int) -> None:
-    """Raise ValueError unless the model reads one feature per feature
-    column (every column but the target) of the document's schema."""
-    if model.n_features_in != n_columns:
-        raise ValueError(f"model reads {model.n_features_in} features, but the "
-                         f"document's schema has {n_columns} feature columns")
-
-
-def _check_stack(bases, meta, indices: tuple, n_entries: int, n_columns: int) -> None:
-    """Raise ValueError unless the stack can score a row: at least one base,
-    every base reading the schema's feature columns, the meta reading one probability
-    per base, and one distinct in-range selected index per base."""
+def _check_stack(bases, indices: tuple, n_entries: int) -> None:
+    """Raise ValueError unless the stack has at least one base and one
+    distinct in-range selected index per base."""
     if not bases:
         raise ValueError("stack has no bases")
-    for base in bases:
-        _check_reads_schema(base, n_columns)
-    if meta.n_features_in != len(bases):
-        raise ValueError(f"stack meta must read {len(bases)} base probabilities, "
-                         f"not {meta.n_features_in}")
     if (len(set(indices)) != len(indices) or len(indices) != len(bases)
             or not all(0 <= i < n_entries for i in indices)):
         raise ValueError("stack selected_indices must be distinct, in range and "
                          "one per base")
-

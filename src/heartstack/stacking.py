@@ -92,10 +92,6 @@ class StackedModel:
         self.selection = selection
         self.fold_plan = fold_plan
 
-    @property
-    def n_features_in(self) -> int:
-        return self.bases[0].n_features_in
-
     def base_probabilities(self, X) -> np.ndarray:
         return np.column_stack([b.predict_proba(X) for b in self.bases])
 

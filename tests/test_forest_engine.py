@@ -28,7 +28,8 @@ study's synthetic train split, and of 25-tree forests (default
 hyperparameters otherwise) on the same folds. Both sets were recorded
 again for format 3, CART's documents again when grow_forest began to
 grow them, since it numbers nodes level by level, and both sets again for
-format 5 (a leaf-value codebook and an inner-node bitmap). The same fold fits'
+format 5 (a leaf-value codebook and an inner-node bitmap) and format 6 (no
+created stamp, schema columns or n_features_in). The same fold fits'
 probabilities on the fold's held-out rows (``FOLD_PROBA_SHA256``) were
 recorded with format 2 and did not move, apart from those of CART with
 ``max_features`` set, recorded again with grow_forest.
@@ -136,16 +137,16 @@ FOLD_CASES = {
 }
 FOLDS = (0, 7)
 FOLD_DOC_SHA256 = {
-    "adaboost-0": "ee3b3ba44739aa7cc839b1df2388fd9439d31ce8f3bbb5920ecb0566092d5d06",
-    "adaboost-7": "9b029abfc9a88112c5fc013141823ead3865d2a7aa5ca22abf56a1da16cb1bba",
-    "cart-0": "7bcea8ff3194ec4b61e3a543d68c29360d87a5ef2212e5d1511cd65b7296f926",
-    "cart-7": "842cb3f928f39f9d8d725716cdabf8cbea970359f8beadc24b4b20a8eb7acc09",
-    "cart-sqrt_features-0": "00947996ebc2448ee7d0c2a7df397ba36f4163bc4313bf3ba96fbc828ff712cf",
-    "cart-sqrt_features-7": "d66df6927f9a13a03cc3a505d72e6d2e8886637a0ddb7a7b7bd029d59704c47d",
-    "gbm-0": "07f1c0f648c8339fbb3217048294df03e338a78eafc6cf37f41594492c0d0a21",
-    "gbm-7": "70a7e6b01610c29a3783b9e0a4bb9c60069d9e2d9ee2b08b062357777e863b3f",
-    "xgb_style-0": "9222143c9461b8bf13ffc1ad35534fb25f65bb5a481c693b6ea6e7d6c46c18ba",
-    "xgb_style-7": "a13b1dc8c9a528fffa7e34145755d981e27121e2d240709bd2f139f48a0a8fd4",
+    "adaboost-0": "0cd92479e37c605c0db331ae5183d3481e04666dabee0f20608b618a068cdee8",
+    "adaboost-7": "fc08325c3fd81743972c72d38f9255a95d5885e7d8c5dab6ced72678d2c55641",
+    "cart-0": "995b0d11ae9809ab3cdfd4569ff51818b4bc1842e05e4ed44b3bfea6e049f2d3",
+    "cart-7": "42b9fb8f18a7200a225ab6702b7d226f2f4d3a387172fd8ab4fdfc9aa0b577c6",
+    "cart-sqrt_features-0": "67cc25fe0c5dcc0ccf8753f48a0b0772051397b0384d43c498cea1545c269713",
+    "cart-sqrt_features-7": "ddec7e5171c97424d964e5f95f4eba991b642df097f9ffd1a33a157a1d94711c",
+    "gbm-0": "7eb0514609198fc89403246821a169bb8dc6149cf01489f0860f3535fbf95dd6",
+    "gbm-7": "778ca6a9a2ca95a34231ba6af3a84ffe54c501f7a4eda8beae6741b4ff765345",
+    "xgb_style-0": "dc39dbf7e75942a2e6c3d42c842185942408b13b8f7805896768d27e978fea1d",
+    "xgb_style-7": "e8e41b965d8c21a678e0a55f673b25f07d0d59c49542879bd32e78c0fc0c1c6a",
 }
 
 # 25-tree forests on the same OOF folds.
@@ -154,10 +155,10 @@ FOREST_FOLD_CASES = {
     "extra_trees": ("extra_trees", {"n_estimators": 25}),
 }
 FOREST_FOLD_DOC_SHA256 = {
-    "extra_trees-0": "938ea9216a99d874df41f13d2ba1e6de958969f88cb49b33883ec629edae574b",
-    "extra_trees-7": "5219a84a8730a3f9344779a5d6bea196edaa8cb5205fc94cb12bef98e4568872",
-    "random_forest-0": "ef7435d5cd96481816e734428489c8026a631c12e9a40742ac0e4a5f12dbc973",
-    "random_forest-7": "f5cbb16e2412909b1c7c2fc6fa6398f359c84ef976ec8be9141b07cf0bb0dfbb",
+    "extra_trees-0": "abcb9dec1f0599116798d98e9320a48ce65dd981caa3e3441f57e990435eaee5",
+    "extra_trees-7": "fba905a7ef3c69ce4148952905a9bfc07692d85b6a620ca823d777e6b0f983cc",
+    "random_forest-0": "234600012c6fab222831ce9e444109b9730d80f3d8dc3157b4b6131deaf8a7fc",
+    "random_forest-7": "81b717c5fd20f8958af29600bcd429d821dd7e3cedf16cc8110a88e78ee91d37",
 }
 FOLD_PROBA_SHA256 = {
     "adaboost-0": "50b8bb2de5d6a59716f90c8033ee76515aef5abd3a8be744221310bc6094f7d1",
@@ -325,8 +326,7 @@ def study_folds():
 
 def fold_digests(algorithm, hyper, fold_data) -> tuple[str, str]:
     """The sha256 of one fold fit's save_model document and of its
-    predict_proba bytes on the fold's held-out rows. The document's
-    "created" stamp reads SOURCE_DATE_EPOCH, which must be unset."""
+    predict_proba bytes on the fold's held-out rows."""
     X, y, held_out = fold_data
     model = fit(LearnerSpec(algorithm, hyper, seed=DEFAULT_SEED), X, y)
     proba = np.ascontiguousarray(model.predict_proba(held_out))
@@ -335,8 +335,7 @@ def fold_digests(algorithm, hyper, fold_data) -> tuple[str, str]:
 
 @pytest.mark.parametrize("fold", FOLDS)
 @pytest.mark.parametrize("case", sorted(FOLD_CASES))
-def test_dfs_fold_document_digest(case, fold, study_folds, monkeypatch):
-    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+def test_dfs_fold_document_digest(case, fold, study_folds):
     doc, proba = fold_digests(*FOLD_CASES[case], study_folds[fold])
     assert doc == FOLD_DOC_SHA256[f"{case}-{fold}"]
     assert proba == FOLD_PROBA_SHA256[f"{case}-{fold}"]
@@ -344,8 +343,7 @@ def test_dfs_fold_document_digest(case, fold, study_folds, monkeypatch):
 
 @pytest.mark.parametrize("fold", FOLDS)
 @pytest.mark.parametrize("case", sorted(FOREST_FOLD_CASES))
-def test_forest_fold_document_digest(case, fold, study_folds, monkeypatch):
-    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+def test_forest_fold_document_digest(case, fold, study_folds):
     doc, proba = fold_digests(*FOREST_FOLD_CASES[case], study_folds[fold])
     assert doc == FOREST_FOLD_DOC_SHA256[f"{case}-{fold}"]
     assert proba == FOLD_PROBA_SHA256[f"{case}-{fold}"]

@@ -16,7 +16,8 @@ from heartstack.learners.forest import TreeEnsembleModel
 from heartstack.learners.tree import TreeBlock
 from heartstack.model_store import _single_payload, load_model, save_model
 from heartstack.schema import CANONICAL_SCHEMA, SCHEMA_FINGERPRINT
-from heartstack.stacking import StackingConfig, fit_stack
+from heartstack.model_selection import k_fold_plan
+from heartstack.stacking import StackedModel, StackingConfig, fit_stack, select_base_learners
 
 SMALL = {"random_forest": {"n_estimators": 8}, "extra_trees": {"n_estimators": 8},
          "gbm": {"n_estimators": 8}, "xgb_style": {"n_estimators": 8},
@@ -423,15 +424,16 @@ def test_hostile_knn_document_rejected(mutation, train_data, tmp_path, dataset_c
 
 def test_deeply_nested_document_rejected(tmp_path, dataset_csv):
     depth = 100_000
-    data = b'{"format_version": 5, "payload": ' + b"[" * depth + b"]" * depth + b"}"
+    data = b'{"format_version": 6, "payload": ' + b"[" * depth + b"]" * depth + b"}"
     _assert_rejected(data, tmp_path, dataset_csv)
 
 
 def test_format_1_document_rejected(tree_document, tmp_path, dataset_csv):
     # Formats 1 (nested tree nodes), 2 (a stored right-child array), 3
-    # (arrays as JSON lists) and 4 (a stored left-child array and one
-    # float64 per leaf) are no longer read.
-    for version in (1, 2, 3, 4):
+    # (arrays as JSON lists), 4 (a stored left-child array and one float64
+    # per leaf) and 5 (a created stamp, the schema's columns, each model's
+    # n_features_in and the standardizer's constant mask) are no longer read.
+    for version in (1, 2, 3, 4, 5):
         doc = json.loads(json.dumps(tree_document))
         doc["format_version"] = version
         with pytest.raises(ModelFormatError, match="train the model again"):
@@ -443,7 +445,7 @@ STANDARDIZER_MUTATIONS = {
     "mean_short": lambda s: s.__setitem__("mean", s["mean"][:3]),
     "mean_and_std_short": lambda s: s.update(mean=s["mean"][:3], std=s["std"][:3]),
     "std_long": lambda s: s["std"].append(1.0),
-    "constant_short": lambda s: s["constant"].pop(),
+    "std_short": lambda s: s["std"].pop(),
     "mean_nan": lambda s: s["mean"].__setitem__(0, float("nan")),
     "mean_infinite": lambda s: s["mean"].__setitem__(0, float("-inf")),
     "mean_huge": lambda s: s["mean"].__setitem__(0, -1e308),
@@ -520,16 +522,21 @@ def test_hostile_model_params_rejected(mutation, train_data, tmp_path, dataset_c
 
 
 def _meta_reads_three(p):
+    """A meta of three weights over the stack's two bases."""
     meta = p["meta"]
-    meta["n_features_in"] = 3
     meta["params"]["weights"].append(0.5)
-    for field, value in (("mean", 0.5), ("std", 1.0), ("constant", False)):
+    for field, value in (("mean", 0.5), ("std", 1.0)):
         meta["standardizer"][field].append(value)
 
 
 def _bases_disagree(p):
-    p["bases"][1] = json.loads(json.dumps(p["bases"][0]))
-    p["bases"][1]["n_features_in"] = 12
+    """The k-NN base given a 12th column, in its rows and its standardizer;
+    the CART base reads the schema's 11."""
+    knn = p["bases"][1]
+    assert knn["spec"]["algorithm"] == "knn"
+    _repacked(lambda params: [row.append(0.0) for row in params["X_train"]])(knn["params"])
+    for field, value in (("mean", 0.5), ("std", 1.0)):
+        knn["standardizer"][field].append(value)
 
 
 def _selected(indices):
@@ -592,35 +599,79 @@ def test_bad_spec_in_stack_selection_rejected(mutation, stack_document, tmp_path
     _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
 
 
-@pytest.fixture(scope="module")
-def ten_feature_payload(train_data):
-    """A consistent naive_bayes model fitted on 10 of the schema's 11 columns."""
+def _payload_of_width(algorithm, n_features, train_data):
+    """The payload of a model fitted on ``n_features`` columns: the first
+    ones of the schema's 11, or all of them and copies of the first."""
     X, y = train_data
-    return json.loads(json.dumps(_single_payload(fit(LearnerSpec("naive_bayes"), X[:, :10], y))))
+    X = np.hstack([X, X])[:, :n_features]
+    return json.loads(json.dumps(_single_payload(fit(LearnerSpec(algorithm, SMALL.get(
+        algorithm, {})), X, y))))
 
 
+OTHER_WIDTHS = [(algorithm, n) for algorithm in ("naive_bayes", "sgd_logistic") for n in (10, 12)]
+
+
+@pytest.mark.parametrize("algorithm,n_features", OTHER_WIDTHS)
 def test_single_model_reading_other_than_schema_columns_rejected(
-        ten_feature_payload, train_data, tmp_path, dataset_csv):
+        algorithm, n_features, train_data, tmp_path, dataset_csv):
     X, y = train_data
-    doc = json.loads(save_model(fit(LearnerSpec("naive_bayes"), X, y)))
-    doc["payload"] = ten_feature_payload
+    doc = json.loads(save_model(fit(LearnerSpec(algorithm, SMALL.get(algorithm, {})), X, y)))
+    doc["payload"] = _payload_of_width(algorithm, n_features, train_data)
     _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
 
 
+@pytest.mark.parametrize("algorithm,n_features", OTHER_WIDTHS)
 def test_stack_bases_reading_other_than_schema_columns_rejected(
-        ten_feature_payload, stack_document, tmp_path, dataset_csv):
+        algorithm, n_features, train_data, stack_document, tmp_path, dataset_csv):
     doc = json.loads(json.dumps(stack_document))
-    doc["payload"]["bases"] = [ten_feature_payload] * len(doc["payload"]["bases"])
+    doc["payload"]["bases"][-1] = _payload_of_width(algorithm, n_features, train_data)
     _assert_rejected(json.dumps(doc).encode("utf8"), tmp_path, dataset_csv)
 
 
-@pytest.mark.parametrize("field", ["n_features_in", "seed"])
-def test_overflowing_integer_rejected(field, train_data, tmp_path, dataset_csv):
-    # 1e400 parses as infinity, which int() cannot convert.
+def test_save_refuses_a_model_of_another_width(train_data, tmp_path):
+    # A CART fitted on 10 columns splits only on features 0 to 9, so its
+    # document would load as a model of the schema's 11: save_model checks
+    # the width on the fitted object.
     X, y = train_data
-    doc = json.loads(save_model(fit(LearnerSpec("naive_bayes"), X, y)))
-    target = doc["payload"] if field == "n_features_in" else doc["payload"]["spec"]
-    target[field] = "OVERFLOW"
+    narrow = fit(LearnerSpec("cart"), X[:, :10], y)
+    with pytest.raises(FitError, match="cart reads 10 features, not 11"):
+        save_model(narrow, tmp_path / "narrow.model")
+    # A meta of three columns over two bases; a CART meta would load too.
+    bases = [fit(LearnerSpec(a), X, y) for a in ("cart", "naive_bayes")]
+    meta = fit(LearnerSpec("cart"), X[:, :3], y)
+    selection = select_base_learners([(b.spec, 0.5) for b in bases], 2)
+    stack = StackedModel(bases, meta, selection, k_fold_plan(len(y), 2, 0))
+    with pytest.raises(FitError, match="the meta reads 3 features, not 2"):
+        save_model(stack, tmp_path / "stack.model")
+    assert not list(tmp_path.iterdir())
+
+
+SINGLE_KEYS = {"spec", "standardizer", "params"}
+
+
+def test_documents_hold_exactly_the_format_6_keys(train_data, stack_document):
+    X, y = train_data
+    single = json.loads(save_model(fit(LearnerSpec("knn", {"k": 3}), X, y)))
+    for doc in (single, stack_document):
+        assert set(doc) == {"format_version", "kind", "schema", "payload"}
+        assert doc["format_version"] == 6 and doc["schema"] == {"fingerprint": SCHEMA_FINGERPRINT}
+    assert set(single["payload"]) == SINGLE_KEYS
+    assert set(single["payload"]["standardizer"]) == {"mean", "std"}
+    payload = stack_document["payload"]
+    assert set(payload) == {"selection", "fold_plan", "bases", "meta"}
+    for model in payload["bases"] + [payload["meta"]]:
+        assert set(model) == SINGLE_KEYS
+        assert model["standardizer"] is None or set(model["standardizer"]) == {"mean", "std"}
+
+
+@pytest.mark.parametrize("field", ["selected_indices", "seed"])
+def test_overflowing_integer_rejected(field, stack_document, tmp_path, dataset_csv):
+    # 1e400 parses as infinity, which int() cannot convert.
+    doc = json.loads(json.dumps(stack_document))
+    if field == "seed":
+        doc["payload"]["meta"]["spec"]["seed"] = "OVERFLOW"
+    else:
+        doc["payload"]["selection"]["selected_indices"][0] = "OVERFLOW"
     text = json.dumps(doc).replace('"OVERFLOW"', "1e400")
     _assert_rejected(text.encode("utf8"), tmp_path, dataset_csv)
 
@@ -668,10 +719,11 @@ ODD_NUMBERS = (float("nan"), float("inf"), -float("inf"), 1e308, -1e308, -1, -0.
 
 
 def _odd_packed(data, text, dtype) -> str:
-    """A packed array with one entry made odd or its bytes cut short. An
+    """A packed array with one entry made odd or its bytes cut short (always
+    cut when an earlier mutation left them short of whole entries). An
     index or label takes only the odd numbers an int32 can hold."""
     raw = base64.b64decode(text)
-    if not raw or data.draw(st.booleans()):
+    if not raw or len(raw) % np.dtype(dtype).itemsize or data.draw(st.booleans()):
         raw = raw[:data.draw(st.integers(0, max(len(raw) - 1, 0)))]
     else:
         a = unpack(text, dtype)
@@ -729,7 +781,15 @@ def hostile_document(data, doc) -> bytes:
 def test_hostile_documents_never_escape_predict(data, fuzz_case):
     root = fuzz_case
     doc = json.loads((root / "stack.model").read_bytes())
-    (root / "hostile.model").write_bytes(hostile_document(data, doc))
+    hostile = hostile_document(data, doc)
+    (root / "hostile.model").write_bytes(hostile)
     argv = ["predict", "--model", str(root / "hostile.model"), "--input",
             str(root / "input.csv"), "--output", str(root / "p.csv")]
-    assert main(argv) in (0, 5)
+    code = main(argv)
+    assert code in (0, 4, 5)
+    if code == 4:
+        # A schema mismatch only for a changed fingerprint on a document
+        # that loads once the fingerprint is restored.
+        doc = json.loads(hostile)
+        doc["schema"]["fingerprint"] = SCHEMA_FINGERPRINT
+        load_model(json.dumps(doc).encode("utf8"))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -165,16 +166,26 @@ def test_jobs_below_one_is_config_error(jobs, workspace, tmp_path, monkeypatch):
     assert run(["train", "--config", workspace["config"], "--out", tmp_path]) == 2
 
 
-@pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999", "-99999999999999"])
-def test_bad_source_date_epoch_is_config_error(epoch, dataset_csv, tmp_path, monkeypatch):
-    # The stamp is read when the stack is saved, after every fit.
+def test_train_reads_no_source_date_epoch(dataset_csv, tmp_path, monkeypatch):
+    # Model documents hold no timestamp, so the option is ignored.
     config = {**fast_config(dataset_csv, tmp_path), "folds": 2,
               "candidates": [{"algorithm": "cart"}, {"algorithm": "naive_bayes"}],
               "stacking": {"top_n": 2, "meta_algorithm": "sgd_logistic",
                            "meta_hyperparameters": {"epochs": 5}, "oof_folds": 2}}
     (tmp_path / "config.json").write_text(json.dumps(config))
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
-    assert run(["train", "--config", tmp_path / "config.json"]) == 2
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    assert run(["train", "--config", tmp_path / "config.json"]) == 0
+    assert load_model(tmp_path / "models" / MODEL_FILE).meta.n_features_in == 2
+
+
+def test_full_study_config_file_loads_as_the_paper_default(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    module_spec = importlib.util.spec_from_file_location("run_full_study", path)
+    study = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(study)
+    config = study.write_config(tmp_path, tmp_path / "heart.csv", 7)
+    assert config == paper_default_config(str(tmp_path / "heart.csv"), 7, str(tmp_path))
+    assert load_config(tmp_path / "config.json") == config
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the meta's weights overflow

@@ -10,10 +10,10 @@ def test_two_point_symmetry():
     assert out[:, 0] == pytest.approx([-1.0, 1.0])
 
 
-def test_constant_column_passes_through_flagged():
+def test_constant_column_passes_through():
     X = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
     std = fit_standardizer(X)
-    assert std.constant[0] and not std.constant[1]
+    assert (std.mean[0], std.std[0]) == (0.0, 1.0) and std.std[1] != 1.0
     out = std.apply(X)
     assert (out[:, 0] == 5.0).all()
 

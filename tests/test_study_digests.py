@@ -114,7 +114,7 @@ STUDY_SHA256 = {
     "models/selection_report.json":
         "8c8bd8103e693e4e38b34e5ff9c7489bc27c5a921c09f5369acadef2fa83b973",
     "models/stacked.model":
-        "28b6e7d6abeb6e36ba3f76dc2b5f559c5d66aaff49c7298d23ea1ae31fe33220",
+        "6e53e98a84ce51c1206361ed552e4c2d8a22fa4d657897029c19f69acfbe03cf",
     "predictions.csv":
         "bada398f010b3b45d80e4d111a64c956f316ecf4012453e3b6c01be41796edb9",
 }
@@ -122,8 +122,7 @@ STUDY_SHA256 = {
 
 def study_digests(root: Path) -> dict[str, str]:
     """Run the micro study under ``root`` and hash every file it writes
-    under its output directory, keyed by relative path. The documents'
-    "created" stamp reads SOURCE_DATE_EPOCH, which must be unset."""
+    under its output directory, keyed by relative path."""
     data, config, out = root / "heart.csv", root / "config.json", root / "out"
     write_dataset_csv(data)
     config.write_text(json.dumps({
@@ -141,6 +140,5 @@ def study_digests(root: Path) -> dict[str, str]:
             for path in sorted(out.rglob("*")) if path.is_file()}
 
 
-def test_study_outputs_are_pinned(tmp_path, monkeypatch):
-    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+def test_study_outputs_are_pinned(tmp_path):
     assert study_digests(tmp_path) == STUDY_SHA256
