@@ -6,6 +6,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -151,16 +152,16 @@ def _parse_table(source, require_target: bool):
         if missing:
             raise DataError(f"{source_name}: missing column(s) {', '.join(missing)}")
 
-        rows = list(reader)
-    if not rows:
+        columns = [(positions[s.name], s) for s in FEATURE_SPECS]
+        if target_pos is not None:
+            columns.append((target_pos, TARGET_SPEC))
+        try:
+            table = _parse_cells(reader, len(header), columns)
+        except ValueError:  # a row or cell breaks a rule: raise its error
+            handle.seek(0)
+            table = _parse_rows(list(csv.reader(handle))[1:], len(header), columns, source_name)
+    if not len(table):
         raise DataError(f"{source_name}: empty dataset (header only)")
-    columns = [(positions[s.name], s) for s in FEATURE_SPECS]
-    if target_pos is not None:
-        columns.append((target_pos, TARGET_SPEC))
-    try:
-        table = _parse_columns(rows, len(header), columns)
-    except ValueError:  # a row or cell breaks a rule: raise its error
-        table = _parse_rows(rows, len(header), columns, source_name)
     X = np.ascontiguousarray(table[:, :N_FEATURES])
     # Learned parameters are bounded by PARAMETER_BOUND for the same reason:
     # products of features summed over a row or a training set must not
@@ -182,25 +183,32 @@ def _parse_table(source, require_target: bool):
     return X, targets.astype(np.int64)
 
 
-def _parse_columns(rows, width: int, columns) -> np.ndarray:
-    """The cells of ``columns``, a list of (position, spec), as an (n rows,
-    len(columns)) float array, parsed a column at a time. ValueError if a
-    row is not ``width`` cells long or a cell breaks a rule of _parse_cell;
-    otherwise the values equal _parse_cell's."""
-    if set(map(len, rows)) != {width}:
-        raise ValueError("a row has the wrong number of cells")
-    cells = list(zip(*rows))
-    table = np.empty((len(rows), len(columns)))
-    for j, (pos, _) in enumerate(columns):
-        # float() ignores the whitespace that _parse_cell strips.
-        table[:, j] = np.fromiter(map(float, cells[pos]), np.float64, len(rows))
+def _parse_cells(reader, width: int, columns) -> np.ndarray:
+    """The cells of ``columns``, a list of (position, spec) that names every
+    position once, of the rows ``reader`` yields, as an (n rows,
+    len(columns)) float array. Every cell goes through float() straight
+    into one flat array, so no row is kept as strings, and the array is the
+    table unless the columns need reordering. ValueError if a row is not
+    ``width`` cells long or a cell breaks a rule of _parse_cell; otherwise
+    the values equal _parse_cell's."""
+    def rows():
+        for row in reader:
+            if len(row) != width:
+                raise ValueError("a row has the wrong number of cells")
+            yield row
+    # float() ignores the whitespace that _parse_cell strips.
+    table = np.fromiter(map(float, chain.from_iterable(rows())), np.float64).reshape(-1, width)
+    order = [pos for pos, _ in columns]
+    if order != list(range(width)):
+        table = table[:, order]
     if not np.isfinite(table).all():
         raise ValueError("a cell is not finite")
-    nominal = [j for j, (_, spec) in enumerate(columns) if spec.kind == NOMINAL]
-    codes = table[:, nominal]
-    if (codes != np.trunc(codes)).any():
-        raise ValueError("a code is not an integer")
-    table[:, nominal] = codes + 0.0  # -0 is code 0
+    for j, (_, spec) in enumerate(columns):
+        if spec.kind == NOMINAL:  # checked a column at a time, in place
+            codes = table[:, j]
+            if (codes != np.trunc(codes)).any():
+                raise ValueError("a code is not an integer")
+            codes += 0.0  # -0 is code 0
     return table
 
 

@@ -10,6 +10,8 @@ from .base import LearnerSpec, TrainedModel, finite_array, resolve_max_features,
 from .tree import GrowParams, TreeBlock, grow_forest, tree_apply
 
 BOOSTED = frozenset({"gbm", "xgb_style"})
+# Rows are scored in slices of at most this many (tree, row) pairs.
+_PAIRS_PER_CHUNK = 1 << 16
 
 
 class TreeEnsembleModel(TrainedModel):
@@ -40,16 +42,18 @@ class TreeEnsembleModel(TrainedModel):
 
     def _sums(self, X, counts: list[int]) -> list[np.ndarray]:
         """init_score plus learning_rate times the leaf values of the first
-        c trees, for each c in the ascending ``counts``."""
-        leaves = tree_apply(self.trees, X)
-        total = np.full(X.shape[0], self.init_score)
-        out = []
-        done = 0
-        for c in counts:
-            while done < c:
-                total += self.learning_rate * leaves[done]
-                done += 1
-            out.append(total.copy())
+        c trees, for each c in the ascending ``counts``. Row slices of at
+        most _PAIRS_PER_CHUNK (tree, row) pairs bound the memory; a slice's
+        cumulative sum of [init_score; learning_rate * leaves] along the
+        tree axis adds the leaves one tree at a time, in tree order."""
+        out = [np.empty(X.shape[0]) for _ in counts]
+        rows = max(1, _PAIRS_PER_CHUNK // self.trees.n_trees)
+        for lo in range(0, X.shape[0], rows):
+            leaves = tree_apply(self.trees, X[lo:lo + rows])
+            staged = np.cumsum(np.vstack((np.full(leaves.shape[1], self.init_score),
+                                          self.learning_rate * leaves)), axis=0)
+            for total, c in zip(out, counts):
+                total[lo:lo + rows] = staged[c]
         return out
 
     def _link(self, total, n_trees: int) -> np.ndarray:

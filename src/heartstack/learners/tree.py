@@ -34,13 +34,14 @@ the nodes of all trees of a model in parallel arrays. Node order is the
 tree: both growers append a tree's nodes breadth first, so a node's
 children follow from which nodes are inner, and only ``_derive_left``
 works out where they are. ``tree_apply`` scores every (tree, row) pair of
-a block at once, in two phases. Every leaf is a self-loop, so at first all
-pairs step together over whole arrays, with no gather or scatter of the
-moving set; once fewer than half of them move in a step, only those go on,
-compacted on every step as in Hummingbird's level-synchronous traversal
-(Nakandala et al., OSDI 2020). A row goes left where its value is at most
-the threshold, so NaN goes right at every inner node, and a leaf keeps
-every row, NaN or not.
+a block and the rows it is given at once, in two phases; a model passes it
+one row slice at a time, which bounds its memory. Every leaf is a
+self-loop, so at first all pairs step together over whole arrays, with no
+gather or scatter of the moving set; once fewer than half of them move in
+a step, only those go on, compacted on every step as in Hummingbird's
+level-synchronous traversal (Nakandala et al., OSDI 2020). A row goes left
+where its value is at most the threshold, so NaN goes right at every inner
+node, and a leaf keeps every row, NaN or not.
 """
 
 from __future__ import annotations
@@ -96,6 +97,14 @@ class TreeBlock:
         """Each node's left child, -1 for a leaf. ValueError if the nodes
         break the numbering invariant."""
         return _derive_left(self.n_nodes, np.flatnonzero(self.feature != -1), self.roots)
+
+    @cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """tree_apply's step table, derived once for any rows: each node's
+        right child, or itself plus one for a leaf, and the column it reads
+        in X with a constant 0.0 column put first (column 0 for a leaf)."""
+        right = np.where(self.left == -1, np.arange(1, self.n_nodes + 1), self.left + 1)
+        return right, self.feature + 1
 
     @classmethod
     def concat(cls, blocks: list["TreeBlock"]) -> "TreeBlock":
@@ -710,53 +719,45 @@ def _best_cuts(node, col, thr, la, lw, a1, wt, parent, criterion):
     return best, *(np.append(x, 0)[first] for x in (col, thr, la, lw))
 
 
-# Rows are scored in chunks of at most this many (tree, row) pairs, which
-# bounds the traversal's working arrays whatever the number of rows.
-_PAIRS_PER_CHUNK = 1 << 16
-
-
 def tree_apply(trees: TreeBlock, X) -> np.ndarray:
     """Leaf value of every (tree, row) pair, shape (n_trees, n_rows).
 
     One step moves a pair from node i to ``right[i] - (x[feature[i]] <=
-    threshold[i])``: an inner node's right child is ``left[i] + 1``, so a
-    pair goes left exactly when the comparison holds, and NaN goes right. A
-    leaf is a self-loop: it reads a constant 0.0 column appended to X
+    threshold[i])``, through the block's cached ``steps`` table, over X with
+    a constant 0.0 column put first. An inner node's right child is
+    ``left[i] + 1``, so a pair goes left exactly when the comparison holds,
+    and NaN goes right. A leaf is a self-loop: it reads the 0.0 column
     against its threshold, 0.0, which always holds, and its right is itself
     plus one.
 
-    The traversal runs in two phases. First every pair of a chunk steps,
-    over whole arrays, until a step in which fewer than half of them moved;
-    a pair that did not move is at a leaf, because an inner node always
-    moves. Then only the pairs that moved in that step go on, and the moving
-    set is compacted on every step, the level-synchronous traversal of
-    Hummingbird (Nakandala et al., OSDI 2020).
+    The traversal runs in two phases. First every pair steps, over whole
+    arrays, until a step in which fewer than half of them moved; a pair
+    that did not move is at a leaf, because an inner node always moves.
+    Then only the pairs that moved in that step go on, and the moving set
+    is compacted on every step, the level-synchronous traversal of
+    Hummingbird (Nakandala et al., OSDI 2020). Every pair of X is held at
+    once; TreeEnsembleModel bounds that by scoring a request in row slices.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    leaf = trees.left == -1
-    right = np.where(leaf, np.arange(1, trees.n_nodes + 1), trees.left + 1)
-    feature = np.where(leaf, d, trees.feature)
+    if not n:
+        return np.empty((trees.n_trees, 0))
+    right, feature = trees.steps
     padded = np.zeros((n, d + 1))
-    padded[:, :d] = X
-    out = np.empty((trees.n_trees, n))
-    chunk = max(1, _PAIRS_PER_CHUNK // trees.n_trees)
-    for lo in range(0, n, chunk):
-        rows = padded[lo:lo + chunk]
-        cells = rows.ravel()
-        node = np.repeat(trees.roots, len(rows))
-        cell = np.tile(np.arange(len(rows)) * (d + 1), trees.n_trees)  # pair's row offset
-        while True:  # every pair steps
-            step = right[node] - (cells[cell + feature[node]] <= trees.threshold[node])
-            moved = step != node
-            node = step
-            if 2 * np.count_nonzero(moved) < node.size:
-                break
-        moving = np.flatnonzero(moved)  # only the pairs that may still move
-        while moving.size:
-            at = node[moving]
-            step = right[at] - (cells[cell[moving] + feature[at]] <= trees.threshold[at])
-            node[moving] = step
-            moving = moving[step != at]
-        out[:, lo:lo + len(rows)] = trees.value[node].reshape(trees.n_trees, len(rows))
-    return out
+    padded[:, 1:] = X
+    cells = padded.ravel()
+    node = np.repeat(trees.roots, n)
+    cell = np.tile(np.arange(n) * (d + 1), trees.n_trees)  # pair's row offset
+    while True:  # every pair steps
+        step = right[node] - (cells[cell + feature[node]] <= trees.threshold[node])
+        moved = step != node
+        node = step
+        if 2 * np.count_nonzero(moved) < node.size:
+            break
+    moving = np.flatnonzero(moved)  # only the pairs that may still move
+    while moving.size:
+        at = node[moving]
+        step = right[at] - (cells[cell[moving] + feature[at]] <= trees.threshold[at])
+        node[moving] = step
+        moving = moving[step != at]
+    return trees.value[node].reshape(trees.n_trees, n)

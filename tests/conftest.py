@@ -3,11 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from heartstack.cleaning import clean
 from heartstack.dataset import parse_csv
 from heartstack.splitting import stratified_split
 from heartstack.synthetic import write_dataset_csv
+
+# A failing property test prints the @reproduce_failure line that replays
+# its draw; each test keeps its own max_examples and derandomize settings.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 # The real combined heart-disease CSV is a user-supplied input; tests run
 # against it when HEARTSTACK_CSV points at it and otherwise fall back to

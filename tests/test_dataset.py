@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,3 +287,21 @@ def test_dataset_arrays_immutable(dataset):
         dataset.X[0, 0] = 99.0
     with pytest.raises(ValueError):
         dataset.y[0] = 1
+
+
+def test_parse_holds_the_text_and_one_table(dataset_csv):
+    # A 20,000-row scoring input keeps no row as strings: the peak is the
+    # StringIO copy of its text, four bytes a character, and its float table
+    # while it grows.
+    lines = dataset_csv.read_text().splitlines()
+    rows = [line.rsplit(",", 1)[0] for line in lines]
+    text = "\n".join(rows[:1] + [rows[1 + i % (len(rows) - 1)] for i in range(20000)]) + "\n"
+    data = text.encode()
+    tracemalloc.start()
+    try:
+        X, _ = parse_feature_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (20000, 11)
+    assert peak <= 4 * len(text) + 2 * X.nbytes

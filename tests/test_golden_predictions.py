@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import random_classification
-from heartstack.learners import ALGORITHMS, STAGEABLE, LearnerSpec, fit
+from heartstack.learners import ALGORITHMS, STAGEABLE, LearnerSpec, fit, forest
+from heartstack.learners.tree import tree_apply
 
 SPECS = {
     "cart": {"max_depth": 4, "criterion": "entropy"},
@@ -91,3 +92,43 @@ def test_predict_proba_digest(algorithm, golden_data):
 @pytest.mark.parametrize("algorithm", sorted(STAGEABLE))
 def test_staged_proba_digest(algorithm, golden_data):
     assert staged_digest(algorithm, golden_data) == STAGED_SHA256[algorithm]
+
+
+def whole_request_sums(model, X, counts):
+    """TreeEnsembleModel._sums as it was before row slices: one tree_apply
+    over every row, then the leaves added one tree at a time."""
+    leaves = tree_apply(model.trees, X)
+    total = np.full(X.shape[0], model.init_score)
+    out = []
+    done = 0
+    for c in counts:
+        while done < c:
+            total += model.learning_rate * leaves[done]
+            done += 1
+        out.append(total.copy())
+    return out
+
+
+TREE_MODELS = ["cart", "random_forest", "extra_trees", "gbm", "xgb_style", "adaboost"]
+
+
+@pytest.mark.parametrize("pairs_per_chunk", [1, 50, forest._PAIRS_PER_CHUNK])
+@pytest.mark.parametrize("algorithm", TREE_MODELS)
+def test_row_slices_equal_one_whole_request_sum(algorithm, pairs_per_chunk, golden_data,
+                                                monkeypatch):
+    # s rows make one slice; requests of 1, s - 1, s, s + 1 and 3s + 7 rows
+    # end inside, at and just past a slice, and after several.
+    X, y, _ = golden_data
+    model = fit(LearnerSpec(algorithm, SPECS[algorithm], seed=5), X, y)
+    monkeypatch.setattr(forest, "_PAIRS_PER_CHUNK", pairs_per_chunk)
+    n_trees = model.trees.n_trees
+    s = max(1, pairs_per_chunk // n_trees)
+    counts = sorted({1, max(1, n_trees // 2), n_trees})
+    rng = np.random.default_rng(s)
+    for n in sorted({1, s - 1, s, s + 1, 3 * s + 7} - {0}):
+        Q = np.round(rng.normal(size=(n, X.shape[1])), 1)  # ties with the cuts
+        want = [np.clip(model._link(total, c), 0.0, 1.0)
+                for total, c in zip(whole_request_sums(model, Q, counts), counts)]
+        assert model.predict_proba(Q).tobytes() == want[-1].tobytes(), n
+        staged = model.staged_proba(Q, counts)
+        assert [p.tobytes() for p in staged] == [p.tobytes() for p in want], n

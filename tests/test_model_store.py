@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_classification
@@ -774,10 +774,25 @@ def hostile_document(data, doc) -> bytes:
     return text.encode("utf8")
 
 
+class Replay:
+    """Stands in for ``st.data()`` in an explicit example: each draw returns
+    the next of the given values, which must be one its strategy can draw."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy, label=None):
+        return self.values.pop(0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
+# Two "packed" mutations of packed field 2, the cart base's thresholds: the
+# first cuts its bytes to 3, the second finds them short of whole entries and
+# cuts them to 0. _odd_packed once unpacked such bytes and raised ValueError.
+@example(data=Replay(2, "packed", 2, True, 3, "packed", 2, 0))
 def test_hostile_documents_never_escape_predict(data, fuzz_case):
     root = fuzz_case
     doc = json.loads((root / "stack.model").read_bytes())

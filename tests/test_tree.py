@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from heartstack.cleaning import clean
 from heartstack.config import DEFAULT_SEED
-from heartstack.learners import LearnerSpec, boosting, fit
+from heartstack.learners import LearnerSpec, boosting, fit, forest
 from heartstack.learners import tree as tree_module
 from heartstack.learners.tree import (
     GrowParams,
@@ -696,10 +697,8 @@ def oracle_queries(block, n_features, n, rng):
 ORACLE_BLOCKS = oracle_blocks()
 
 
-@pytest.mark.parametrize("pairs_per_chunk", [1, 7, tree_module._PAIRS_PER_CHUNK])
 @pytest.mark.parametrize("name", list(ORACLE_BLOCKS))
-def test_tree_apply_matches_level_synchronous_and_walk(name, pairs_per_chunk, monkeypatch):
-    monkeypatch.setattr(tree_module, "_PAIRS_PER_CHUNK", pairs_per_chunk)
+def test_tree_apply_matches_level_synchronous_and_walk(name):
     block = ORACLE_BLOCKS[name]
     rng = np.random.default_rng(len(name))
     for n in (0, 1, 150):
@@ -710,23 +709,38 @@ def test_tree_apply_matches_level_synchronous_and_walk(name, pairs_per_chunk, mo
         assert got.tobytes() == walk_apply(block, Q).tobytes()
 
 
-@pytest.mark.parametrize("pairs_per_chunk", [1, 7, tree_module._PAIRS_PER_CHUNK])
-def test_tree_apply_on_the_depth_999_staircase(pairs_per_chunk, monkeypatch):
+def test_tree_apply_on_the_depth_999_staircase():
     X, block = staircase_tree()
     assert block.n_nodes == 1999
-    monkeypatch.setattr(tree_module, "_PAIRS_PER_CHUNK", pairs_per_chunk)
     rng = np.random.default_rng(999)
     Q = np.concatenate((X, oracle_queries(block, 1, 100, rng),
                         [[np.nan], [np.inf], [-np.inf], [-0.0], [999.5]]))
-    rows = np.arange(len(Q))
-    if pairs_per_chunk == 1:  # one pair per chunk: keep the steps few
-        rows = np.sort(rng.choice(len(Q), size=150, replace=False))
-    got = tree_apply(block, Q[rows])
-    assert got.tobytes() == level_synchronous_apply(block, Q[rows]).tobytes()
-    sample = rng.choice(len(rows), size=60, replace=False)
-    assert got[:, sample].tobytes() == walk_apply(block, Q[rows[sample]]).tobytes()
-    train = rows < 1000
-    assert (got[0, train] == rows[train] % 2).all()
+    got = tree_apply(block, Q)
+    assert got.tobytes() == level_synchronous_apply(block, Q).tobytes()
+    sample = rng.choice(len(Q), size=60, replace=False)
+    assert got[:, sample].tobytes() == walk_apply(block, Q[sample]).tobytes()
+    assert (got[0, :1000] == np.arange(1000) % 2).all()
+
+
+def test_scoring_holds_one_row_slice():
+    # A 200-tree extra_trees at the study's train shape scores 4096 rows
+    # without their (200 x 4096) leaf matrix: its step table, derived once,
+    # plus one row slice of at most _PAIRS_PER_CHUNK pairs.
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(940, 11))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=940) > 0).astype(np.int64)
+    model = fit(LearnerSpec("extra_trees", {"n_estimators": 200}, seed=1), X, y)
+    Q = np.resize(X, (4096, 11))
+    model.trees.left  # derived when a saved model loads
+    tracemalloc.start()
+    try:
+        model.predict_proba(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two 8-byte words a node, and ten a pair for the traversal's arrays; the
+    # leaf matrix alone would be another 6.6 MB.
+    assert peak <= 16 * model.trees.n_nodes + 80 * forest._PAIRS_PER_CHUNK
 
 
 @pytest.mark.parametrize("name", ["staircase", "concat"])
