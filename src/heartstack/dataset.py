@@ -187,10 +187,9 @@ def _parse_cells(reader, width: int, columns) -> np.ndarray:
     """The cells of ``columns``, a list of (position, spec) that names every
     position once, of the rows ``reader`` yields, as an (n rows,
     len(columns)) float array. Every cell goes through float() straight
-    into one flat array, so no row is kept as strings, and the array is the
-    table unless the columns need reordering. ValueError if a row is not
-    ``width`` cells long or a cell breaks a rule of _parse_cell; otherwise
-    the values equal _parse_cell's."""
+    into one flat array, so no row is kept as strings. ValueError if a row
+    is not ``width`` cells long or a cell breaks a rule of _parse_cell;
+    otherwise the values equal _parse_cell's."""
     def rows():
         for row in reader:
             if len(row) != width:

@@ -73,7 +73,7 @@ class TreeBlock:
     of a tree, in node order, has its children at ``root + 2j + 1`` and
     ``root + 2j + 2``. So every child is numbered after its parent, each
     walk from a root ends, and a tree of m inner nodes has 2m + 1 nodes.
-    ``left`` is derived from the invariant when first read. A document
+    ``left`` is derived from the invariant on every read. A document
     (``to_dict``) stores one inner-node bit per node, the features and
     thresholds of inner nodes, a codebook of the distinct leaf values with
     one index into it per leaf, and ``roots``.
@@ -92,19 +92,18 @@ class TreeBlock:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    @cached_property
+    @property
     def left(self) -> np.ndarray:
-        """Each node's left child, -1 for a leaf. ValueError if the nodes
-        break the numbering invariant."""
+        """Each node's left child, -1 for a leaf, derived on every read.
+        ValueError if the nodes break the numbering invariant."""
         return _derive_left(self.n_nodes, np.flatnonzero(self.feature != -1), self.roots)
 
     @cached_property
     def steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """tree_apply's step table, derived once for any rows: each node's
-        right child, or itself plus one for a leaf, and the column it reads
-        in X with a constant 0.0 column put first (column 0 for a leaf)."""
-        right = np.where(self.left == -1, np.arange(1, self.n_nodes + 1), self.left + 1)
-        return right, self.feature + 1
+        """tree_apply's step table, the one per-node table a block caches:
+        each node's right child, or itself plus one for a leaf, and the
+        column it reads in X with a 0.0 column put first (0 for a leaf)."""
+        return _steps(self.left, self.feature)
 
     @classmethod
     def concat(cls, blocks: list["TreeBlock"]) -> "TreeBlock":
@@ -173,8 +172,12 @@ class TreeBlock:
         arrays["threshold"][inner_at] = threshold
         arrays["value"][np.flatnonzero(left == -1)] = codebook[leaves]
         block = cls(**arrays, roots=roots)
-        vars(block)["left"] = left  # derived once, here, so a bad document fails to load
+        vars(block)["steps"] = _steps(left, block.feature)  # so a bad document fails to load
         return block
+
+
+def _steps(left, feature) -> tuple[np.ndarray, np.ndarray]:
+    return np.where(left == -1, np.arange(len(left)), left) + 1, feature + 1
 
 
 def _index_dtype(n: int) -> str:
@@ -735,9 +738,9 @@ def tree_apply(trees: TreeBlock, X) -> np.ndarray:
     that did not move is at a leaf, because an inner node always moves.
     Then only the pairs that moved in that step go on, and the moving set
     is compacted on every step, the level-synchronous traversal of
-    Hummingbird (Nakandala et al., OSDI 2020). Every pair of X is held at
-    once; TreeEnsembleModel bounds that by scoring a request in row slices.
-    """
+    Hummingbird (Nakandala et al., OSDI 2020). It holds about ten words
+    per (tree, row) pair of X at once, with no bound of its own: a caller
+    must pass row slices, as TreeEnsembleModel._sums does."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if not n:

@@ -724,23 +724,23 @@ def test_tree_apply_on_the_depth_999_staircase():
 
 def test_scoring_holds_one_row_slice():
     # A 200-tree extra_trees at the study's train shape scores 4096 rows
-    # without their (200 x 4096) leaf matrix: its step table, derived once,
-    # plus one row slice of at most _PAIRS_PER_CHUNK pairs.
+    # without their (200 x 4096) leaf matrix: past the step table a loaded
+    # model caches, one row slice of at most _PAIRS_PER_CHUNK pairs.
     rng = np.random.default_rng(17)
     X = rng.normal(size=(940, 11))
     y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=940) > 0).astype(np.int64)
     model = fit(LearnerSpec("extra_trees", {"n_estimators": 200}, seed=1), X, y)
     Q = np.resize(X, (4096, 11))
-    model.trees.left  # derived when a saved model loads
+    model.trees.steps  # cached when a saved model loads
     tracemalloc.start()
     try:
         model.predict_proba(Q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Two 8-byte words a node, and ten a pair for the traversal's arrays; the
-    # leaf matrix alone would be another 6.6 MB.
-    assert peak <= 16 * model.trees.n_nodes + 80 * forest._PAIRS_PER_CHUNK
+    # Ten 8-byte words a pair for the traversal's arrays; the leaf matrix
+    # alone would be another 6.6 MB.
+    assert peak <= 80 * forest._PAIRS_PER_CHUNK
 
 
 @pytest.mark.parametrize("name", ["staircase", "concat"])
@@ -755,7 +755,7 @@ def test_whole_array_steps_stop_at_the_first_step_under_half_moved(name, monkeyp
         block = ORACLE_BLOCKS[name]
         Q = oracle_queries(block, 4, 300, np.random.default_rng(3))
     pairs = block.n_trees * len(Q)
-    block.left  # derived before the counting starts
+    block.steps  # derived before the counting starts
     counts, starts = [], []
     count_nonzero, flatnonzero = np.count_nonzero, np.flatnonzero
 
